@@ -1,5 +1,5 @@
 # Verify loop for the repo. `make verify` is the default gate for any
-# change: the tier-1 build+test pass (ROADMAP.md), go vet, the race
+# change: gofmt drift, the tier-1 build+test pass (ROADMAP.md), go vet, the race
 # detector over the concurrent packages (internal/serve is the first
 # concurrent code in the repo; its tests — and the cmd tests that
 # drive a live server — must stay race-clean), and the project's own
@@ -8,9 +8,15 @@
 
 GO ?= go
 
-.PHONY: verify build test vet lint race bench serve-bench fuzz
+.PHONY: verify fmt build test vet lint race bench serve-bench fuzz
 
-verify: vet build test race lint
+verify: fmt vet build test race lint
+
+# Fails if gofmt would rewrite any Go file outside testdata (fixtures
+# there are analyzer inputs, kept as written).
+fmt:
+	@out=$$(gofmt -l . | grep -v '/testdata/'); \
+	if [ -n "$$out" ]; then echo "gofmt -l reports:"; echo "$$out"; exit 1; fi
 
 build:
 	$(GO) build ./...
@@ -64,7 +70,8 @@ fuzz:
 #
 # The -zero gates are the CI alloc-regression tripwire: the build
 # fails if the steady-state engine replay, either serve dispatch
-# benchmark, or the autotune mirror-tap path reports any allocs/op.
+# benchmark, the loopback wire round trip, or the autotune mirror-tap
+# path reports any allocs/op.
 BENCH_FIG9_BASELINE_NS ?= 18681932
 BENCH_REPLAY_BASELINE_NS ?= 2049359
 BENCH_DFCM_BASELINE_NS ?= 10.74
@@ -99,6 +106,7 @@ bench:
 	    -zero BenchmarkRunBatchTAGE \
 	    -zero BenchmarkServeDispatchRunBatch \
 	    -zero BenchmarkServeDispatchPredictBatch \
+	    -zero BenchmarkServeWireRunBatch \
 	    -zero BenchmarkServeMirrorTap
 	@cat BENCH_engine.json
 

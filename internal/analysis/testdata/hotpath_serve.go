@@ -1,8 +1,9 @@
 // Seeded-violation fixture for the hot-path-alloc analyzer (serve
 // scope). Loaded with import path "repro/internal/serve": the rule
 // lints the per-frame codec — top-level append*/decode* functions
-// plus readFrameInto, growPayload, writeFrame and ReadRequestFrameBuf
-// — and nothing else in the package.
+// plus the frame writer (beginFrame, endFrame, ResponseFrame,
+// growBody) and readers (readHeader, readPayload, readResponseFrame,
+// ReadRequestFrame) — and nothing else in the package.
 package serve
 
 import (
@@ -30,24 +31,64 @@ func decodeValueReq(p []byte) (uint32, error) {
 	return uint32(p[0]), nil
 }
 
-// readFrameInto is the buffer-reusing frame reader: in scope by name.
-func readFrameInto(r io.Reader, buf []byte) ([]byte, error) {
+// beginFrame, endFrame, ResponseFrame and growBody write frames in
+// place: in scope by name.
+func beginFrame(buf []byte, op byte) []byte {
+	return append(buf[:0], fmt.Sprint(op)...) // want hot-path-alloc
+}
+
+func endFrame(f []byte) []byte {
+	defer func() {}() // want hot-path-alloc
+	return f
+}
+
+func ResponseFrame(buf []byte, op byte) []byte {
+	x := any(op) // want hot-path-alloc
+	_ = x
+	return buf
+}
+
+func growBody(b []byte, n int) []byte {
+	return append(b, fmt.Sprintf("%*s", n, "")...) // want hot-path-alloc
+}
+
+// readHeader, readPayload, readResponseFrame and ReadRequestFrame are
+// the frame readers: in scope by name.
+func readHeader(r io.Reader, buf []byte) ([]byte, error) {
+	if _, err := io.ReadFull(r, buf); err != nil {
+		return nil, fmt.Errorf("header: %w", err) // want hot-path-alloc
+	}
+	return buf, nil
+}
+
+func readPayload(r io.Reader, buf []byte) ([]byte, error) {
+	defer fmt.Println(len(buf)) // want hot-path-alloc
+	_, err := io.ReadFull(r, buf)
+	return buf, err
+}
+
+func readResponseFrame(r io.Reader, buf []byte) ([]byte, error) {
 	if _, err := io.ReadFull(r, buf); err != nil {
 		return nil, fmt.Errorf("read: %w", err) // want hot-path-alloc
 	}
 	return buf, nil
 }
 
-// writeFrame is in scope by name.
-func writeFrame(w io.Writer, payload []byte) error {
-	x := any(payload) // want hot-path-alloc
+func ReadRequestFrame(r io.Reader, buf []byte) ([]byte, error) {
+	x := any(len(buf)) // want hot-path-alloc
 	_ = x
-	_, err := w.Write(payload)
+	_, err := io.ReadFull(r, buf)
+	return buf, err
+}
+
+// writeFrame is not a codec name: out of scope.
+func writeFrame(w io.Writer, payload []byte) error {
+	_, err := fmt.Fprint(w, payload)
 	return err
 }
 
-// encodeValueResp is the cold allocating wrapper: out of scope, fmt
-// is fine here.
+// encodeValueResp is a cold allocating helper: out of scope, fmt is
+// fine here.
 func encodeValueResp(values []uint32) []byte {
 	b := appendValueResp(make([]byte, 0, len(values)), values)
 	fmt.Println(len(b))

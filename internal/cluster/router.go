@@ -185,54 +185,57 @@ func (r *Router) serveConn(conn net.Conn) {
 		r.lifeMu.Unlock()
 	}()
 	br := bufio.NewReader(conn)
-	bw := bufio.NewWriter(conn)
-	// Per-connection scratch: the request payload and the forwarded
-	// response reuse these across frames, so a steady-state proxied
+	// Per-connection frame buffers: the inbound request frame and the
+	// reply frame reuse these across frames, so a steady-state proxied
 	// frame allocates nothing. Both are owned by this goroutine; each
-	// is valid until the next frame (the response is written and
-	// flushed before the next read).
-	var frameBuf, respBuf []byte
+	// is valid until the next frame (the reply is written before the
+	// next read).
+	var in, out []byte
 	for {
 		if err := conn.SetReadDeadline(time.Now().Add(r.cfg.ReadTimeout)); err != nil {
 			return
 		}
-		op, payload, oversized, err := serve.ReadRequestFrameBuf(br, r.cfg.MaxFrame, frameBuf)
+		req, oversized, err := serve.ReadRequestFrame(br, r.cfg.MaxFrame, in)
 		if err != nil {
 			return
 		}
-		if payload != nil {
-			frameBuf = payload
-		}
-		var resp []byte
+		in = req
+		var resp serve.Frame
 		if oversized {
-			resp = append(respBuf[:0], byte(serve.StatusBadRequest))
+			resp = serve.ResponseFrame(out, req.Op(), serve.StatusBadRequest, nil)
 		} else {
-			resp = r.dispatch(op, payload, respBuf[:0])
+			resp = r.dispatch(req, out)
 		}
-		respBuf = resp
-		if err := conn.SetWriteDeadline(time.Now().Add(r.cfg.WriteTimeout)); err != nil {
-			return
-		}
-		if err := serve.WriteResponseFrame(bw, op, resp); err != nil {
-			return
-		}
-		if err := bw.Flush(); err != nil {
+		out = resp
+		if err := r.writeReply(conn, resp); err != nil {
 			return
 		}
 	}
 }
 
-// dispatch routes one request frame, building the response in buf's
-// storage (the returned slice is rooted there; serveConn keeps it as
-// the next frame's scratch). Stats aggregates across backends;
-// everything else forwards to the session's owner.
-func (r *Router) dispatch(op byte, payload, buf []byte) []byte {
-	if op == serve.OpStats {
-		return append(buf, r.aggregateStats()...)
+// writeReply sends one reply frame to an inbound client with a single
+// Write.
+func (r *Router) writeReply(conn net.Conn, f serve.Frame) error {
+	if err := conn.SetWriteDeadline(time.Now().Add(r.cfg.WriteTimeout)); err != nil {
+		return err
 	}
-	session, ok := serve.RequestSession(op, payload)
+	_, err := conn.Write(f)
+	return err
+}
+
+// dispatch routes one request frame, building the reply frame in
+// buf's storage (the returned frame is rooted there; serveConn keeps
+// it as the next frame's scratch). Stats aggregates across backends;
+// everything else passes through to the session's owner, request and
+// reply frames both forwarded verbatim.
+func (r *Router) dispatch(req serve.Frame, buf []byte) serve.Frame {
+	op := req.Op()
+	if op == serve.OpStats {
+		return r.aggregateStats(buf)
+	}
+	session, ok := serve.RequestSession(op, req.Payload())
 	if !ok {
-		return append(buf, byte(serve.StatusBadRequest))
+		return serve.ResponseFrame(buf, op, serve.StatusBadRequest, nil)
 	}
 	lk := r.locks.get(session)
 	lk.RLock()
@@ -241,12 +244,12 @@ func (r *Router) dispatch(op byte, payload, buf []byte) []byte {
 	if !ok {
 		// No live backend: shed like engine backpressure so clients
 		// retry rather than tear down.
-		return append(buf, byte(serve.StatusBusy))
+		return serve.ResponseFrame(buf, op, serve.StatusBusy, nil)
 	}
-	resp, err := r.forward(addr, op, payload, buf)
+	resp, err := r.forward(addr, req, buf)
 	if err != nil {
 		r.forwardErrors.Add(1)
-		return append(buf, byte(serve.StatusBusy))
+		return serve.ResponseFrame(buf, op, serve.StatusBusy, nil)
 	}
 	r.noteRoute(session, addr)
 	return resp
@@ -280,26 +283,26 @@ func (r *Router) noteRoute(session uint64, addr string) {
 	r.mu.Unlock()
 }
 
-// forward round-trips one frame to addr over a pooled connection,
-// reading the response into buf's storage — the buffer must be
-// caller-owned because Pool.Do returns the client to the pool before
-// the caller is done with the response; a client-owned scratch would
-// be overwritten by the connection's next borrower. A transport error
-// is retried once on a fresh connection: the common cause is a pooled
-// socket staled by a backend restart, which fails on the first write.
-// (The retry is at-least-once: an error after the backend processed
-// the request but before its response arrived would re-apply the
-// batch. VP1 carries no request IDs to do better; the window requires
-// the backend to die mid-response.)
-func (r *Router) forward(addr string, op byte, payload, buf []byte) ([]byte, error) {
-	var resp []byte
+// forward round-trips one request frame to addr over a pooled
+// connection, reading the reply frame into buf's storage — the buffer
+// must be caller-owned because Pool.Do returns the client to the pool
+// before the caller is done with the reply; a client-owned buffer
+// would be overwritten by the connection's next borrower. A transport
+// error is retried once on a fresh connection: the common cause is a
+// pooled socket staled by a backend restart, which fails on the first
+// write. (The retry is at-least-once: an error after the backend
+// processed the request but before its response arrived would
+// re-apply the batch. VP1 carries no request IDs to do better; the
+// window requires the backend to die mid-response.)
+func (r *Router) forward(addr string, req serve.Frame, buf []byte) (serve.Frame, error) {
+	var resp serve.Frame
 	do := func() error {
 		return r.pool.Do(addr, func(c *serve.Client) error {
-			p, err := c.RoundTripAppend(op, payload, buf)
+			f, err := c.RoundTripFrame(req, buf)
 			if err != nil {
 				return err
 			}
-			resp = p
+			resp = f
 			return nil
 		})
 	}
@@ -316,10 +319,11 @@ func (r *Router) forward(addr string, op byte, payload, buf []byte) ([]byte, err
 	return resp, nil
 }
 
-// aggregateStats answers the Stats op with the sum over reachable
-// backends, so a client pointed at the router instead of a single
-// vpserve sees cluster-wide totals in the same shape.
-func (r *Router) aggregateStats() []byte {
+// aggregateStats answers the Stats op, in a reply frame built in
+// buf's storage, with the sum over reachable backends, so a client
+// pointed at the router instead of a single vpserve sees cluster-wide
+// totals in the same shape.
+func (r *Router) aggregateStats(buf []byte) serve.Frame {
 	var sum serve.Stats
 	contacted := 0
 	for _, b := range r.pool.Backends() {
@@ -355,16 +359,16 @@ func (r *Router) aggregateStats() []byte {
 		sum.Restored += st.Restored
 	}
 	if contacted == 0 {
-		return serve.StatusResponse(serve.StatusBusy)
+		return serve.ResponseFrame(buf, serve.OpStats, serve.StatusBusy, nil)
 	}
 	if sum.Predictions > 0 {
 		sum.HitRate = float64(sum.Hits) / float64(sum.Predictions)
 	}
 	body, err := json.Marshal(sum)
 	if err != nil {
-		return serve.StatusResponse(serve.StatusBusy)
+		return serve.ResponseFrame(buf, serve.OpStats, serve.StatusBusy, nil)
 	}
-	return serve.StatsResponse(body)
+	return serve.ResponseFrame(buf, serve.OpStats, serve.StatusOK, body)
 }
 
 // location reports where a session's state currently lives: its pin,

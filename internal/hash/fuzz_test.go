@@ -13,8 +13,8 @@ func FuzzHash(f *testing.F) {
 	f.Add(uint64(0xdeadbeef), uint64(42), uint8(16), uint8(3))
 	f.Add(uint64(7), uint64(7), uint8(64), uint8(7))
 	f.Fuzz(func(t *testing.T, h, value uint64, nRaw, kRaw uint8) {
-		n := uint(nRaw%64) + 1  // index widths 1..64
-		k := uint(kRaw%16) + 1  // FS R-k shifts 1..16
+		n := uint(nRaw%64) + 1 // index widths 1..64
+		k := uint(kRaw%16) + 1 // FS R-k shifts 1..16
 		mask := Mask(n)
 
 		if got := Fold(value, n); got > mask {

@@ -16,18 +16,17 @@ import (
 type Client struct {
 	conn    net.Conn
 	br      *bufio.Reader
-	bw      *bufio.Writer
 	timeout time.Duration
 
-	// Single-goroutine scratch for the typed methods, making their
-	// steady state allocation-free: requests encode into reqBuf and
-	// responses land in respBuf. Every typed method decodes (copying
-	// what it returns) before the next round trip, so the reuse never
-	// escapes — except SnapshotSession and the exported RoundTrip,
-	// whose returned bytes outlive the call and therefore bypass
-	// respBuf entirely.
-	reqBuf  []byte
-	respBuf []byte
+	// Single-goroutine frame buffers, making the typed methods' steady
+	// state allocation-free: each request frame is encoded in place in
+	// out and written with one Write, and each response frame is read
+	// into in. Every typed method decodes (copying what it returns)
+	// before the next round trip, so the reuse never escapes — except
+	// SnapshotSession and the exported RoundTrip, whose returned bytes
+	// outlive the call and therefore bypass in.
+	out []byte
+	in  []byte
 }
 
 // Dial connects to a vpserve at addr with a 10s I/O timeout per
@@ -46,7 +45,6 @@ func DialTimeout(addr string, timeout time.Duration) (*Client, error) {
 	return &Client{
 		conn:    conn,
 		br:      bufio.NewReader(conn),
-		bw:      bufio.NewWriter(conn),
 		timeout: timeout,
 	}, nil
 }
@@ -102,46 +100,41 @@ func (d Dialer) Dial(addr string) (*Client, error) {
 // Close closes the connection.
 func (c *Client) Close() error { return c.conn.Close() }
 
-// roundTrip writes one request frame and reads its response payload
-// into the client's respBuf scratch. The payload is only valid until
-// the next round trip; typed-method callers decode-and-copy before
-// returning.
-func (c *Client) roundTrip(op byte, payload []byte) ([]byte, error) {
-	p, err := c.roundTripBuf(op, payload, DefaultMaxFrame, c.respBuf)
-	if p != nil {
-		c.respBuf = p
-	}
-	return p, err
-}
+// request begins a request frame for op in the client's out buffer.
+func (c *Client) request(op byte) []byte { return beginFrame(c.out, op) }
 
-// roundTripMax is roundTrip with an explicit response-frame bound and
-// a freshly allocated response, for the ops (SnapshotSession) whose
-// returned bytes outlive the call.
-func (c *Client) roundTripMax(op byte, payload []byte, maxResp int) ([]byte, error) {
-	return c.roundTripBuf(op, payload, maxResp, nil)
-}
-
-// roundTripBuf writes one request frame and reads its response
-// payload into buf's backing storage (growing it as needed); the
-// returned slice aliases it.
-func (c *Client) roundTripBuf(op byte, payload []byte, maxResp int, buf []byte) ([]byte, error) {
-	if err := c.conn.SetDeadline(time.Now().Add(c.timeout)); err != nil {
-		return nil, err
-	}
-	if err := writeFrame(c.bw, op, payload); err != nil {
-		return nil, err
-	}
-	if err := c.bw.Flush(); err != nil {
-		return nil, err
-	}
-	respOp, respPayload, err := readFrameInto(c.br, maxResp, buf)
+// call sends the request frame f, begun by request, and reads the
+// response into the client's in buffer. The returned payload is only
+// valid until the next round trip; typed-method callers
+// decode-and-copy before returning.
+func (c *Client) call(f []byte) ([]byte, error) {
+	c.out = f
+	resp, err := c.exchange(endFrame(f), DefaultMaxFrame, c.in)
 	if err != nil {
 		return nil, err
 	}
-	if respOp != op|respFlag {
-		return nil, fmt.Errorf("serve: response op %#x for request %#x", respOp, op)
+	c.in = resp
+	return resp.Payload(), nil
+}
+
+// exchange writes the complete request frame req with one Write and
+// reads its response frame, whose payload maxResp bounds, into buf's
+// storage (growing it as needed); the returned frame aliases it.
+func (c *Client) exchange(req Frame, maxResp int, buf []byte) (Frame, error) {
+	if err := c.conn.SetDeadline(time.Now().Add(c.timeout)); err != nil {
+		return nil, err
 	}
-	return respPayload, nil
+	if _, err := c.conn.Write(req); err != nil {
+		return nil, err
+	}
+	resp, err := readResponseFrame(c.br, maxResp, buf)
+	if err != nil {
+		return nil, err
+	}
+	if resp.Op() != req.Op()|respFlag {
+		return nil, fmt.Errorf("serve: response op %#x for request %#x", resp.Op(), req.Op())
+	}
+	return resp, nil
 }
 
 // PredictBatch asks the server for the session's predictions for pcs.
@@ -157,19 +150,17 @@ func (c *Client) PredictBatch(session uint64, pcs []uint32) ([]uint32, Status, e
 // scratch, making a steady-state predict loop allocation-free end to
 // end.
 func (c *Client) PredictBatchAppend(session uint64, pcs []uint32, out []uint32) ([]uint32, Status, error) {
-	c.reqBuf = appendPredictReq(c.reqBuf[:0], session, pcs)
-	p, err := c.roundTrip(OpPredictBatch, c.reqBuf)
+	p, err := c.call(appendPredictReq(c.request(OpPredictBatch), session, pcs))
 	if err != nil {
 		return nil, 0, err
 	}
-	st, values, err := decodePredictRespInto(p, out)
+	st, values, err := decodePredictResp(p, out)
 	return values, st, err
 }
 
 // UpdateBatch trains the session with the outcomes.
 func (c *Client) UpdateBatch(session uint64, events []trace.Event) (Status, error) {
-	c.reqBuf = appendEventReq(c.reqBuf[:0], session, events)
-	p, err := c.roundTrip(OpUpdateBatch, c.reqBuf)
+	p, err := c.call(appendEventReq(c.request(OpUpdateBatch), session, events))
 	if err != nil {
 		return 0, err
 	}
@@ -179,8 +170,7 @@ func (c *Client) UpdateBatch(session uint64, events []trace.Event) (Status, erro
 // RunBatch replays the events through the session's predictor with
 // the offline predict-compare-update loop and returns the hit count.
 func (c *Client) RunBatch(session uint64, events []trace.Event) (hits uint32, st Status, err error) {
-	c.reqBuf = appendEventReq(c.reqBuf[:0], session, events)
-	p, err := c.roundTrip(OpRunBatch, c.reqBuf)
+	p, err := c.call(appendEventReq(c.request(OpRunBatch), session, events))
 	if err != nil {
 		return 0, 0, err
 	}
@@ -190,7 +180,7 @@ func (c *Client) RunBatch(session uint64, events []trace.Event) (hits uint32, st
 
 // Stats fetches the engine's stats snapshot.
 func (c *Client) Stats() (Stats, error) {
-	p, err := c.roundTrip(OpStats, nil)
+	p, err := c.call(c.request(OpStats))
 	if err != nil {
 		return Stats{}, err
 	}
@@ -210,8 +200,7 @@ func (c *Client) Stats() (Stats, error) {
 
 // ResetSession clears the session's learned state on the server.
 func (c *Client) ResetSession(session uint64) (Status, error) {
-	c.reqBuf = appendU64(c.reqBuf[:0], session)
-	p, err := c.roundTrip(OpResetSession, c.reqBuf)
+	p, err := c.call(appendU64(c.request(OpResetSession), session))
 	if err != nil {
 		return 0, err
 	}
@@ -222,45 +211,61 @@ func (c *Client) ResetSession(session uint64) (Status, error) {
 // lifetime counters and complete predictor state — as encoded by
 // internal/snapshot. On non-OK statuses the bytes are nil.
 func (c *Client) SnapshotSession(session uint64) ([]byte, Status, error) {
-	p, err := c.roundTripMax(OpSnapshotSession, encodeSessionReq(session), MaxSnapshotFrame)
+	c.out = appendU64(c.request(OpSnapshotSession), session)
+	resp, err := c.exchange(endFrame(c.out), MaxSnapshotFrame, nil)
 	if err != nil {
 		return nil, 0, err
 	}
-	st, blob, err := decodeSnapshotResp(p)
+	st, blob, err := decodeSnapshotResp(resp.Payload())
 	return blob, st, err
 }
 
 // RestoreSession installs the session on the server from an encoded
 // snapshot file — typically bytes SnapshotSession returned, possibly
-// from a different server. An existing live session is replaced.
+// from a different server. An existing live session is replaced. The
+// request frame is built in its own buffer: a snapshot-sized out
+// buffer would outlive this rare call on every pooled connection.
 func (c *Client) RestoreSession(session uint64, blob []byte) (Status, error) {
-	p, err := c.roundTrip(OpRestoreSession, encodeRestoreReq(session, blob))
+	f := beginFrame(make([]byte, 0, headerSize+8+len(blob)), OpRestoreSession)
+	resp, err := c.exchange(endFrame(appendRestoreReq(f, session, blob)), DefaultMaxFrame, c.in)
 	if err != nil {
 		return 0, err
 	}
-	return decodeStatusResp(p)
+	c.in = resp
+	return decodeStatusResp(resp.Payload())
 }
 
-// RoundTrip forwards an already-encoded request payload and returns
-// the raw response payload — the proxy path: the cluster router
-// reads a frame from its client, picks a backend by session, and
-// round-trips the payload verbatim. The response bound follows the
-// op (SnapshotSession responses may reach MaxSnapshotFrame).
+// RoundTrip sends an already-encoded request payload for op and
+// returns the raw response payload in fresh storage. The response
+// bound follows the op (SnapshotSession responses may reach
+// MaxSnapshotFrame).
 func (c *Client) RoundTrip(op byte, payload []byte) ([]byte, error) {
-	return c.RoundTripAppend(op, payload, nil)
+	c.out = append(c.request(op), payload...)
+	resp, err := c.exchange(endFrame(c.out), maxResponse(op), nil)
+	if err != nil {
+		return nil, err
+	}
+	return resp.Payload(), nil
 }
 
-// RoundTripAppend is RoundTrip reading the response payload into
-// buf's backing storage (growing it as needed); the returned slice
-// aliases it. The buffer is caller-owned precisely because proxy
-// clients are pooled (cluster.Pool returns the client for another
-// borrower while the caller still holds the response): a client-owned
-// scratch here would be overwritten by the connection's next
-// borrower, so the caller supplies — and keeps — the storage instead.
-func (c *Client) RoundTripAppend(op byte, payload, buf []byte) ([]byte, error) {
-	maxResp := DefaultMaxFrame
+// RoundTripFrame forwards a complete request frame verbatim — the
+// proxy path: the cluster router reads a frame from its client, picks
+// a backend by session, and passes the frame through, header
+// included — and reads the response frame into buf's storage (growing
+// it as needed); the returned frame aliases it. The buffer is
+// caller-owned precisely because proxy clients are pooled
+// (cluster.Pool returns the client for another borrower while the
+// caller still holds the response): a client-owned buffer here would
+// be overwritten by the connection's next borrower, so the caller
+// supplies — and keeps — the storage instead.
+func (c *Client) RoundTripFrame(req Frame, buf []byte) (Frame, error) {
+	return c.exchange(req, maxResponse(req.Op()), buf)
+}
+
+// maxResponse is the response payload bound for op.
+func maxResponse(op byte) int {
 	if op == OpSnapshotSession {
-		maxResp = MaxSnapshotFrame
+		return MaxSnapshotFrame
 	}
-	return c.roundTripBuf(op, payload, maxResp, buf)
+	return DefaultMaxFrame
 }

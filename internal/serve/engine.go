@@ -119,11 +119,11 @@ type Stats struct {
 // "judged lookup" is one UpdateBatch or RunBatch event: the predictor
 // was consulted and the prediction compared against the actual value.
 type SessionStat struct {
-	Session     uint64 `json:"session"`
-	Predictions uint64 `json:"predictions"` // PredictBatch + RunBatch lookups
-	Lookups     uint64 `json:"lookups"`     // judged lookups since start
-	Hits        uint64 `json:"hits"`        // correct judged lookups since start
-	HitRate     float64 `json:"hit_rate"`
+	Session       uint64  `json:"session"`
+	Predictions   uint64  `json:"predictions"` // PredictBatch + RunBatch lookups
+	Lookups       uint64  `json:"lookups"`     // judged lookups since start
+	Hits          uint64  `json:"hits"`        // correct judged lookups since start
+	HitRate       float64 `json:"hit_rate"`
 	WindowLookups uint64  `json:"window_lookups"`
 	WindowHits    uint64  `json:"window_hits"`
 	WindowHitRate float64 `json:"window_hit_rate"`
@@ -149,9 +149,9 @@ type request struct {
 	session uint64
 	pcs     []uint32
 	events  []trace.Event
-	out     []uint32 // OpPredictBatch: caller-owned output storage to reuse
-	sess    *session // opRestoreSession: pre-built session to install
-	replace bool     // opRestoreSession: replace an existing live session
+	out     []uint32       // OpPredictBatch: caller-owned output storage to reuse
+	sess    *session       // opRestoreSession: pre-built session to install
+	replace bool           // opRestoreSession: replace an existing live session
 	newP    core.Predictor // opSwapSession: replacement predictor
 	newSpec core.Spec      // opSwapSession: the spec that built newP
 	reply   chan response

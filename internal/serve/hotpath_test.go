@@ -109,26 +109,26 @@ func TestServeSteadyStateZeroAlloc(t *testing.T) {
 	for i, ev := range events {
 		pcs[i] = ev.PC
 	}
-	predictReq := encodePredictReq(7, pcs)
-	runReq := encodeEventReq(7, events)
+	predictReq := appendPredictReq(nil, 7, pcs)
+	runReq := appendEventReq(nil, 7, events)
 	sc := &connScratch{}
 
 	// Warm: create the session, size every scratch buffer.
-	sc.resp = s.dispatch(OpPredictBatch, predictReq, sc)
-	sc.resp = s.dispatch(OpRunBatch, runReq, sc)
+	sc.out = s.dispatch(OpPredictBatch, predictReq, sc)
+	sc.out = s.dispatch(OpRunBatch, runReq, sc)
 
 	if n := testing.AllocsPerRun(100, func() {
-		sc.resp = s.dispatch(OpPredictBatch, predictReq, sc)
+		sc.out = s.dispatch(OpPredictBatch, predictReq, sc)
 	}); n != 0 {
 		t.Errorf("steady-state PredictBatch frame: %.1f allocs/op, want 0", n)
 	}
 	if n := testing.AllocsPerRun(100, func() {
-		sc.resp = s.dispatch(OpRunBatch, runReq, sc)
+		sc.out = s.dispatch(OpRunBatch, runReq, sc)
 	}); n != 0 {
 		t.Errorf("steady-state RunBatch frame: %.1f allocs/op, want 0", n)
 	}
 	if n := testing.AllocsPerRun(100, func() {
-		sc.resp = s.dispatch(OpUpdateBatch, runReq, sc)
+		sc.out = s.dispatch(OpUpdateBatch, runReq, sc)
 	}); n != 0 {
 		t.Errorf("steady-state UpdateBatch frame: %.1f allocs/op, want 0", n)
 	}
@@ -240,17 +240,17 @@ func benchDispatch(b *testing.B, op byte, payload []byte) {
 	defer e.Close()
 	s := NewServer(e, ServerConfig{})
 	sc := &connScratch{}
-	sc.resp = s.dispatch(op, payload, sc) // warm session + scratch
+	sc.out = s.dispatch(op, payload, sc) // warm session + scratch
 	b.SetBytes(int64(len(payload)))
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		sc.resp = s.dispatch(op, payload, sc)
+		sc.out = s.dispatch(op, payload, sc)
 	}
 }
 
 func BenchmarkServeDispatchRunBatch(b *testing.B) {
-	benchDispatch(b, OpRunBatch, encodeEventReq(1, testEvents(0x1000, benchServeBatch)))
+	benchDispatch(b, OpRunBatch, appendEventReq(nil, 1, testEvents(0x1000, benchServeBatch)))
 }
 
 func BenchmarkServeDispatchPredictBatch(b *testing.B) {
@@ -259,7 +259,7 @@ func BenchmarkServeDispatchPredictBatch(b *testing.B) {
 	for i, ev := range events {
 		pcs[i] = ev.PC
 	}
-	benchDispatch(b, OpPredictBatch, encodePredictReq(1, pcs))
+	benchDispatch(b, OpPredictBatch, appendPredictReq(nil, 1, pcs))
 }
 
 // Wire-level: the same path over a real loopback socket and client,

@@ -70,6 +70,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"slices"
 
 	"repro/internal/snapshot"
 	"repro/internal/trace"
@@ -110,9 +111,9 @@ type Status uint8
 
 // Statuses.
 const (
-	StatusOK          Status = 0 // request processed
-	StatusBusy        Status = 1 // shard mailbox full — no prediction made
-	StatusClosed      Status = 2 // engine draining or closed
+	StatusOK           Status = 0 // request processed
+	StatusBusy         Status = 1 // shard mailbox full — no prediction made
+	StatusClosed       Status = 2 // engine draining or closed
 	StatusBadRequest   Status = 3 // malformed or oversized request
 	StatusUnsupported  Status = 4 // op not available on this engine
 	StatusSpecMismatch Status = 5 // snapshot built under a different predictor spec
@@ -146,68 +147,144 @@ var (
 	ErrTruncated  = errors.New("serve: truncated payload")
 )
 
-// writeFrame emits one frame. The payload may be nil.
-func writeFrame(w io.Writer, op byte, payload []byte) error {
-	var hdr [headerSize]byte
-	binary.BigEndian.PutUint16(hdr[0:], protoMagic)
-	hdr[2] = protoVersion
-	hdr[3] = op
-	binary.BigEndian.PutUint32(hdr[4:], uint32(len(payload)))
-	if _, err := w.Write(hdr[:]); err != nil {
-		return err
-	}
-	_, err := w.Write(payload)
-	return err
+// --- framing -----------------------------------------------------------
+
+// Frame is one whole VP1 frame, header included. Every connection
+// reads frames into, and encodes frames in, buffers it owns and reuses:
+// a payload is appended in place after the header, the length is
+// patched in, and the frame goes out in a single Write. A Frame is
+// only valid until its buffer's next use.
+type Frame []byte
+
+// Op returns the frame's op byte.
+func (f Frame) Op() byte { return f[3] }
+
+// Payload returns the bytes after the header.
+func (f Frame) Payload() []byte { return f[headerSize:] }
+
+// beginFrame starts a frame for op in buf's storage: the header with a
+// zero length, which endFrame patches once the payload is appended.
+func beginFrame(buf []byte, op byte) []byte {
+	return append(buf[:0], protoMagic>>8, protoMagic&0xff, protoVersion, op, 0, 0, 0, 0)
 }
 
-// readFrame reads one frame into a fresh payload allocation; see
-// readFrameInto for the buffer-reusing hot path.
-func readFrame(r io.Reader, maxFrame int) (op byte, payload []byte, err error) {
-	return readFrameInto(r, maxFrame, nil)
+// endFrame patches the payload length into a frame begun by
+// beginFrame.
+func endFrame(f []byte) Frame {
+	binary.BigEndian.PutUint32(f[4:headerSize], uint32(len(f)-headerSize))
+	return f
 }
 
-// growPayload returns a length-n byte slice backed by buf's array when
-// its capacity allows, allocating a larger one otherwise. Callers must
-// have length-checked n against the applicable frame cap already.
-func growPayload(buf []byte, n int) []byte {
-	if cap(buf) >= n {
-		return buf[:n]
+// readHeader reads and validates one frame header into the first
+// headerSize bytes of buf's storage, growing it if needed, and returns
+// the header and its declared payload length.
+func readHeader(r io.Reader, buf []byte) (Frame, uint32, error) {
+	f := slices.Grow(buf[:0], headerSize)[:headerSize]
+	if _, err := io.ReadFull(r, f); err != nil {
+		return nil, 0, err
 	}
-	return make([]byte, n)
+	if binary.BigEndian.Uint16(f) != protoMagic {
+		return nil, 0, ErrBadMagic
+	}
+	if f[2] != protoVersion {
+		return nil, 0, ErrBadVersion
+	}
+	return f, binary.BigEndian.Uint32(f[4:]), nil
 }
 
-// readFrameInto reads one frame, enforcing the magic, version and
-// frame size bound, reusing buf as payload storage: the returned
-// payload aliases buf when it fits and replaces it otherwise, so
-// callers keep the returned slice as their scratch for the next call.
-// The payload is only valid until that next call. maxFrame <= 0
-// selects DefaultMaxFrame.
-func readFrameInto(r io.Reader, maxFrame int, buf []byte) (op byte, payload []byte, err error) {
-	if maxFrame <= 0 {
-		maxFrame = DefaultMaxFrame
+// readPayload reads the n payload bytes that follow header f, growing
+// f's storage when needed and keeping the header. Callers must have
+// checked n against the applicable frame cap.
+func readPayload(r io.Reader, f Frame, n uint32) (Frame, error) {
+	f = slices.Grow(f[:headerSize], int(n))[:headerSize+int(n)]
+	if _, err := io.ReadFull(r, f[headerSize:]); err != nil {
+		return nil, err
 	}
-	var hdr [headerSize]byte
-	if _, err := io.ReadFull(r, hdr[:]); err != nil {
-		return 0, nil, err
-	}
-	if binary.BigEndian.Uint16(hdr[0:]) != protoMagic {
-		return 0, nil, ErrBadMagic
-	}
-	if hdr[2] != protoVersion {
-		return 0, nil, ErrBadVersion
-	}
-	n := binary.BigEndian.Uint32(hdr[4:])
-	if n > uint32(maxFrame) {
-		return 0, nil, ErrFrameSize
-	}
-	payload = growPayload(buf, int(n))
-	if _, err := io.ReadFull(r, payload); err != nil {
-		return 0, nil, err
-	}
-	return hdr[3], payload, nil
+	return f, nil
 }
 
-// --- payload encoding -------------------------------------------------
+// readResponseFrame reads one frame whose payload maxFrame bounds into
+// buf's storage (growing it as needed); the returned frame replaces
+// the caller's scratch.
+func readResponseFrame(r io.Reader, maxFrame int, buf []byte) (Frame, error) {
+	f, n, err := readHeader(r, buf)
+	if err != nil {
+		return nil, err
+	}
+	if uint64(n) > uint64(maxFrame) {
+		return nil, ErrFrameSize
+	}
+	return readPayload(r, f, n)
+}
+
+// ReadRequestFrame reads one request frame into buf's storage with the
+// server-side cap discipline shared by the vpserve server and the
+// vprouter proxy: maxFrame bounds ordinary request payloads, while
+// RestoreSession requests — which carry a snapshot blob — are always
+// allowed up to MaxSnapshotFrame. A frame declaring a payload beyond
+// its cap but within MaxSnapshotFrame is drained and reported
+// oversized=true with only its header in the returned frame, so the
+// caller can answer StatusBadRequest on a still-synchronized
+// connection. Only a frame beyond MaxSnapshotFrame, which no VP1 peer
+// legitimately sends, is an error. The returned frame replaces the
+// caller's scratch for the next call.
+func ReadRequestFrame(r io.Reader, maxFrame int, buf []byte) (f Frame, oversized bool, err error) {
+	f, n, err := readHeader(r, buf)
+	if err != nil {
+		return nil, false, err
+	}
+	limit := maxFrame
+	if f.Op() == OpRestoreSession && limit < MaxSnapshotFrame {
+		limit = MaxSnapshotFrame
+	}
+	if uint64(n) > uint64(limit) {
+		if uint64(n) > uint64(MaxSnapshotFrame) {
+			return nil, false, ErrFrameSize
+		}
+		if _, err := io.CopyN(io.Discard, r, int64(n)); err != nil {
+			return nil, false, err
+		}
+		return f, true, nil
+	}
+	f, err = readPayload(r, f, n)
+	return f, false, err
+}
+
+// ResponseFrame builds op's response frame in buf's storage: status st
+// followed by body. With a nil body it is the universal error answer —
+// every VP1 response decoder accepts a one-byte payload for a non-OK
+// status — which the cluster router sends when a backend is
+// unreachable or a frame was oversized; with a JSON body it is a Stats
+// answer.
+func ResponseFrame(buf []byte, op byte, st Status, body []byte) Frame {
+	return endFrame(append(append(beginFrame(buf, op|respFlag), byte(st)), body...))
+}
+
+// RequestSession extracts the session ID a request payload addresses,
+// without decoding the rest — how the cluster router picks a backend
+// for a frame it otherwise forwards opaquely. ok is false for ops that
+// carry no session (Stats) and for payloads too short to hold one.
+func RequestSession(op byte, payload []byte) (session uint64, ok bool) {
+	switch op {
+	case OpPredictBatch, OpUpdateBatch, OpRunBatch, OpResetSession, OpSnapshotSession, OpRestoreSession:
+		if len(payload) < 8 {
+			return 0, false
+		}
+		return binary.BigEndian.Uint64(payload), true
+	}
+	return 0, false
+}
+
+// --- payload codec ----------------------------------------------------
+//
+// Every payload has one encoder, append*, which appends to a
+// caller-owned buffer, and one decoder, decode*, which decodes into
+// caller-owned scratch when it has the capacity (allocating storage
+// sized by the bytes actually received otherwise) and returns the
+// slice that replaces the scratch. Batch bodies grow the buffer once
+// per batch, and their loops advance the body slice in step with the
+// batch so the compiler drops the per-entry bounds checks; the
+// never-taken length test in each loop is what proves that to it.
 
 func appendU32(b []byte, v uint32) []byte {
 	return binary.BigEndian.AppendUint32(b, v)
@@ -217,102 +294,114 @@ func appendU64(b []byte, v uint64) []byte {
 	return binary.BigEndian.AppendUint64(b, v)
 }
 
-// appendPredictReq appends a PredictBatch request payload to b.
-func appendPredictReq(b []byte, session uint64, pcs []uint32) []byte {
-	b = appendU64(b, session)
-	b = appendU32(b, uint32(len(pcs)))
-	for _, pc := range pcs {
-		b = appendU32(b, pc)
+// growBody extends b by n bytes, returning the extended slice and its
+// n-byte tail for the caller to fill.
+func growBody(b []byte, n int) (out, body []byte) {
+	out = slices.Grow(b, n)[:len(b)+n]
+	return out, out[len(b):]
+}
+
+// appendWords appends each value as a big-endian uint32.
+func appendWords(b []byte, vs []uint32) []byte {
+	b, body := growBody(b, 4*len(vs))
+	for _, v := range vs {
+		if len(body) < 4 {
+			break
+		}
+		binary.BigEndian.PutUint32(body, v)
+		body = body[4:]
 	}
 	return b
 }
 
-// encodePredictReq builds a PredictBatch request payload.
-func encodePredictReq(session uint64, pcs []uint32) []byte {
-	return appendPredictReq(make([]byte, 0, 12+4*len(pcs)), session, pcs)
+// decodeWords decodes body as big-endian uint32s into dst's storage.
+func decodeWords(body []byte, dst []uint32) []uint32 {
+	n := len(body) / 4
+	if cap(dst) < n {
+		dst = make([]uint32, n)
+	}
+	out := dst[:n]
+	for i := range out {
+		if len(body) < 4 {
+			break
+		}
+		out[i] = binary.BigEndian.Uint32(body)
+		body = body[4:]
+	}
+	return out
 }
 
-func decodePredictReq(p []byte) (session uint64, pcs []uint32, err error) {
-	return decodePredictReqInto(p, nil)
-}
-
-// decodePredictReqInto decodes a PredictBatch request reusing pcs's
-// backing storage when its capacity suffices (allocating a larger
-// slice otherwise); the returned slice replaces the caller's scratch.
-func decodePredictReqInto(p []byte, pcs []uint32) (session uint64, out []uint32, err error) {
+// decodeBatch splits a session-addressed batch request — session u64,
+// count u32, count entries of size bytes — into the session and the
+// entry body.
+func decodeBatch(p []byte, size uint64) (session uint64, body []byte, err error) {
 	if len(p) < 12 {
 		return 0, nil, ErrTruncated
 	}
-	session = binary.BigEndian.Uint64(p)
-	n := binary.BigEndian.Uint32(p[8:])
-	body := p[12:]
-	if uint64(len(body)) != 4*uint64(n) {
+	body = p[12:]
+	if uint64(len(body)) != size*uint64(binary.BigEndian.Uint32(p[8:])) {
 		return 0, nil, ErrTruncated
 	}
-	if cap(pcs) >= int(n) {
-		out = pcs[:n]
-	} else {
-		out = make([]uint32, n)
+	return binary.BigEndian.Uint64(p), body, nil
+}
+
+// appendPredictReq appends a PredictBatch request payload to b.
+func appendPredictReq(b []byte, session uint64, pcs []uint32) []byte {
+	b = appendU32(appendU64(b, session), uint32(len(pcs)))
+	return appendWords(b, pcs)
+}
+
+// decodePredictReq decodes a PredictBatch request into pcs's storage.
+func decodePredictReq(p []byte, pcs []uint32) (session uint64, out []uint32, err error) {
+	session, body, err := decodeBatch(p, 4)
+	if err != nil {
+		return 0, nil, err
 	}
-	for i := range out {
-		out[i] = binary.BigEndian.Uint32(body[4*i:])
-	}
-	return session, out, nil
+	return session, decodeWords(body, pcs), nil
 }
 
 // appendEventReq appends an UpdateBatch or RunBatch request payload
-// to b.
+// to b. Each event goes out as one big-endian word, PC<<32 | Value.
 func appendEventReq(b []byte, session uint64, events []trace.Event) []byte {
-	b = appendU64(b, session)
-	b = appendU32(b, uint32(len(events)))
+	b = appendU32(appendU64(b, session), uint32(len(events)))
+	b, body := growBody(b, 8*len(events))
 	for _, e := range events {
-		b = appendU32(b, e.PC)
-		b = appendU32(b, e.Value)
+		if len(body) < 8 {
+			break
+		}
+		binary.BigEndian.PutUint64(body, uint64(e.PC)<<32|uint64(e.Value))
+		body = body[8:]
 	}
 	return b
 }
 
-// encodeEventReq builds an UpdateBatch or RunBatch request payload.
-func encodeEventReq(session uint64, events []trace.Event) []byte {
-	return appendEventReq(make([]byte, 0, 12+8*len(events)), session, events)
-}
-
-func decodeEventReq(p []byte) (session uint64, events []trace.Event, err error) {
-	return decodeEventReqInto(p, nil)
-}
-
-// decodeEventReqInto decodes an UpdateBatch/RunBatch request reusing
-// events's backing storage when its capacity suffices (allocating a
-// larger slice otherwise); the returned slice replaces the caller's
-// scratch.
-func decodeEventReqInto(p []byte, events []trace.Event) (session uint64, out []trace.Event, err error) {
-	if len(p) < 12 {
-		return 0, nil, ErrTruncated
+// decodeEventReq decodes an UpdateBatch/RunBatch request into events's
+// storage.
+func decodeEventReq(p []byte, events []trace.Event) (session uint64, out []trace.Event, err error) {
+	session, body, err := decodeBatch(p, 8)
+	if err != nil {
+		return 0, nil, err
 	}
-	session = binary.BigEndian.Uint64(p)
-	n := binary.BigEndian.Uint32(p[8:])
-	body := p[12:]
-	if uint64(len(body)) != 8*uint64(n) {
-		return 0, nil, ErrTruncated
+	n := len(body) / 8
+	if cap(events) < n {
+		events = make([]trace.Event, n)
 	}
-	if cap(events) >= int(n) {
-		out = events[:n]
-	} else {
-		out = make([]trace.Event, n)
-	}
+	out = events[:n]
 	for i := range out {
-		out[i].PC = binary.BigEndian.Uint32(body[8*i:])
-		out[i].Value = binary.BigEndian.Uint32(body[8*i+4:])
+		if len(body) < 8 {
+			break
+		}
+		w := binary.BigEndian.Uint64(body)
+		out[i] = trace.Event{PC: uint32(w >> 32), Value: uint32(w)}
+		body = body[8:]
 	}
 	return session, out, nil
 }
 
-// encodeRestoreReq builds a RestoreSession request payload: the
+// appendRestoreReq appends a RestoreSession request payload to b: the
 // addressed session ID followed by the encoded snapshot file.
-func encodeRestoreReq(session uint64, blob []byte) []byte {
-	b := make([]byte, 0, 8+len(blob))
-	b = appendU64(b, session)
-	return append(b, blob...)
+func appendRestoreReq(b []byte, session uint64, blob []byte) []byte {
+	return append(appendU64(b, session), blob...)
 }
 
 // decodeRestoreReq splits a RestoreSession payload. The blob aliases
@@ -325,11 +414,8 @@ func decodeRestoreReq(p []byte) (session uint64, blob []byte, err error) {
 	return binary.BigEndian.Uint64(p), p[8:], nil
 }
 
-// encodeSessionReq builds a ResetSession request payload.
-func encodeSessionReq(session uint64) []byte {
-	return appendU64(make([]byte, 0, 8), session)
-}
-
+// decodeSessionReq decodes a ResetSession or SnapshotSession request,
+// which appendU64 encodes.
 func decodeSessionReq(p []byte) (uint64, error) {
 	if len(p) != 8 {
 		return 0, ErrTruncated
@@ -344,28 +430,12 @@ func appendPredictResp(b []byte, st Status, values []uint32) []byte {
 	if st != StatusOK {
 		return b
 	}
-	b = appendU32(b, uint32(len(values)))
-	for _, v := range values {
-		b = appendU32(b, v)
-	}
-	return b
+	return appendWords(appendU32(b, uint32(len(values))), values)
 }
 
-// encodePredictResp builds a PredictBatch response payload. values is
-// ignored unless st is StatusOK.
-func encodePredictResp(st Status, values []uint32) []byte {
-	return appendPredictResp(make([]byte, 0, 5+4*len(values)), st, values)
-}
-
-func decodePredictResp(p []byte) (Status, []uint32, error) {
-	return decodePredictRespInto(p, nil)
-}
-
-// decodePredictRespInto decodes a PredictBatch response reusing
-// values's backing storage when its capacity suffices (allocating a
-// larger slice otherwise); the returned slice replaces the caller's
-// scratch.
-func decodePredictRespInto(p []byte, values []uint32) (Status, []uint32, error) {
+// decodePredictResp decodes a PredictBatch response into values's
+// storage.
+func decodePredictResp(p []byte, values []uint32) (Status, []uint32, error) {
 	if len(p) < 1 {
 		return 0, nil, ErrTruncated
 	}
@@ -376,28 +446,15 @@ func decodePredictRespInto(p []byte, values []uint32) (Status, []uint32, error) 
 	if len(p) < 5 {
 		return 0, nil, ErrTruncated
 	}
-	n := binary.BigEndian.Uint32(p[1:])
 	body := p[5:]
-	if uint64(len(body)) != 4*uint64(n) {
+	if uint64(len(body)) != 4*uint64(binary.BigEndian.Uint32(p[1:])) {
 		return 0, nil, ErrTruncated
 	}
-	var out []uint32
-	if cap(values) >= int(n) {
-		out = values[:n]
-	} else {
-		out = make([]uint32, n)
-	}
-	for i := range out {
-		out[i] = binary.BigEndian.Uint32(body[4*i:])
-	}
-	return st, out, nil
+	return st, decodeWords(body, values), nil
 }
 
 // appendStatusResp appends a status-only response payload to b.
 func appendStatusResp(b []byte, st Status) []byte { return append(b, byte(st)) }
-
-// encodeStatusResp builds a status-only response payload.
-func encodeStatusResp(st Status) []byte { return []byte{byte(st)} }
 
 func decodeStatusResp(p []byte) (Status, error) {
 	if len(p) != 1 {
@@ -413,11 +470,6 @@ func appendRunResp(b []byte, st Status, hits uint32) []byte {
 		return b
 	}
 	return appendU32(b, hits)
-}
-
-// encodeRunResp builds a RunBatch response payload.
-func encodeRunResp(st Status, hits uint32) []byte {
-	return appendRunResp(make([]byte, 0, 5), st, hits)
 }
 
 func decodeRunResp(p []byte) (Status, uint32, error) {
@@ -436,13 +488,7 @@ func decodeRunResp(p []byte) (Status, uint32, error) {
 
 // appendStatsResp appends a Stats response payload to b.
 func appendStatsResp(b []byte, st Status, body []byte) []byte {
-	b = append(b, byte(st))
-	return append(b, body...)
-}
-
-// encodeStatsResp builds a Stats response payload around a JSON body.
-func encodeStatsResp(st Status, body []byte) []byte {
-	return appendStatsResp(make([]byte, 0, 1+len(body)), st, body)
+	return append(append(b, byte(st)), body...)
 }
 
 func decodeStatsResp(p []byte) (Status, []byte, error) {
@@ -462,13 +508,6 @@ func appendSnapshotResp(b []byte, st Status, blob []byte) []byte {
 	return append(b, blob...)
 }
 
-// encodeSnapshotResp builds a SnapshotSession response payload around
-// the encoded snapshot file bytes. blob is ignored unless st is
-// StatusOK.
-func encodeSnapshotResp(st Status, blob []byte) []byte {
-	return appendSnapshotResp(make([]byte, 0, 1+len(blob)), st, blob)
-}
-
 func decodeSnapshotResp(p []byte) (Status, []byte, error) {
 	if len(p) < 1 {
 		return 0, nil, ErrTruncated
@@ -478,90 +517,4 @@ func decodeSnapshotResp(p []byte) (Status, []byte, error) {
 		return st, nil, nil
 	}
 	return st, p[1:], nil
-}
-
-// --- server-side frame API (shared with the cluster router) ----------
-
-// ReadRequestFrame reads one request frame with the server-side cap
-// discipline shared by the vpserve server and the vprouter proxy:
-// maxFrame (<= 0 selects DefaultMaxFrame) bounds ordinary request
-// payloads, while RestoreSession requests — which carry a snapshot
-// blob — are always allowed up to MaxSnapshotFrame. A frame declaring
-// a payload beyond its cap but within MaxSnapshotFrame is drained and
-// reported oversized=true, so the caller can answer StatusBadRequest
-// on a still-synchronized connection. Only a frame beyond
-// MaxSnapshotFrame, which no VP1 peer legitimately sends, is an error.
-func ReadRequestFrame(r io.Reader, maxFrame int) (op byte, payload []byte, oversized bool, err error) {
-	return ReadRequestFrameBuf(r, maxFrame, nil)
-}
-
-// ReadRequestFrameBuf is ReadRequestFrame reusing buf as payload
-// storage: the returned payload aliases buf when it fits and replaces
-// it otherwise, so a connection loop keeps the returned slice as its
-// scratch for the next frame. The payload is only valid until that
-// next call.
-func ReadRequestFrameBuf(r io.Reader, maxFrame int, buf []byte) (op byte, payload []byte, oversized bool, err error) {
-	if maxFrame <= 0 {
-		maxFrame = DefaultMaxFrame
-	}
-	var hdr [headerSize]byte
-	if _, err := io.ReadFull(r, hdr[:]); err != nil {
-		return 0, nil, false, err
-	}
-	if binary.BigEndian.Uint16(hdr[0:]) != protoMagic {
-		return 0, nil, false, ErrBadMagic
-	}
-	if hdr[2] != protoVersion {
-		return 0, nil, false, ErrBadVersion
-	}
-	op = hdr[3]
-	n := binary.BigEndian.Uint32(hdr[4:])
-	limit := maxFrame
-	if op == OpRestoreSession && limit < MaxSnapshotFrame {
-		limit = MaxSnapshotFrame
-	}
-	if uint64(n) > uint64(limit) {
-		if uint64(n) > uint64(MaxSnapshotFrame) {
-			return 0, nil, false, ErrFrameSize
-		}
-		if _, err := io.CopyN(io.Discard, r, int64(n)); err != nil {
-			return 0, nil, false, err
-		}
-		return op, nil, true, nil
-	}
-	payload = growPayload(buf, int(n))
-	if _, err := io.ReadFull(r, payload); err != nil {
-		return 0, nil, false, err
-	}
-	return op, payload, false, nil
-}
-
-// WriteResponseFrame emits the response frame for op — the op byte
-// with the response flag set — around an already-encoded payload.
-func WriteResponseFrame(w io.Writer, op byte, payload []byte) error {
-	return writeFrame(w, op|respFlag, payload)
-}
-
-// StatusResponse encodes a status-only response payload. Every VP1
-// response decoder accepts a one-byte payload for a non-OK status, so
-// this is the universal error answer for any op — the cluster router
-// uses it when a backend is unreachable or a frame was oversized.
-func StatusResponse(st Status) []byte { return encodeStatusResp(st) }
-
-// StatsResponse encodes a Stats response payload around a JSON body.
-func StatsResponse(body []byte) []byte { return encodeStatsResp(StatusOK, body) }
-
-// RequestSession extracts the session ID a request payload addresses,
-// without decoding the rest — how the cluster router picks a backend
-// for a frame it otherwise forwards opaquely. ok is false for ops that
-// carry no session (Stats) and for payloads too short to hold one.
-func RequestSession(op byte, payload []byte) (session uint64, ok bool) {
-	switch op {
-	case OpPredictBatch, OpUpdateBatch, OpRunBatch, OpResetSession, OpSnapshotSession, OpRestoreSession:
-		if len(payload) < 8 {
-			return 0, false
-		}
-		return binary.BigEndian.Uint64(payload), true
-	}
-	return 0, false
 }

@@ -306,7 +306,7 @@ func TestDialerRetriesTransientConnectErrors(t *testing.T) {
 }
 
 func TestRequestSession(t *testing.T) {
-	payload := encodeSessionReq(0xdeadbeef)
+	payload := appendU64(nil, 0xdeadbeef)
 	for _, op := range []byte{OpPredictBatch, OpUpdateBatch, OpRunBatch, OpResetSession, OpSnapshotSession, OpRestoreSession} {
 		if s, ok := RequestSession(op, payload); !ok || s != 0xdeadbeef {
 			t.Errorf("op %#x: session %d ok=%v", op, s, ok)

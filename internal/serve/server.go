@@ -97,19 +97,18 @@ func (s *Server) Serve(ln net.Listener) error {
 }
 
 // connScratch is one connection's reusable hot-path buffers: the
-// request frame payload, the decoded batch, the prediction output and
-// the encoded response all live here, so a steady-state
+// request frame, the decoded batch, the prediction output and the
+// response frame all live here, so a steady-state
 // PredictBatch/RunBatch frame allocates nothing. The buffers are
 // owned by the connection goroutine; each is valid until the next
-// frame on the same connection (the response is fully written and
-// flushed before the next read starts, so reuse never overlaps a
-// pending write).
+// frame on the same connection (the response is fully written before
+// the next read starts, so reuse never overlaps a pending write).
 type connScratch struct {
-	frame  []byte        // request payload (ReadRequestFrameBuf)
+	in     Frame         // request frame (ReadRequestFrame)
+	out    []byte        // response frame, encoded in place
 	events []trace.Event // decoded UpdateBatch/RunBatch events
 	pcs    []uint32      // decoded PredictBatch PCs
 	values []uint32      // engine prediction output
-	resp   []byte        // encoded response payload
 }
 
 // serveConn runs one connection's request loop.
@@ -122,103 +121,104 @@ func (s *Server) serveConn(conn net.Conn) {
 		s.mu.Unlock()
 	}()
 	br := bufio.NewReader(conn)
-	bw := bufio.NewWriter(conn)
 	sc := &connScratch{}
 	for {
 		if err := conn.SetReadDeadline(time.Now().Add(s.cfg.ReadTimeout)); err != nil {
 			return // connection already dead
 		}
-		op, payload, oversized, err := ReadRequestFrameBuf(br, s.cfg.MaxFrame, sc.frame)
+		req, oversized, err := ReadRequestFrame(br, s.cfg.MaxFrame, sc.in)
 		if err != nil {
 			// EOF, timeout, insane frame size or malformed header: drop
 			// the connection. The framing carries no frame IDs, so there
 			// is no way to resynchronize a corrupted stream.
 			return
 		}
-		if payload != nil {
-			sc.frame = payload
-		}
-		var respPayload []byte
+		sc.in = req
+		var resp Frame
 		if oversized {
 			// The declared payload exceeded the cap but was drained in
 			// full, so the stream is still synchronized: answer a clean
 			// status instead of dropping the connection.
-			respPayload = appendStatusResp(sc.resp[:0], StatusBadRequest)
+			resp = ResponseFrame(sc.out, req.Op(), StatusBadRequest, nil)
 		} else {
-			respPayload = s.dispatch(op, payload, sc)
+			resp = s.dispatch(req.Op(), req.Payload(), sc)
 		}
-		sc.resp = respPayload
+		sc.out = resp
 		if err := conn.SetWriteDeadline(time.Now().Add(s.cfg.WriteTimeout)); err != nil {
 			return
 		}
-		if err := writeFrame(bw, op|respFlag, respPayload); err != nil {
-			return
-		}
-		if err := bw.Flush(); err != nil {
+		if _, err := conn.Write(resp); err != nil {
 			return
 		}
 	}
 }
 
 // dispatch decodes one request, runs it on the engine, and encodes
-// the response payload into sc.resp's storage (the returned slice is
-// rooted there; serveConn stores it back as the next frame's
+// the response frame in place in sc.out's storage (the returned frame
+// is rooted there; serveConn stores it back as the next frame's
 // scratch). Malformed payloads produce StatusBadRequest rather than
 // killing the connection: the frame boundary is intact, so the stream
 // remains synchronized.
-func (s *Server) dispatch(op byte, payload []byte, sc *connScratch) []byte {
-	resp := sc.resp[:0]
+func (s *Server) dispatch(op byte, payload []byte, sc *connScratch) Frame {
+	resp := beginFrame(sc.out, op|respFlag)
 	switch op {
 	case OpPredictBatch:
-		session, pcs, err := decodePredictReqInto(payload, sc.pcs)
+		session, pcs, err := decodePredictReq(payload, sc.pcs)
 		if err != nil {
-			return appendPredictResp(resp, StatusBadRequest, nil)
+			resp = appendPredictResp(resp, StatusBadRequest, nil)
+			break
 		}
 		sc.pcs = pcs
 		values, st := s.engine.PredictBatchAppend(session, pcs, sc.values)
 		if values != nil {
 			sc.values = values
 		}
-		return appendPredictResp(resp, st, values)
+		resp = appendPredictResp(resp, st, values)
 	case OpUpdateBatch:
-		session, events, err := decodeEventReqInto(payload, sc.events)
+		session, events, err := decodeEventReq(payload, sc.events)
 		if err != nil {
-			return appendStatusResp(resp, StatusBadRequest)
+			resp = appendStatusResp(resp, StatusBadRequest)
+			break
 		}
 		sc.events = events
-		return appendStatusResp(resp, s.engine.UpdateBatch(session, events))
+		resp = appendStatusResp(resp, s.engine.UpdateBatch(session, events))
 	case OpRunBatch:
-		session, events, err := decodeEventReqInto(payload, sc.events)
+		session, events, err := decodeEventReq(payload, sc.events)
 		if err != nil {
-			return appendRunResp(resp, StatusBadRequest, 0)
+			resp = appendRunResp(resp, StatusBadRequest, 0)
+			break
 		}
 		sc.events = events
 		hits, st := s.engine.RunBatch(session, events)
-		return appendRunResp(resp, st, hits)
+		resp = appendRunResp(resp, st, hits)
 	case OpStats:
-		return appendStatsResp(resp, StatusOK, s.engine.StatsJSON())
+		resp = appendStatsResp(resp, StatusOK, s.engine.StatsJSON())
 	case OpResetSession:
 		session, err := decodeSessionReq(payload)
 		if err != nil {
-			return appendStatusResp(resp, StatusBadRequest)
+			resp = appendStatusResp(resp, StatusBadRequest)
+			break
 		}
-		return appendStatusResp(resp, s.engine.ResetSession(session))
+		resp = appendStatusResp(resp, s.engine.ResetSession(session))
 	case OpSnapshotSession:
 		session, err := decodeSessionReq(payload)
 		if err != nil {
-			return appendSnapshotResp(resp, StatusBadRequest, nil)
+			resp = appendSnapshotResp(resp, StatusBadRequest, nil)
+			break
 		}
 		blob, st := s.engine.SnapshotSession(session)
-		return appendSnapshotResp(resp, st, blob)
+		resp = appendSnapshotResp(resp, st, blob)
 	case OpRestoreSession:
 		session, blob, err := decodeRestoreReq(payload)
 		if err != nil {
-			return appendStatusResp(resp, StatusBadRequest)
+			resp = appendStatusResp(resp, StatusBadRequest)
+			break
 		}
-		return appendStatusResp(resp, s.engine.RestoreSession(session, blob))
+		resp = appendStatusResp(resp, s.engine.RestoreSession(session, blob))
 	default:
-		return appendStatusResp(resp, StatusBadRequest)
+		resp = appendStatusResp(resp, StatusBadRequest)
 	}
+	return endFrame(resp)
 }
 
 // Shutdown drains the server gracefully: stop accepting, keep serving

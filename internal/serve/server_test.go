@@ -231,12 +231,12 @@ func TestServerMalformedPayloadKeepsConnection(t *testing.T) {
 	defer c.Close()
 
 	// Hand-roll a PredictBatch whose count disagrees with its body.
-	payload := encodePredictReq(1, []uint32{0x40, 0x44})[:14]
-	p, err := c.roundTrip(OpPredictBatch, payload)
+	payload := appendPredictReq(nil, 1, []uint32{0x40, 0x44})[:14]
+	p, err := c.RoundTrip(OpPredictBatch, payload)
 	if err != nil {
 		t.Fatal(err)
 	}
-	st, _, err := decodePredictResp(p)
+	st, _, err := decodePredictResp(p, nil)
 	if err != nil || st != StatusBadRequest {
 		t.Errorf("malformed payload: st=%v err=%v", st, err)
 	}
@@ -253,7 +253,7 @@ func TestServerUnknownOp(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer c.Close()
-	p, err := c.roundTrip(0x7f, nil)
+	p, err := c.RoundTrip(0x7f, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
