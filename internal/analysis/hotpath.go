@@ -15,8 +15,10 @@ import (
 // Scope:
 //
 //   - internal/core: bodies of the per-event methods Predict,
-//     PredictConfident, Update, Score and L2Index, plus the top-level
-//     replay drivers Run and RunBatch;
+//     PredictConfident, Update, Score, L2Index and RunBatch, the
+//     top-level replay loops Run and RunBatch, and the top-level step
+//     helpers (lastValueStep, strideStep, twoDeltaStep,
+//     fcmStep, dfcmStep) that Update and RunBatch share;
 //   - internal/hash: every Update method plus the Fold and Mask
 //     helpers (they run once per event inside FCM/DFCM updates);
 //   - internal/engine: every top-level function named replay* — the
@@ -46,10 +48,13 @@ var HotPathAlloc = &Analyzer{
 	Run: runHotPathAlloc,
 }
 
+// coreHotMethods names internal/core's per-event methods and the
+// top-level step helpers Update and RunBatch share.
 var coreHotMethods = map[string]bool{
 	"Predict": true, "PredictConfident": true, "Update": true,
-	"Score": true, "L2Index": true, "L2IndexAndUpdate": true,
-	"RunBatch": true,
+	"Score": true, "L2Index": true,
+	"RunBatch": true, "lastValueStep": true, "strideStep": true,
+	"twoDeltaStep": true, "fcmStep": true, "dfcmStep": true,
 }
 
 // serveHotFuncs are internal/serve's fixed-name per-frame codec
@@ -66,7 +71,7 @@ func runHotPathAlloc(pass *Pass) {
 			checkHotBody(pass, decl.Name.Name, decl.Body)
 		})
 		topLevelFuncs(pass, func(name string) bool {
-			return name == "Run" || name == "RunBatch"
+			return name == "Run" || coreHotMethods[name]
 		})
 	case strings.HasSuffix(pass.Pkg.Path, "/internal/hash"):
 		methodsNamed(pass.Pkg, map[string]bool{"Update": true, "Update32": true}, func(decl *ast.FuncDecl, recvType string) {

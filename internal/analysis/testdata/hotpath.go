@@ -40,6 +40,14 @@ func (h *Hot) RunBatch(batch []uint32) int {
 	return n
 }
 
+// dfcmStep is a step helper shared by Update and RunBatch — in scope
+// as a top-level function.
+func dfcmStep(t []uint32, i int, v uint32) int32 {
+	fmt.Println(v) // want hot-path-alloc
+	t[i] = v
+	return 0
+}
+
 // Name is a cold path: fmt is fine here.
 func (h *Hot) Name() string { return fmt.Sprintf("hot-%d", len(h.t)) }
 

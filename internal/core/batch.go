@@ -2,21 +2,26 @@ package core
 
 import "repro/internal/trace"
 
-// Concrete-type batch loops. The generic RunBatch pays two interface
-// dispatches per event (Predict, Update) that the compiler cannot
-// devirtualize or inline; the methods here run the same per-event
-// logic on the concrete receiver, so table indexing, branchless
-// saturation and the FSR hash update all inline into one straight-line
-// loop body. The top-level RunBatch dispatches here once per chunk via
-// the BatchRunner interface. Semantics are bit-identical to the
-// generic loop — pinned by TestRunBatchConcreteMatchesGeneric — so
-// chunked replays (internal/engine) and served batches
+// Concrete-type batch loops for the table predictors. The generic
+// RunBatch pays two interface dispatches per event (Predict, Update)
+// that the compiler cannot devirtualize or inline, and a method call
+// per event reloads the table slice headers from the receiver. The
+// loops here hoist the slices and an int mask out of the loop and call
+// the same step helper Update calls, so each predictor has one update
+// rule and the table indexing and FSR hash update inline into one
+// straight-line loop body. The top-level RunBatch dispatches here once
+// per chunk via the BatchRunner interface; predictors without a loop
+// here (the wrappers, hybrids, LastN and TAGE) run the generic loop,
+// which gains nothing from a concrete receiver.
+// TestRunBatchConcreteMatchesGeneric pins each loop to the generic
+// one, so chunked replays (internal/engine) and served batches
 // (internal/serve) stay equivalent to the sequential reference.
-
-// RunBatch implements BatchRunner. The int-typed mask derived from
-// len(t) (here and in the loops below) lets the compiler prove
+//
+// The int-typed mask derived from len(t) lets the compiler prove
 // i <= len−1 and drop the bounds checks; the len-0 guard that makes
 // the proof sound is dead code (constructors allocate ≥ 1 entry).
+
+// RunBatch implements BatchRunner.
 func (p *LastValue) RunBatch(batch []trace.Event) Result {
 	res := Result{Predictions: uint64(len(batch))}
 	t := p.table
@@ -25,9 +30,7 @@ func (p *LastValue) RunBatch(batch []trace.Event) Result {
 	}
 	mask := len(t) - 1
 	for _, e := range batch {
-		i := int(e.PC>>2) & mask
-		res.Correct += uint64(hit01(t[i], e.Value))
-		t[i] = e.Value
+		res.Correct += uint64(lastValueStep(t, int(e.PC>>2)&mask, e.Value))
 	}
 	return res
 }
@@ -40,16 +43,8 @@ func (p *Stride) RunBatch(batch []trace.Event) Result {
 		return res
 	}
 	mask := len(t) - 1
-	for i := range batch {
-		e := &batch[i]
-		ent := &t[int(e.PC>>2)&mask]
-		hit := hit01(ent.last+ent.stride, e.Value)
-		res.Correct += uint64(hit)
-		c := int32(ent.conf)
-		replMask := uint32((c - strideConfMax) >> 31)
-		ent.conf = uint8(satConf(c, hit, strideConfIncrement, strideConfDecrement, strideConfMax))
-		ent.stride ^= (ent.stride ^ (e.Value - ent.last)) & replMask
-		ent.last = e.Value
+	for _, e := range batch {
+		res.Correct += uint64(strideStep(&t[int(e.PC>>2)&mask], e.Value))
 	}
 	return res
 }
@@ -62,21 +57,13 @@ func (p *TwoDelta) RunBatch(batch []trace.Event) Result {
 		return res
 	}
 	mask := len(t) - 1
-	for i := range batch {
-		e := &batch[i]
-		ent := &t[int(e.PC>>2)&mask]
-		res.Correct += uint64(hit01(ent.last+ent.s1, e.Value))
-		stride := e.Value - ent.last
-		// s1 takes the new stride only when it repeats (s2 match).
-		m := uint32(-hit01(stride, ent.s2))
-		ent.s1 ^= (ent.s1 ^ stride) & m
-		ent.s2 = stride
-		ent.last = e.Value
+	for _, e := range batch {
+		res.Correct += uint64(twoDeltaStep(&t[int(e.PC>>2)&mask], e.Value))
 	}
 	return res
 }
 
-// RunBatch implements BatchRunner. The FSR fast path is hoisted out of
+// RunBatch implements BatchRunner. The FSR choice is hoisted out of
 // the loop: one nil check per chunk, then the inlined Update32 per
 // event.
 func (p *FCM) RunBatch(batch []trace.Event) Result {
@@ -89,19 +76,17 @@ func (p *FCM) RunBatch(batch []trace.Event) Result {
 	if fsr := p.fsr; fsr != nil {
 		for _, e := range batch {
 			i := int(e.PC>>2) & mask
-			h := l1[i]
-			res.Correct += uint64(hit01(l2[h], e.Value))
-			l2[h] = e.Value
+			h, hit := fcmStep(l1, l2, i, e.Value)
 			l1[i] = fsr.Update32(h, e.Value)
+			res.Correct += uint64(hit)
 		}
 		return res
 	}
 	for _, e := range batch {
 		i := int(e.PC>>2) & mask
-		h := l1[i]
-		res.Correct += uint64(hit01(l2[h], e.Value))
-		l2[h] = e.Value
+		h, hit := fcmStep(l1, l2, i, e.Value)
 		l1[i] = p.h.Update(h, uint64(e.Value))
+		res.Correct += uint64(hit)
 	}
 	return res
 }
@@ -121,139 +106,17 @@ func (p *DFCM) RunBatch(batch []trace.Event) Result {
 	if fsr := p.fsr; fsr != nil {
 		for _, e := range batch {
 			i := int(e.PC>>2) & mask
-			h := hist[i]
-			lv := last[i]
-			pred := lv + uint32(int32(l2[h]<<eShift)>>eShift)
-			res.Correct += uint64(hit01(pred, e.Value))
-			stride := e.Value - lv
-			l2[h] = stride & sMask
+			h, stride, hit := dfcmStep(last, hist, l2, i, e.Value, sMask, eShift)
 			hist[i] = fsr.Update32(h, stride)
-			last[i] = e.Value
+			res.Correct += uint64(hit)
 		}
 		return res
 	}
 	for _, e := range batch {
 		i := int(e.PC>>2) & mask
-		h := hist[i]
-		lv := last[i]
-		pred := lv + uint32(int32(l2[h]<<eShift)>>eShift)
-		res.Correct += uint64(hit01(pred, e.Value))
-		stride := e.Value - lv
-		l2[h] = stride & sMask
+		h, stride, hit := dfcmStep(last, hist, l2, i, e.Value, sMask, eShift)
 		hist[i] = p.h.Update(h, uint64(stride))
-		last[i] = e.Value
-	}
-	return res
-}
-
-// RunBatch implements BatchRunner. The table scans inside Predict and
-// Update run on the concrete receiver (devirtualized and inlinable);
-// both use fixed-size stack arrays for the per-table indices, so the
-// loop allocates nothing.
-func (p *TAGE) RunBatch(batch []trace.Event) Result {
-	res := Result{Predictions: uint64(len(batch))}
-	for i := range batch {
-		e := &batch[i]
-		res.Correct += uint64(hit01(p.Predict(e.PC), e.Value))
-		p.Update(e.PC, e.Value)
-	}
-	return res
-}
-
-// RunBatch implements BatchRunner. The slot scans stay as loops (n is
-// tiny and data-dependent); the win is the devirtualized per-event
-// calls.
-func (p *LastN) RunBatch(batch []trace.Event) Result {
-	res := Result{Predictions: uint64(len(batch))}
-	for i := range batch {
-		e := &batch[i]
-		if p.Predict(e.PC) == e.Value {
-			res.Correct++
-		}
-		p.Update(e.PC, e.Value)
-	}
-	return res
-}
-
-// RunBatch implements BatchRunner. The queue drain inside Predict and
-// the enqueue inside Update run on the concrete receiver; the wrapped
-// predictor is still reached through its interface (the delay model
-// is not a hot-path predictor).
-func (d *Delayed) RunBatch(batch []trace.Event) Result {
-	res := Result{Predictions: uint64(len(batch))}
-	for i := range batch {
-		e := &batch[i]
-		if d.Predict(e.PC) == e.Value {
-			res.Correct++
-		}
-		d.Update(e.PC, e.Value)
-	}
-	return res
-}
-
-// RunBatch implements BatchRunner with Score semantics: an event is
-// correct when any component predicted it, matching the generic
-// Scorer path exactly.
-func (p *PerfectHybrid) RunBatch(batch []trace.Event) Result {
-	res := Result{Predictions: uint64(len(batch))}
-	for i := range batch {
-		e := &batch[i]
-		if p.Score(e.PC, e.Value) {
-			res.Correct++
-		}
-	}
-	return res
-}
-
-// RunBatch implements BatchRunner.
-func (p *MetaHybrid) RunBatch(batch []trace.Event) Result {
-	res := Result{Predictions: uint64(len(batch))}
-	for i := range batch {
-		e := &batch[i]
-		if p.Predict(e.PC) == e.Value {
-			res.Correct++
-		}
-		p.Update(e.PC, e.Value)
-	}
-	return res
-}
-
-// RunBatch implements BatchRunner (counts raw accuracy, like the
-// generic loop; confidence splits remain RunConfident's job).
-func (c *CounterConfidence) RunBatch(batch []trace.Event) Result {
-	res := Result{Predictions: uint64(len(batch))}
-	for i := range batch {
-		e := &batch[i]
-		if c.Predict(e.PC) == e.Value {
-			res.Correct++
-		}
-		c.Update(e.PC, e.Value)
-	}
-	return res
-}
-
-// RunBatch implements BatchRunner (raw accuracy; see CounterConfidence).
-func (h *HashTag) RunBatch(batch []trace.Event) Result {
-	res := Result{Predictions: uint64(len(batch))}
-	for i := range batch {
-		e := &batch[i]
-		if h.Predict(e.PC) == e.Value {
-			res.Correct++
-		}
-		h.Update(e.PC, e.Value)
-	}
-	return res
-}
-
-// RunBatch implements BatchRunner (raw accuracy; see CounterConfidence).
-func (c *Combined) RunBatch(batch []trace.Event) Result {
-	res := Result{Predictions: uint64(len(batch))}
-	for i := range batch {
-		e := &batch[i]
-		if c.Predict(e.PC) == e.Value {
-			res.Correct++
-		}
-		c.Update(e.PC, e.Value)
+		res.Correct += uint64(hit)
 	}
 	return res
 }

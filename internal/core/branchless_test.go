@@ -99,17 +99,17 @@ func TestTruncateExtendMatchBranchy(t *testing.T) {
 	for bits := uint(1); bits <= 32; bits++ {
 		p := NewDFCMWidth(4, 8, bits)
 		for _, s := range probes {
-			if got, want := p.truncate(s), truncateBranchy(s, bits); got != want {
+			if got, want := s&p.strideMask, truncateBranchy(s, bits); got != want {
 				t.Fatalf("w%d: truncate(%#x) = %#x, branchy %#x", bits, s, got, want)
 			}
-			stored := p.truncate(s)
-			if got, want := p.extend(stored), extendBranchy(stored, bits); got != want {
+			stored := s & p.strideMask
+			if got, want := signExtend(stored, p.extShift), extendBranchy(stored, bits); got != want {
 				t.Fatalf("w%d: extend(%#x) = %#x, branchy %#x", bits, stored, got, want)
 			}
 			// Round trip: a stride already in range survives intact.
-			ext := p.extend(stored)
-			if p.truncate(ext) != stored {
-				t.Fatalf("w%d: truncate(extend(%#x)) = %#x, not a round trip", bits, stored, p.truncate(ext))
+			ext := signExtend(stored, p.extShift)
+			if ext&p.strideMask != stored {
+				t.Fatalf("w%d: truncate(extend(%#x)) = %#x, not a round trip", bits, stored, ext&p.strideMask)
 			}
 		}
 	}

@@ -17,10 +17,12 @@ import (
 type Delayed struct {
 	p     Predictor
 	delay int
-	// pending is a FIFO of updates not yet applied; head indexes the
-	// oldest. The queue never exceeds delay+1 entries.
-	pending []pendingUpdate
-	head    int
+	// ring is a FIFO of updates not yet applied: n entries starting at
+	// head, wrapping at len(ring). It holds at most delay+1 entries and
+	// grows on demand up to that size, so a huge delay costs memory
+	// only for updates that actually arrive.
+	ring    []pendingUpdate
+	head, n int
 }
 
 type pendingUpdate struct {
@@ -29,69 +31,87 @@ type pendingUpdate struct {
 }
 
 // NewDelayed wraps p with an update delay of delay predictions.
-// It panics if delay is negative.
+// It panics if delay is negative. The ring starts at its minimum size,
+// so the first few updates in flight allocate nothing.
 func NewDelayed(p Predictor, delay int) *Delayed {
 	if delay < 0 {
 		panic("core: negative update delay")
 	}
-	return &Delayed{p: p, delay: delay}
+	d := &Delayed{p: p, delay: delay}
+	d.grow()
+	return d
 }
 
 // Predict first applies every pending update older than the delay
 // window, then predicts with the wrapped predictor.
 func (d *Delayed) Predict(pc uint32) uint32 {
-	for len(d.pending)-d.head > d.delay {
-		u := d.pending[d.head]
-		d.head++
+	for d.n > d.delay {
+		u := d.pop()
 		d.p.Update(u.pc, u.value)
-	}
-	// Reclaim consumed prefix once it dominates the backing array so
-	// the queue stays O(delay) regardless of trace length.
-	if d.head > 16 && d.head*2 >= len(d.pending) {
-		n := copy(d.pending, d.pending[d.head:])
-		d.pending = d.pending[:n]
-		d.head = 0
 	}
 	return d.p.Predict(pc)
 }
 
 // Update enqueues the outcome; it reaches the wrapped predictor's
-// tables only after delay further predictions.
+// tables only after delay further predictions. On a full ring the
+// oldest update is applied first: the next Predict would apply it
+// before anything else reads the tables, so applying it now changes no
+// prediction.
 func (d *Delayed) Update(pc, value uint32) {
-	if d.head > 0 && d.head == len(d.pending) {
-		d.pending = d.pending[:0]
-		d.head = 0
-	}
-	d.pending = append(d.pending, pendingUpdate{pc: pc, value: value})
-}
-
-// Flush applies all pending updates immediately. Useful when reusing
-// the wrapped predictor after a delayed run.
-func (d *Delayed) Flush() {
-	for d.head < len(d.pending) {
-		u := d.pending[d.head]
-		d.head++
+	if d.n > d.delay {
+		u := d.pop()
 		d.p.Update(u.pc, u.value)
 	}
-	d.pending = d.pending[:0]
-	d.head = 0
+	if d.n == len(d.ring) {
+		d.grow()
+	}
+	i := d.head + d.n
+	if i >= len(d.ring) {
+		i -= len(d.ring)
+	}
+	d.ring[i] = pendingUpdate{pc: pc, value: value}
+	d.n++
+}
+
+// pop dequeues the oldest pending update.
+func (d *Delayed) pop() pendingUpdate {
+	u := d.ring[d.head]
+	d.head++
+	if d.head == len(d.ring) {
+		d.head = 0
+	}
+	d.n--
+	return u
+}
+
+// grow doubles the full ring, capped at delay+1 entries, and unwraps
+// its contents to start at index 0. The cap is compared against delay,
+// not delay+1, so a delay of math.MaxInt cannot overflow.
+func (d *Delayed) grow() {
+	size := max(2*len(d.ring), 8)
+	if d.delay < size {
+		size = d.delay + 1
+	}
+	ring := make([]pendingUpdate, size)
+	k := copy(ring, d.ring[d.head:])
+	copy(ring[k:], d.ring[:d.head])
+	d.ring, d.head = ring, 0
 }
 
 // Reset implements Resetter: the pending queue is discarded (not
 // applied) and the wrapped predictor is reset.
 func (d *Delayed) Reset() {
-	d.pending = d.pending[:0]
-	d.head = 0
+	d.head, d.n = 0, 0
 	mustReset(d.p)
 }
 
-// AppendState implements Snapshotter: the not-yet-applied update queue
-// (active entries only — the consumed prefix is an allocation detail)
-// followed by the wrapped predictor's nested state.
+// AppendState implements Snapshotter: the count of not-yet-applied
+// updates, the updates oldest-first, then the wrapped predictor's
+// nested state.
 func (d *Delayed) AppendState(b []byte) []byte {
-	active := d.pending[d.head:]
-	b = binary.BigEndian.AppendUint32(b, uint32(len(active)))
-	for _, u := range active {
+	b = binary.BigEndian.AppendUint32(b, uint32(d.n))
+	for k := 0; k < d.n; k++ {
+		u := d.ring[(d.head+k)%len(d.ring)]
 		b = binary.BigEndian.AppendUint32(b, u.pc)
 		b = binary.BigEndian.AppendUint32(b, u.value)
 	}
@@ -99,20 +119,24 @@ func (d *Delayed) AppendState(b []byte) []byte {
 }
 
 // RestoreState implements Snapshotter. The claimed queue length is
-// checked against the bytes that actually arrived before the queue is
-// allocated.
+// checked against the delay window and against the bytes that actually
+// arrived before the ring is allocated.
 func (d *Delayed) RestoreState(data []byte) error {
 	if len(data) < 4 {
 		return stateSizeErr("delayed", 4, len(data))
 	}
 	n := binary.BigEndian.Uint32(data)
+	if uint64(n) > uint64(d.delay)+1 {
+		return fmt.Errorf("%w: delayed queue holds %d updates, delay %d allows at most %d", ErrState, n, d.delay, uint64(d.delay)+1)
+	}
 	if uint64(len(data)-4) < 8*uint64(n) {
 		return fmt.Errorf("%w: delayed queue claims %d updates, %d bytes remain", ErrState, n, len(data)-4)
 	}
 	rows := data[4:]
-	d.pending = make([]pendingUpdate, n)
-	for i := range d.pending {
-		d.pending[i] = pendingUpdate{
+	d.n = int(n)
+	d.ring = make([]pendingUpdate, n)
+	for i := range d.ring {
+		d.ring[i] = pendingUpdate{
 			pc:    binary.BigEndian.Uint32(rows[8*i:]),
 			value: binary.BigEndian.Uint32(rows[8*i+4:]),
 		}
@@ -130,9 +154,8 @@ func (d *Delayed) RestoreState(data []byte) error {
 
 // StateTables implements StateTabler.
 func (d *Delayed) StateTables() []TableInfo {
-	active := len(d.pending) - d.head
 	return append(
-		[]TableInfo{{Name: "pending", Entries: active, Live: active}},
+		[]TableInfo{{Name: "pending", Entries: d.n, Live: d.n}},
 		prefixTables(d.p.Name(), d.p)...,
 	)
 }

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"math"
 	"math/rand"
 	"testing"
 
@@ -101,29 +102,30 @@ func TestDelayedMonotoneDegradation(t *testing.T) {
 	}
 }
 
-func TestDelayedFlush(t *testing.T) {
-	p := NewLastValue(8)
-	d := NewDelayed(p, 100)
-	d.Update(0x40, 77)
-	if p.Predict(0x40) == 77 {
-		t.Fatal("update applied before flush")
+// TestDelayedRingBounded: the pending ring never holds more than
+// delay+1 entries, whether updates alternate with predictions or
+// arrive in a run with no prediction between them, and a huge delay
+// allocates only for the updates that arrived.
+func TestDelayedRingBounded(t *testing.T) {
+	for _, delay := range []int{0, 4, 100} {
+		d := NewDelayed(NewLastValue(8), delay)
+		for i := 0; i < 10000; i++ {
+			if i%1000 < 500 {
+				d.Predict(0x40)
+			}
+			d.Update(0x40, uint32(i))
+			if len(d.ring) > delay+1 || d.n > delay+1 {
+				t.Fatalf("delay %d, event %d: ring of %d holds %d entries", delay, i, len(d.ring), d.n)
+			}
+		}
 	}
-	d.Flush()
-	if p.Predict(0x40) != 77 {
-		t.Error("flush did not apply pending update")
-	}
-	// Flush on empty queue is a no-op.
-	d.Flush()
-}
-
-func TestDelayedQueueCompaction(t *testing.T) {
-	// The pending queue must not grow without bound.
-	d := NewDelayed(NewLastValue(8), 4)
-	for i := 0; i < 10000; i++ {
-		d.Predict(0x40)
-		d.Update(0x40, uint32(i))
-	}
-	if cap(d.pending) > 64 {
-		t.Errorf("pending queue capacity grew to %d", cap(d.pending))
+	for _, delay := range []int{1<<32 - 1, math.MaxInt} {
+		d := NewDelayed(NewLastValue(8), delay)
+		for i := 0; i < 100; i++ {
+			d.Update(0x40, uint32(i))
+		}
+		if len(d.ring) > 256 {
+			t.Errorf("delay %d: ring grew to %d entries for 100 updates", delay, len(d.ring))
+		}
 	}
 }

@@ -96,26 +96,19 @@ func NewDFCMHash(l1bits, l2bits, strideBits uint, h hash.Func) *DFCM {
 	}
 }
 
-// truncate keeps the low strideBits bits of a stride as stored in the
-// level-2 table. One AND against the precomputed mask — no width
-// branch on the update path.
-func (p *DFCM) truncate(stride uint32) uint32 {
-	return stride & p.strideMask
-}
-
-// extend sign-extends a stored stride back to 32 bits: shift the sign
-// bit of the stored width up to bit 31, then arithmetic-shift back
-// down. extShift is 0 at full width, making the pair an identity — no
-// width branch on the predict path.
-func (p *DFCM) extend(stored uint32) uint32 {
-	return uint32(int32(stored<<p.extShift) >> p.extShift)
+// signExtend sign-extends a stored stride back to 32 bits: shift the
+// sign bit of the stored width up to bit 31, then arithmetic-shift
+// back down. shift is 32 − strideBits, 0 at full width, making the
+// pair an identity — no width branch on the predict path.
+func signExtend(stored uint32, shift uint) uint32 {
+	return uint32(int32(stored<<shift) >> shift)
 }
 
 // Predict returns the instruction's last value plus the stride the
 // level-2 table associates with its current difference history.
 func (p *DFCM) Predict(pc uint32) uint32 {
 	i := (pc >> 2) & p.l1mask
-	return p.last[i] + p.extend(p.l2[p.hist[i]])
+	return p.last[i] + signExtend(p.l2[p.hist[i]], p.extShift)
 }
 
 // Update computes the new stride (value − last), stores it in the
@@ -124,33 +117,31 @@ func (p *DFCM) Predict(pc uint32) uint32 {
 // on the concrete type so the per-event hash update inlines instead
 // of going through hash.Func.
 func (p *DFCM) Update(pc, value uint32) {
-	i := (pc >> 2) & p.l1mask
-	h := p.hist[i]
-	stride := value - p.last[i]
-	p.l2[h] = stride & p.strideMask
+	i := int((pc >> 2) & p.l1mask)
+	h, stride, _ := dfcmStep(p.last, p.hist, p.l2, i, value, p.strideMask, p.extShift)
 	if p.fsr != nil {
 		p.hist[i] = p.fsr.Update32(h, stride)
 	} else {
 		p.hist[i] = p.h.Update(h, uint64(stride))
 	}
-	p.last[i] = value
 }
 
-// L2IndexAndUpdate is Update fused with L2Index: it applies the
-// update and returns the level-2 index it wrote to (the pre-update
-// history, exactly L2Index's answer before the same Update).
-func (p *DFCM) L2IndexAndUpdate(pc, value uint32) uint64 {
-	i := (pc >> 2) & p.l1mask
-	h := p.hist[i]
-	stride := value - p.last[i]
-	p.l2[h] = stride & p.strideMask
-	if p.fsr != nil {
-		p.hist[i] = p.fsr.Update32(h, stride)
-	} else {
-		p.hist[i] = p.h.Update(h, uint64(stride))
-	}
-	p.last[i] = value
-	return h
+// dfcmStep is the DFCM update rule at level-1 entry i for produced
+// value v, up to the history fold: it stores the new stride v − last[i]
+// (masked to the stored width by sMask) in the level-2 entry the
+// prediction came from and records v as the last value. It returns
+// that entry's index h = hist[i], the full stride the caller folds
+// into the history, and 1 if the entry predicted v, 0 otherwise. It
+// takes the tables as arguments so RunBatch can hoist the slices out
+// of its loop.
+func dfcmStep(last []uint32, hist []uint64, l2 []uint32, i int, v, sMask uint32, eShift uint) (h uint64, stride uint32, hit int32) {
+	h = hist[i]
+	lv := last[i]
+	hit = hit01(lv+signExtend(l2[h], eShift), v)
+	stride = v - lv
+	l2[h] = stride & sMask
+	last[i] = v
+	return h, stride, hit
 }
 
 // L2Index implements L2Indexer.
@@ -174,9 +165,6 @@ func (p *DFCM) HistoryInput(pc, value uint32) uint64 {
 
 // Order returns the number of strides influencing a prediction.
 func (p *DFCM) Order() int { return p.h.Order() }
-
-// StrideBits returns the width of strides stored in the level-2 table.
-func (p *DFCM) StrideBits() uint { return p.strideBits }
 
 // Reset implements Resetter: three flat clears, each a word-level
 // memclr of a contiguous slice — no per-entry logic.
@@ -220,7 +208,7 @@ func (p *DFCM) RestoreState(data []byte) error {
 	l2 := data[12*len(p.last):]
 	for i := range p.l2 {
 		v := binary.BigEndian.Uint32(l2[4*i:])
-		if p.truncate(v) != v {
+		if v&p.strideMask != v {
 			return fmt.Errorf("%w: dfcm stride %#x wider than %d bits", ErrState, v, p.strideBits)
 		}
 		p.l2[i] = v

@@ -69,9 +69,8 @@ func (p *FCM) Predict(pc uint32) uint32 {
 // The FSR case is dispatched on the concrete type so the per-event
 // hash update inlines instead of going through hash.Func.
 func (p *FCM) Update(pc, value uint32) {
-	i := (pc >> 2) & p.l1mask
-	h := p.l1[i]
-	p.l2[h] = value
+	i := int((pc >> 2) & p.l1mask)
+	h, _ := fcmStep(p.l1, p.l2, i, value)
 	if p.fsr != nil {
 		p.l1[i] = p.fsr.Update32(h, value)
 	} else {
@@ -79,22 +78,17 @@ func (p *FCM) Update(pc, value uint32) {
 	}
 }
 
-// L2IndexAndUpdate is Update fused with L2Index: it applies the
-// update and returns the level-2 index it wrote to (derived from the
-// pre-update history, exactly L2Index's answer before the same
-// Update). Instrumentation replaying a trace once per many consumers
-// (metrics.StrideHists) uses it to halve the level-1 accesses per
-// event.
-func (p *FCM) L2IndexAndUpdate(pc, value uint32) uint64 {
-	i := (pc >> 2) & p.l1mask
-	h := p.l1[i]
-	p.l2[h] = value
-	if p.fsr != nil {
-		p.l1[i] = p.fsr.Update32(h, value)
-	} else {
-		p.l1[i] = p.h.Update(h, uint64(value))
-	}
-	return h
+// fcmStep is the FCM update rule at level-1 entry i for produced value
+// v, up to the history fold: it writes v into the level-2 entry the
+// prediction came from and returns that entry's index h = l1[i] (the
+// history the caller folds v into) and 1 if the entry predicted v, 0
+// otherwise. It takes the tables as arguments so RunBatch can hoist
+// the slices out of its loop.
+func fcmStep(l1 []uint64, l2 []uint32, i int, v uint32) (h uint64, hit int32) {
+	h = l1[i]
+	hit = hit01(l2[h], v)
+	l2[h] = v
+	return h, hit
 }
 
 // L2Index implements L2Indexer.

@@ -214,7 +214,7 @@ func TestDFCMWidthSignExtension(t *testing.T) {
 		{300, 44},                // 300 mod 256, sign-extended
 	}
 	for _, c := range cases {
-		if got := p.extend(p.truncate(c.stride)); got != c.want {
+		if got := signExtend(c.stride&p.strideMask, p.extShift); got != c.want {
 			t.Errorf("truncate/extend(%#x) = %#x, want %#x", c.stride, got, c.want)
 		}
 	}
@@ -247,7 +247,7 @@ func TestDFCMWidthLargeStridesDegrade(t *testing.T) {
 
 func TestDFCMWidth32PassThrough(t *testing.T) {
 	p := NewDFCM(4, 8)
-	prop := func(s uint32) bool { return p.extend(p.truncate(s)) == s }
+	prop := func(s uint32) bool { return signExtend(s&p.strideMask, p.extShift) == s }
 	if err := quick.Check(prop, nil); err != nil {
 		t.Error(err)
 	}
@@ -330,12 +330,3 @@ func (s fsrStub) Update(h, v uint64) uint64 { return 0 }
 func (s fsrStub) IndexBits() uint           { return s.n }
 func (s fsrStub) Order() int                { return 1 }
 func (s fsrStub) Name() string              { return "stub" }
-
-func TestDFCMStrideBitsAccessor(t *testing.T) {
-	if NewDFCMWidth(4, 8, 16).StrideBits() != 16 {
-		t.Error("StrideBits accessor wrong")
-	}
-	if NewDFCM(4, 8).StrideBits() != 32 {
-		t.Error("default stride width should be 32")
-	}
-}

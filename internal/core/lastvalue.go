@@ -30,7 +30,17 @@ func (p *LastValue) Predict(pc uint32) uint32 {
 
 // Update stores the produced value.
 func (p *LastValue) Update(pc, value uint32) {
-	p.table[pcIndex(pc, p.bits)] = value
+	lastValueStep(p.table, int(pcIndex(pc, p.bits)), value)
+}
+
+// lastValueStep is the last-value update rule at entry i: it stores v
+// and reports 1 if the entry predicted v, 0 otherwise. Update and
+// RunBatch both run it; it takes the table as an argument so RunBatch
+// can hoist the slice out of its loop.
+func lastValueStep(t []uint32, i int, v uint32) int32 {
+	hit := hit01(t[i], v)
+	t[i] = v
+	return hit
 }
 
 // Reset implements Resetter.

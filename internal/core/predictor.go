@@ -72,14 +72,6 @@ type L2Indexer interface {
 	L2Entries() int
 }
 
-// IndexedUpdater is the fused form of L2Indexer + Update: one call
-// performs the update and returns the level-2 index it wrote to,
-// saving a second level-1 lookup per event. Implemented by FCM and
-// DFCM; instrumentation loops use it when available.
-type IndexedUpdater interface {
-	L2IndexAndUpdate(pc, value uint32) uint64
-}
-
 // Resetter is implemented by predictors that can return to their
 // freshly-constructed state in place, without reallocating tables.
 // After Reset, the predictor behaves exactly like a new instance from

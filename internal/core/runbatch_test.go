@@ -3,6 +3,7 @@ package core
 import (
 	"testing"
 
+	"repro/internal/hash"
 	"repro/internal/trace"
 )
 
@@ -31,6 +32,7 @@ func TestRunBatchChunksEqualRun(t *testing.T) {
 	mks := map[string]func() Predictor{
 		"lvp":     func() Predictor { return NewLastValue(8) },
 		"stride":  func() Predictor { return NewStride(8) },
+		"2delta":  func() Predictor { return NewTwoDelta(8) },
 		"fcm":     func() Predictor { return NewFCM(8, 10) },
 		"dfcm":    func() Predictor { return NewDFCM(8, 10) },
 		"delayed": func() Predictor { return NewDelayed(NewDFCM(8, 10), 32) },
@@ -87,7 +89,7 @@ func runGenericBatch(p Predictor, batch []trace.Event) Result {
 }
 
 // TestRunBatchConcreteMatchesGeneric: every concrete RunBatch
-// implementation produces, chunk by chunk, exactly the Result of the
+// loop (batch.go) produces, chunk by chunk, exactly the Result of the
 // generic loop on an identical twin — and leaves the predictor in the
 // same state, witnessed by the serialized snapshot where available
 // and by post-run prediction parity everywhere.
@@ -103,20 +105,7 @@ func TestRunBatchConcreteMatchesGeneric(t *testing.T) {
 		// Narrow level-2 disables the FSR Update32 fast path, covering
 		// the interface-hash loop variant.
 		"dfcm-small-l2": func() Predictor { return NewDFCMWidth(8, 6, 32) },
-		"lastn":         func() Predictor { return NewLastN(8, 4) },
-		"delayed":       func() Predictor { return NewDelayed(NewDFCM(8, 10), 32) },
-		"perfect":       func() Predictor { return NewPerfectHybrid(NewStride(8), NewFCM(8, 10)) },
-		"meta":          func() Predictor { return NewMetaHybrid(NewStride(8), NewFCM(8, 10), 8) },
-		"counterconf":   func() Predictor { return NewCounterConfidence(NewDFCM(8, 10), 8, 15, 8) },
-		"hashtag":       func() Predictor { return NewHashTag(NewDFCM(8, 10), 6, 7) },
-		"combined": func() Predictor {
-			d := NewDFCM(8, 10)
-			return NewCombined(d, NewHashTag(d, 6, 7), NewCounterConfidence(d, 6, 15, 4))
-		},
-		"tage":         func() Predictor { return NewTAGE(8, 6, 32, 4, 8, 4, 64) },
-		"tage-w8":      func() Predictor { return NewTAGE(8, 6, 8, 3, 10, 2, 32) },
-		"tage-1table":  func() Predictor { return NewTAGE(8, 6, 32, 1, 8, 16, 16) },
-		"tage-delayed": func() Predictor { return NewDelayed(NewTAGE(8, 6, 32, 4, 8, 4, 64), 32) },
+		"fcm-small-l2":  func() Predictor { return NewFCMHash(8, 6, hash.NewFSR5(6)) },
 	}
 	for name, mk := range mks {
 		concrete, generic := mk(), mk()

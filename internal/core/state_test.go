@@ -1,6 +1,7 @@
 package core
 
 import (
+	"encoding/binary"
 	"errors"
 	"testing"
 
@@ -101,6 +102,30 @@ func TestRestoreStateRejectsMalformed(t *testing.T) {
 				}
 			}
 		})
+	}
+
+	// A Delayed queue longer than delay+1 entries is malformed: three
+	// updates queued under delay 4 do not fit a delay-1 ring.
+	long := NewDelayed(NewLastValue(4), 4)
+	for i := uint32(0); i < 3; i++ {
+		long.Update(0x40, i)
+	}
+	// A huge delay must not let a claimed queue length allocate
+	// before the bytes for it arrived.
+	huge := binary.BigEndian.AppendUint32(nil, 1<<32-1)
+	huge = append(huge, NewLastValue(4).AppendState(nil)...)
+	for _, tc := range []struct {
+		label string
+		delay int
+		data  []byte
+	}{
+		{"queue longer than delay+1", 1, long.AppendState(nil)},
+		{"huge queue claim", 1<<32 - 1, huge},
+	} {
+		err := NewDelayed(NewLastValue(4), tc.delay).RestoreState(tc.data)
+		if !errors.Is(err, ErrState) {
+			t.Errorf("delayed %s: got %v, want ErrState", tc.label, err)
+		}
 	}
 }
 

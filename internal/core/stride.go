@@ -50,38 +50,33 @@ func (p *Stride) Predict(pc uint32) uint32 {
 }
 
 // Update trains the entry at pc with the produced value.
-//
-// This per-op path deliberately keeps the branchy counter update: a
-// single-event caller tends to feed highly regular streams, where the
-// hit/miss branches predict well and beat the branchless arithmetic
-// (measured ~6.0 vs ~8.2 ns/op on the per-op benchmark trace). The
-// batch loop (RunBatch in batch.go) runs the branchless form — over
-// mixed interleaved streams the branches mispredict constantly — and
-// the two are pinned bit-identical by the satConf/hit01 property
-// tests and TestRunBatchConcreteMatchesGeneric.
 func (p *Stride) Update(pc, value uint32) {
-	e := &p.table[pcIndex(pc, p.bits)]
-	// The replacement gate reads the counter *before* this outcome is
-	// folded in: a fully confident entry keeps its stride across a
-	// single disruption (e.g. a loop-control reset costs exactly one
-	// misprediction, matching the two-delta method the paper calls
-	// "comparable").
-	replace := e.conf < strideConfMax
-	if e.last+e.stride == value {
+	strideStep(&p.table[pcIndex(pc, p.bits)], value)
+}
+
+// strideStep is the stride update rule for entry e and produced value
+// v, shared by Update and RunBatch; it reports 1 if e predicted v, 0
+// otherwise. The replacement gate reads the counter *before* this
+// outcome is folded in: a fully confident entry keeps its stride
+// across a single disruption (e.g. a loop-control reset costs exactly
+// one misprediction, matching the two-delta method the paper calls
+// "comparable").
+func strideStep(e *strideEntry, v uint32) int32 {
+	hit := hit01(e.last+e.stride, v)
+	if e.conf < strideConfMax {
+		e.stride = v - e.last
+	}
+	if hit != 0 {
 		if e.conf < strideConfMax {
 			e.conf += strideConfIncrement
 		}
+	} else if e.conf >= strideConfDecrement {
+		e.conf -= strideConfDecrement
 	} else {
-		if e.conf >= strideConfDecrement {
-			e.conf -= strideConfDecrement
-		} else {
-			e.conf = 0
-		}
+		e.conf = 0
 	}
-	if replace {
-		e.stride = value - e.last
-	}
-	e.last = value
+	e.last = v
+	return hit
 }
 
 // Reset implements Resetter.
@@ -173,13 +168,22 @@ func (p *TwoDelta) Predict(pc uint32) uint32 {
 
 // Update trains the entry at pc with the produced value.
 func (p *TwoDelta) Update(pc, value uint32) {
-	e := &p.table[pcIndex(pc, p.bits)]
-	stride := value - e.last
+	twoDeltaStep(&p.table[pcIndex(pc, p.bits)], value)
+}
+
+// twoDeltaStep is the two-delta update rule for entry e and produced
+// value v, shared by Update and RunBatch; it reports 1 if e predicted
+// v, 0 otherwise. s1 takes the new stride only when it repeats (s2
+// match).
+func twoDeltaStep(e *twoDeltaEntry, v uint32) int32 {
+	hit := hit01(e.last+e.s1, v)
+	stride := v - e.last
 	if stride == e.s2 {
 		e.s1 = stride
 	}
 	e.s2 = stride
-	e.last = value
+	e.last = v
+	return hit
 }
 
 // Reset implements Resetter.

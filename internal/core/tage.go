@@ -212,16 +212,6 @@ func NewTAGE(l1bits, l2bits, strideBits uint, nTables int, tagBits, hmin, hmax u
 	return p
 }
 
-// truncate keeps the low strideBits bits of a stride as stored in the
-// tagged and base tables.
-func (p *TAGE) truncate(stride uint32) uint32 { return stride & p.strideMask }
-
-// extend sign-extends a stored stride back to 32 bits (identity at
-// full width, like DFCM's pair).
-func (p *TAGE) extend(stored uint32) uint32 {
-	return uint32(int32(stored<<p.extShift) >> p.extShift)
-}
-
 // tableIndex mixes PC entropy with the table's folded index register.
 // The per-table extra shift decorrelates the tables' index streams so
 // one hot PC does not collide at the same slot in every table.
@@ -285,7 +275,7 @@ func (p *TAGE) rebuildFolds() {
 func (p *TAGE) Predict(pc uint32) uint32 {
 	pcw := pc >> 2
 	bi := pcw & p.l1mask
-	stride := p.extend(p.bstride[bi])
+	stride := signExtend(p.bstride[bi], p.extShift)
 	altStride := stride
 	provConf := uint8(0)
 	found := 0
@@ -293,11 +283,11 @@ func (p *TAGE) Predict(pc uint32) uint32 {
 		e := uint32(t)<<p.l2bits + p.tableIndex(t, pcw)
 		if p.tags[e] == p.tableTag(t, pcw) {
 			if found == 0 {
-				stride = p.extend(p.strides[e])
+				stride = signExtend(p.strides[e], p.extShift)
 				provConf = p.conf[e]
 				found = 1
 			} else {
-				altStride = p.extend(p.strides[e])
+				altStride = signExtend(p.strides[e], p.extShift)
 				break
 			}
 		}
@@ -336,15 +326,15 @@ func (p *TAGE) Update(pc, value uint32) {
 			}
 		}
 	}
-	base := p.extend(p.bstride[bi])
+	base := signExtend(p.bstride[bi], p.extShift)
 	altStride := base
 	if alt >= 0 {
-		altStride = p.extend(p.strides[uint32(alt)<<p.l2bits+idxs[alt]])
+		altStride = signExtend(p.strides[uint32(alt)<<p.l2bits+idxs[alt]], p.extShift)
 	}
 	finalStride, provStride := base, base
 	if provider >= 0 {
 		e := uint32(provider)<<p.l2bits + idxs[provider]
-		provStride = p.extend(p.strides[e])
+		provStride = signExtend(p.strides[e], p.extShift)
 		if p.conf[e] == 0 {
 			finalStride = altStride
 		} else {
@@ -366,7 +356,7 @@ func (p *TAGE) Update(pc, value uint32) {
 		case p.conf[e] > 0:
 			p.conf[e]--
 		default:
-			p.strides[e] = p.truncate(actual)
+			p.strides[e] = actual & p.strideMask
 		}
 		if provStride != altStride {
 			if provStride == actual {
@@ -390,7 +380,7 @@ func (p *TAGE) Update(pc, value uint32) {
 			e := uint32(t)<<p.l2bits + idxs[t]
 			if p.ubits[e] == 0 {
 				p.tags[e] = tgs[t]
-				p.strides[e] = p.truncate(actual)
+				p.strides[e] = actual & p.strideMask
 				p.conf[e] = 0
 				allocated++
 				t++
@@ -404,7 +394,7 @@ func (p *TAGE) Update(pc, value uint32) {
 	}
 
 	// Base component: DFCM-style, always store the newest stride.
-	p.bstride[bi] = p.truncate(actual)
+	p.bstride[bi] = actual & p.strideMask
 	p.last[bi] = value
 
 	p.pushHistory(uint32(hash.Fold(uint64(actual), tageBitsPerEvent)))
@@ -545,7 +535,7 @@ func (p *TAGE) RestoreState(data []byte) error {
 	data = data[4*len(p.last):]
 	for i := range p.bstride {
 		v := binary.BigEndian.Uint32(data[4*i:])
-		if p.truncate(v) != v {
+		if v&p.strideMask != v {
 			return fmt.Errorf("%w: tage base stride %#x wider than %d bits", ErrState, v, p.strideBits)
 		}
 		p.bstride[i] = v
@@ -561,7 +551,7 @@ func (p *TAGE) RestoreState(data []byte) error {
 	data = data[4*len(p.tags):]
 	for i := range p.strides {
 		v := binary.BigEndian.Uint32(data[4*i:])
-		if p.truncate(v) != v {
+		if v&p.strideMask != v {
 			return fmt.Errorf("%w: tage stride %#x wider than %d bits", ErrState, v, p.strideBits)
 		}
 		p.strides[i] = v

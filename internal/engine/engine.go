@@ -2,30 +2,23 @@
 // benchmark) grids behind every figure of the paper — with one trace
 // replay per benchmark instead of one per configuration.
 //
-// The old harness (internal/experiments.sweep) replayed a benchmark's
-// trace from scratch for every predictor configuration, one event at a
-// time through interface calls, and fanned out one unbounded goroutine
-// per benchmark. The engine instead:
+// A sweep has one replay path. Each benchmark's cached trace is fed
+// once through a Stream, which hands each chunk of events to every
+// predictor configuration (core.RunBatch) before touching the next
+// chunk, so the chunk stays hot in cache. All work units run on one
+// worker pool sized by GOMAXPROCS, and traces come from a TraceCache
+// whose per-key singleflight lets distinct benchmarks generate
+// concurrently while duplicate requests coalesce. The online
+// autotuner (internal/autotune) feeds live traffic through the same
+// Stream.
 //
-//   - groups a sweep's predictor configurations by benchmark and
-//     replays each benchmark's cached trace once, feeding every
-//     configuration from that single pass in event chunks (the chunk
-//     stays hot in cache while each predictor consumes it, and the
-//     per-event Source.Next dispatch is gone — see core.RunBatch);
-//   - schedules all work units on one bounded worker pool sized by
-//     GOMAXPROCS, replacing the unbounded per-benchmark fan-out;
-//   - fetches traces through a TraceCache whose per-key singleflight
-//     lets distinct benchmarks generate concurrently while duplicate
-//     requests still coalesce.
-//
-// Results are bit-identical to the sequential per-configuration path:
-// every configuration gets its own predictor instance, predictor state
-// carries across chunks exactly as across events, and all accumulation
-// is integer arithmetic into index-addressed slots, so neither
-// chunking nor scheduling order can change any output
-// (DESIGN.md §9). Options.Reference keeps the old per-event
-// sequential path alive as the equivalence oracle the tests compare
-// against.
+// Results are bit-identical to one sequential core.Run per
+// configuration: every configuration gets its own predictor instance,
+// predictor state carries across chunks exactly as across events, and
+// all accumulation is integer arithmetic into index-addressed slots,
+// so neither chunking nor scheduling order can change any output
+// (DESIGN.md §9). The engine tests compare against core.Run, and
+// internal/experiments pins a digest of every rendered artifact.
 package engine
 
 import (
@@ -37,31 +30,11 @@ import (
 	"repro/internal/trace"
 )
 
-// Options tunes sweep execution. The zero value is the production
-// configuration: GOMAXPROCS workers, default chunk size.
-type Options struct {
-	// Workers bounds the number of concurrently executing work units;
-	// 0 means runtime.GOMAXPROCS(0).
-	Workers int
-	// ChunkSize is the number of events per replay chunk; 0 means
-	// defaultChunk.
-	ChunkSize int
-	// Reference switches Run to the pre-engine execution model: work
-	// units run sequentially in submission order and predictor jobs
-	// replay per event through core.Run instead of in chunks. Output
-	// must be bit-identical to the default mode; the equivalence
-	// tests in internal/experiments hold the engine to that.
-	Reference bool
-	// FeedSize, when positive, makes each benchmark replay feed its
-	// trace through the streaming core (Stream.Feed) in slices of at
-	// most FeedSize events instead of one call over the whole trace —
-	// the exact input shape the online autotuner produces. Output must
-	// be bit-identical to the one-shot path (state carries across Feed
-	// calls); the streaming-refactor regression pass of
-	// TestEngineEquivalence holds the engine to that. 0 feeds each
-	// trace whole.
-	FeedSize int
-}
+// Options is the sweep configuration. It has no fields: a sweep always
+// runs its units on a GOMAXPROCS-sized pool and replays each benchmark
+// in defaultChunk-event chunks. The type stays so NewSweep's signature
+// is unchanged for existing callers.
+type Options struct{}
 
 // defaultChunk is the replay chunk size: large enough to amortize the
 // per-chunk predictor loop, small enough that a chunk of events
@@ -92,7 +65,6 @@ func (j *Job) Weighted() float64 { return metrics.WeightedMean(j.per) }
 // run as their own units on the same pool. A Sweep is not safe for
 // concurrent registration; Run may be called once.
 type Sweep struct {
-	opts    Options
 	cache   *TraceCache
 	benches []string
 	budget  uint64
@@ -104,11 +76,8 @@ type Sweep struct {
 // NewSweep returns an empty sweep over the given benchmarks at the
 // given per-benchmark instruction budget, reading traces through
 // cache.
-func NewSweep(opts Options, cache *TraceCache, benchmarks []string, budget uint64) *Sweep {
-	if opts.ChunkSize <= 0 {
-		opts.ChunkSize = defaultChunk
-	}
-	return &Sweep{opts: opts, cache: cache, benches: benchmarks, budget: budget}
+func NewSweep(_ Options, cache *TraceCache, benchmarks []string, budget uint64) *Sweep {
+	return &Sweep{cache: cache, benches: benchmarks, budget: budget}
 }
 
 // Add registers a predictor configuration. mk is called once per
@@ -163,16 +132,7 @@ func (s *Sweep) Run() error {
 		}
 	}
 	units = append(units, s.tasks...)
-
-	if s.opts.Reference {
-		for _, u := range units {
-			if err := u(); err != nil {
-				return err
-			}
-		}
-		return nil
-	}
-	return runPool(units, s.opts.Workers)
+	return runPool(units, runtime.GOMAXPROCS(0))
 }
 
 // replayBench is one work unit: all predictor configurations of the
@@ -187,30 +147,9 @@ func (s *Sweep) replayBench(bi int) error {
 	for ji, j := range s.jobs {
 		preds[ji] = j.mk()
 	}
-	var results []core.Result
-	if s.opts.Reference {
-		results = make([]core.Result, len(s.jobs))
-		for ji, p := range preds {
-			results[ji] = core.Run(p, trace.NewReader(tr))
-		}
-	} else {
-		// The one-shot offline replay is the streaming core fed the
-		// whole trace: Feed chunks it at ChunkSize internally, so this
-		// is byte-identical to the pre-Stream replayChunks call.
-		st := NewStream(preds, s.opts.ChunkSize)
-		if fs := s.opts.FeedSize; fs > 0 {
-			for start := 0; start < len(tr); start += fs {
-				end := start + fs
-				if end > len(tr) {
-					end = len(tr)
-				}
-				st.Feed(tr[start:end])
-			}
-		} else {
-			st.Feed(tr)
-		}
-		results = st.Finalize()
-	}
+	st := NewStream(preds, 0)
+	st.Feed(tr)
+	results := st.Finalize()
 	for ji, j := range s.jobs {
 		j.per[bi] = metrics.BenchResult{Benchmark: bench, Result: results[ji]}
 	}
@@ -223,9 +162,6 @@ func (s *Sweep) replayBench(bi int) error {
 // batch keeps the error report deterministic without cancellation
 // plumbing.
 func runPool(units []func() error, workers int) error {
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
 	if workers > len(units) {
 		workers = len(units)
 	}

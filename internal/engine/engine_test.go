@@ -9,7 +9,6 @@ import (
 	"time"
 
 	"repro/internal/core"
-	"repro/internal/metrics"
 	"repro/internal/trace"
 )
 
@@ -56,61 +55,48 @@ func configs() []func() core.Predictor {
 
 // TestSweepMatchesPerEventRun: the chunked multi-predictor single-pass
 // replay must produce exactly the per-event core.Run results, for
-// every config and benchmark, at several chunk sizes (including ones
-// that do not divide the trace length).
+// every config — through a Sweep over two benchmarks, and through a
+// Stream at several chunk sizes (including ones that do not divide
+// the trace length).
 func TestSweepMatchesPerEventRun(t *testing.T) {
 	tr := synthTrace(10_000)
+	want := make([]core.Result, len(configs()))
+	for ji, mk := range configs() {
+		want[ji] = core.Run(mk(), trace.NewReader(tr))
+	}
+
 	benches := []string{"a", "b"}
-	for _, chunk := range []int{1, 7, 1024, 4096, 1 << 20} {
-		cache := NewTraceCache(synthGen(tr))
-		s := NewSweep(Options{ChunkSize: chunk}, cache, benches, 0)
-		var jobs []*Job
-		for _, mk := range configs() {
-			jobs = append(jobs, s.Add(mk))
-		}
-		if err := s.Run(); err != nil {
-			t.Fatal(err)
-		}
-		for ji, mk := range configs() {
-			want := core.Run(mk(), trace.NewReader(tr))
-			for bi, bench := range benches {
-				got := jobs[ji].PerBench()[bi]
-				if got.Benchmark != bench {
-					t.Fatalf("job %d bench %d labeled %q", ji, bi, got.Benchmark)
-				}
-				if got.Result != want {
-					t.Errorf("chunk %d job %d %s: got %+v want %+v",
-						chunk, ji, bench, got.Result, want)
-				}
+	s := NewSweep(Options{}, NewTraceCache(synthGen(tr)), benches, 0)
+	var jobs []*Job
+	for _, mk := range configs() {
+		jobs = append(jobs, s.Add(mk))
+	}
+	if err := s.Run(); err != nil {
+		t.Fatal(err)
+	}
+	for ji, j := range jobs {
+		for bi, bench := range benches {
+			got := j.PerBench()[bi]
+			if got.Benchmark != bench {
+				t.Fatalf("job %d bench %d labeled %q", ji, bi, got.Benchmark)
+			}
+			if got.Result != want[ji] {
+				t.Errorf("sweep job %d %s: got %+v want %+v", ji, bench, got.Result, want[ji])
 			}
 		}
 	}
-}
 
-// TestReferenceModeMatchesEngine: the sequential per-event reference
-// path and the default chunked concurrent path agree exactly.
-func TestReferenceModeMatchesEngine(t *testing.T) {
-	tr := synthTrace(8_000)
-	run := func(opts Options) []metrics.BenchResult {
-		s := NewSweep(opts, NewTraceCache(synthGen(tr)), []string{"x"}, 0)
-		var jobs []*Job
+	for _, chunk := range []int{1, 7, 1024, 4096, 1 << 20} {
+		var preds []core.Predictor
 		for _, mk := range configs() {
-			jobs = append(jobs, s.Add(mk))
+			preds = append(preds, mk())
 		}
-		if err := s.Run(); err != nil {
-			t.Fatal(err)
-		}
-		var out []metrics.BenchResult
-		for _, j := range jobs {
-			out = append(out, j.PerBench()...)
-		}
-		return out
-	}
-	ref := run(Options{Reference: true})
-	got := run(Options{})
-	for i := range ref {
-		if ref[i] != got[i] {
-			t.Errorf("job %d: reference %+v, engine %+v", i, ref[i], got[i])
+		st := NewStream(preds, chunk)
+		st.Feed(tr)
+		for ji, got := range st.Finalize() {
+			if got != want[ji] {
+				t.Errorf("chunk %d job %d: got %+v want %+v", chunk, ji, got, want[ji])
+			}
 		}
 	}
 }
@@ -184,7 +170,7 @@ func TestTraceCacheDistinctKeysOverlap(t *testing.T) {
 	}
 }
 
-// TestWorkerPoolBounded: no more than Options.Workers units execute
+// TestWorkerPoolBounded: no more than the pool's worker count of units execute
 // at once, and every unit runs.
 func TestWorkerPoolBounded(t *testing.T) {
 	const workers, n = 2, 16

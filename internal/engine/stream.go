@@ -18,7 +18,7 @@ import (
 // trace: predictor state carries across calls and results are plain
 // counters, so slice boundaries cannot change any output. The offline
 // equivalence tests (TestSweepMatchesPerEventRun, TestStreamFeed and
-// internal/experiments.TestEngineEquivalence) pin that invariant.
+// internal/experiments.TestRegistryDigest) pin that invariant.
 //
 // A Stream is not safe for concurrent use: exactly one goroutine may
 // Feed it.

@@ -82,39 +82,3 @@ func TestStreamFeedAfterFinalizePanics(t *testing.T) {
 	}()
 	st.Feed(synthTrace(10))
 }
-
-// TestSweepFeedSizeEquivalent: Options.FeedSize routes the offline
-// replay through incremental Feed slices; results must be identical
-// to the one-shot default for every job and benchmark.
-func TestSweepFeedSizeEquivalent(t *testing.T) {
-	tr := synthTrace(8_000)
-	run := func(opts Options) [][]core.Result {
-		s := NewSweep(opts, NewTraceCache(synthGen(tr)), []string{"a", "b"}, 0)
-		var jobs []*Job
-		for _, mk := range configs() {
-			jobs = append(jobs, s.Add(mk))
-		}
-		if err := s.Run(); err != nil {
-			t.Fatal(err)
-		}
-		out := make([][]core.Result, len(jobs))
-		for i, j := range jobs {
-			for _, br := range j.PerBench() {
-				out[i] = append(out[i], br.Result)
-			}
-		}
-		return out
-	}
-	want := run(Options{})
-	for _, fs := range []int{1, 509, 4096, 1 << 20} {
-		got := run(Options{FeedSize: fs})
-		for ji := range want {
-			for bi := range want[ji] {
-				if got[ji][bi] != want[ji][bi] {
-					t.Errorf("FeedSize %d job %d bench %d: got %+v want %+v",
-						fs, ji, bi, got[ji][bi], want[ji][bi])
-				}
-			}
-		}
-	}
-}

@@ -1,59 +1,61 @@
 package experiments
 
-// The engine port's correctness contract: every experiment renders
-// byte-identical output whether it runs through the chunked,
-// worker-pooled engine, the streaming-input path (Options.FeedSize
-// feeds each replay in bounded chunks through engine.Stream), or the
-// pre-engine sequential reference path (engine.Options.Reference).
-// All experiment accumulation is integer arithmetic into
-// index-addressed slots read back in submission order, so neither
-// scheduling nor feed granularity can perturb output; this test pins
-// that invariant for the whole registry.
+// TestRegistryDigest pins the rendered output of every experiment at
+// a small configuration to the sha256 digests in
+// testdata/registry.sha256. The digests were recorded from a
+// sequential per-event core.Run replay, which the chunked, pooled
+// engine matched byte for byte. All experiment accumulation is integer
+// arithmetic into index-addressed slots read back in submission order,
+// so neither scheduling nor chunking can perturb output. When a change
+// alters an artifact on purpose, the failure prints the replacement
+// file.
 
 import (
+	"crypto/sha256"
+	"fmt"
+	"os"
+	"strings"
 	"testing"
-
-	"repro/internal/engine"
 )
 
-func TestEngineEquivalence(t *testing.T) {
+func TestRegistryDigest(t *testing.T) {
 	if testing.Short() {
-		t.Skip("full-registry equivalence run")
+		t.Skip("full-registry digest run")
 	}
+	raw, err := os.ReadFile("testdata/registry.sha256")
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := make(map[string]string)
+	for _, line := range strings.Split(strings.TrimSpace(string(raw)), "\n") {
+		sum, id, ok := strings.Cut(line, "  ")
+		if !ok {
+			t.Fatalf("malformed digest line %q", line)
+		}
+		want[id] = sum
+	}
+
 	cfg := Config{Budget: 50_000, Benchmarks: []string{"li", "m88ksim", "go"}}
-
-	run := func(name string, opts engine.Options) map[string]string {
-		saved := engineOpts
-		engineOpts = opts
-		defer func() { engineOpts = saved }()
-		ResetCache()
-		out := make(map[string]string)
-		for _, e := range All() {
-			res, err := e.Run(cfg)
-			if err != nil {
-				t.Fatalf("%s (%s): %v", e.ID, name, err)
-			}
-			out[e.ID] = res.String()
+	ResetCache()
+	var lines strings.Builder
+	bad := false
+	for _, e := range All() {
+		res, err := e.Run(cfg)
+		if err != nil {
+			t.Fatalf("%s: %v", e.ID, err)
 		}
-		return out
+		sum := fmt.Sprintf("%x", sha256.Sum256([]byte(res.String())))
+		fmt.Fprintf(&lines, "%s  %s\n", sum, e.ID)
+		if want[e.ID] != sum {
+			t.Errorf("%s: output digest %s, recorded %q", e.ID, sum, want[e.ID])
+			bad = true
+		}
 	}
-
-	want := run("reference", engine.Options{Reference: true})
-	for _, alt := range []struct {
-		name string
-		opts engine.Options
-	}{
-		{"engine", engine.Options{}},
-		// A feed size that never divides the budget evenly, so the
-		// streaming path exercises ragged final chunks everywhere.
-		{"streaming", engine.Options{FeedSize: 4093}},
-	} {
-		got := run(alt.name, alt.opts)
-		for _, e := range All() {
-			if got[e.ID] != want[e.ID] {
-				t.Errorf("%s: %s output differs from sequential reference path\n--- reference ---\n%s\n--- %s ---\n%s",
-					e.ID, alt.name, want[e.ID], alt.name, got[e.ID])
-			}
-		}
+	if len(want) != len(All()) {
+		t.Errorf("testdata/registry.sha256 lists %d experiments, the registry has %d", len(want), len(All()))
+		bad = true
+	}
+	if bad {
+		t.Errorf("replacement testdata/registry.sha256:\n%s", lines.String())
 	}
 }

@@ -142,20 +142,13 @@ func ResetCache() {
 	traceCache.Reset()
 }
 
-// engineOpts configures every sweep the experiments run. The zero
-// value is the production engine (chunked single-pass replay on a
-// bounded pool); the equivalence tests flip Reference on to re-run
-// every experiment through the sequential per-event path and compare
-// artifacts byte for byte.
-var engineOpts engine.Options
-
 // newSweep returns an engine sweep over cfg's benchmark set and
 // budget, backed by the shared trace cache. Experiments register all
 // their predictor configurations (and scans) first, call Run once,
 // and then read results — so every configuration is fed from a single
 // replay of each benchmark's trace.
 func newSweep(cfg Config) *engine.Sweep {
-	return engine.NewSweep(engineOpts, traceCache, cfg.benchmarks(), cfg.budget())
+	return engine.NewSweep(engine.Options{}, traceCache, cfg.benchmarks(), cfg.budget())
 }
 
 // sweep runs one predictor configuration over every configured

@@ -6,6 +6,8 @@ import (
 	"testing"
 
 	"repro/internal/core"
+	"repro/internal/metrics"
+	"repro/internal/trace"
 )
 
 // testCfg keeps test runtime modest while staying statistically
@@ -142,6 +144,27 @@ func TestFig4And8WorkedExamples(t *testing.T) {
 	if dfcmEntries >= fcmEntries {
 		t.Errorf("DFCM (%v entries) should use fewer than FCM (%v)", dfcmEntries, fcmEntries)
 	}
+}
+
+// strideHistFor runs the Figure 6/9 instrumentation over one
+// benchmark: a 2^16-entry level-1, 4096-entry level-2 predictor with
+// a 64K-entry stride-predictor oracle, counting stride-pattern
+// accesses per level-2 entry. It replays one predictor through
+// metrics.StrideHist; the experiments use strideHistsFor, which builds
+// both histograms from a single pass.
+func strideHistFor(cfg Config, bench string, differential bool) (metrics.Histogram, error) {
+	tr, err := traceFor(bench, fig69Budget(cfg, bench))
+	if err != nil {
+		return nil, err
+	}
+	var p core.Predictor
+	if differential {
+		p = core.NewDFCM(16, 12)
+	} else {
+		p = core.NewFCM(16, 12)
+	}
+	h := metrics.NewStrideHist(4096, 16)
+	return h.Run(p, trace.NewReader(tr)), nil
 }
 
 func TestFig9DFCMConcentratesStrides(t *testing.T) {

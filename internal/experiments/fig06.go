@@ -22,27 +22,6 @@ func fig69Budget(cfg Config, bench string) uint64 {
 	return cfg.budget()
 }
 
-// strideHistFor runs the Figure 6/9 instrumentation over one
-// benchmark: a 2^16-entry level-1, 4096-entry level-2 predictor with
-// a 64K-entry stride-predictor oracle, counting stride-pattern
-// accesses per level-2 entry. This is the per-predictor reference
-// path; the engine-backed experiments use strideHistsFor, which
-// builds both histograms from a single pass.
-func strideHistFor(cfg Config, bench string, differential bool) (metrics.Histogram, error) {
-	tr, err := traceFor(bench, fig69Budget(cfg, bench))
-	if err != nil {
-		return nil, err
-	}
-	var p core.Predictor
-	if differential {
-		p = core.NewDFCM(16, 12)
-	} else {
-		p = core.NewFCM(16, 12)
-	}
-	h := metrics.NewStrideHist(4096, 16)
-	return h.Run(p, trace.NewReader(tr)), nil
-}
-
 // strideOracleHits returns a benchmark's trace plus the 2^16-entry
 // stride-oracle hit mask over it. The mask is a pure function of the
 // trace, so it is memoized next to the trace itself
@@ -126,11 +105,6 @@ func runFig6(cfg Config) (*Result, error) {
 	for i, bench := range fig69Benches {
 		i, bench := i, bench
 		s.AddTask(func() error {
-			if engineOpts.Reference {
-				g, err := strideHistFor(cfg, bench, false)
-				hists[i] = g
-				return err
-			}
 			tr, hits, err := strideOracleHits(cfg, bench)
 			if err != nil {
 				return err
@@ -160,18 +134,6 @@ func runFig9(cfg Config) (*Result, error) {
 	for i, bench := range fig69Benches {
 		i, bench := i, bench
 		s.AddTask(func() error {
-			if engineOpts.Reference {
-				fg, err := strideHistFor(cfg, bench, false)
-				if err != nil {
-					return err
-				}
-				dg, err := strideHistFor(cfg, bench, true)
-				if err != nil {
-					return err
-				}
-				hists[i] = histPair{f: fg, d: dg}
-				return nil
-			}
 			fg, dg, err := strideHistsFor(cfg, bench)
 			if err != nil {
 				return err

@@ -104,9 +104,7 @@ func StrideHistsFromHits(hits []bool, tr trace.Trace, ps ...core.Predictor) []Hi
 		panic("metrics: oracle hit mask does not match trace length")
 	}
 	idxs := make([]core.L2Indexer, len(ps))
-	fused := make([]core.IndexedUpdater, len(ps))
 	counts := make([][]uint64, len(ps))
-	allFused := true
 	for i, p := range ps {
 		idx, ok := p.(core.L2Indexer)
 		if !ok {
@@ -114,53 +112,33 @@ func StrideHistsFromHits(hits []bool, tr trace.Trace, ps ...core.Predictor) []Hi
 		}
 		idxs[i] = idx
 		counts[i] = make([]uint64, idx.L2Entries())
-		if f, ok := p.(core.IndexedUpdater); ok {
-			fused[i] = f
-		} else {
-			allFused = false
-		}
 	}
-	if allFused {
-		// Fast path: L2IndexAndUpdate touches level-1 once per
-		// (event, predictor) and returns the same index L2Index would
-		// have before the same Update — counting on every event and
-		// discarding on oracle misses is bit-identical to the generic
-		// loop. The Figure 6/9 shapes additionally dispatch on the
-		// concrete predictor types, saving an interface call per
-		// (event, predictor) on the hottest scans in the suite.
-		switch {
-		case len(ps) == 1 && asFCM(ps[0]) != nil:
-			f := asFCM(ps[0])
-			c := counts[0]
-			for ei, e := range tr {
-				idx := f.L2IndexAndUpdate(e.PC, e.Value)
-				if hits[ei] {
-					c[idx]++
-				}
+	// The Figure 6/9 shapes dispatch on the concrete predictor types,
+	// saving two interface calls per (event, predictor) on the hottest
+	// scans in the suite. Counting before Update reads the same
+	// pre-update index the generic loop reads.
+	switch {
+	case len(ps) == 1 && asFCM(ps[0]) != nil:
+		f := asFCM(ps[0])
+		c := counts[0]
+		for ei, e := range tr {
+			if hits[ei] {
+				c[f.L2Index(e.PC)]++
 			}
-		case len(ps) == 2 && asFCM(ps[0]) != nil && asDFCM(ps[1]) != nil:
-			f, d := asFCM(ps[0]), asDFCM(ps[1])
-			cf, cd := counts[0], counts[1]
-			for ei, e := range tr {
-				fi := f.L2IndexAndUpdate(e.PC, e.Value)
-				di := d.L2IndexAndUpdate(e.PC, e.Value)
-				if hits[ei] {
-					cf[fi]++
-					cd[di]++
-				}
-			}
-		default:
-			for ei, e := range tr {
-				hit := hits[ei]
-				for i, f := range fused {
-					idx := f.L2IndexAndUpdate(e.PC, e.Value)
-					if hit {
-						counts[i][idx]++
-					}
-				}
-			}
+			f.Update(e.PC, e.Value)
 		}
-	} else {
+	case len(ps) == 2 && asFCM(ps[0]) != nil && asDFCM(ps[1]) != nil:
+		f, d := asFCM(ps[0]), asDFCM(ps[1])
+		cf, cd := counts[0], counts[1]
+		for ei, e := range tr {
+			if hits[ei] {
+				cf[f.L2Index(e.PC)]++
+				cd[d.L2Index(e.PC)]++
+			}
+			f.Update(e.PC, e.Value)
+			d.Update(e.PC, e.Value)
+		}
+	default:
 		for ei, e := range tr {
 			hit := hits[ei]
 			for i, p := range ps {
