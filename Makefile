@@ -39,7 +39,7 @@ lint:
 	$(GO) run ./cmd/vplint -deadline 60s ./...
 
 race:
-	$(GO) test -race ./internal/serve/... ./internal/cluster/... ./internal/autotune/... ./internal/core/... ./internal/engine/... ./cmd/vpserve/... ./cmd/vprouter/... ./cmd/vploadgen/... ./cmd/dfcmsim/...
+	$(GO) test -race ./internal/serve/... ./internal/cluster/... ./internal/autotune/... ./internal/core/... ./internal/engine/... ./internal/snapshot/... ./cmd/vpserve/... ./cmd/vprouter/... ./cmd/vploadgen/... ./cmd/vpstate/... ./cmd/dfcmsim/...
 
 # Short fuzz smoke over the attacker-facing decoders and the history
 # hashes. CI-friendly: a few seconds per target; crank -fuzztime for

@@ -24,28 +24,17 @@ func main() {
 	traceFile := flag.String("trace", "", "VTR1 trace file to replay")
 	bench := flag.String("bench", "", "benchmark to trace on the fly")
 	budget := flag.Uint64("budget", 1_000_000, "instruction budget when tracing a benchmark")
-	kind := flag.String("predictor", "dfcm", "lvp | stride | 2delta | fcm | dfcm | hybrid | tage")
-	l1 := flag.Uint("l1", 16, "log2 of the level-1 (or only) table entries")
-	l2 := flag.Uint("l2", 12, "log2 of the level-2 table entries (fcm/dfcm/hybrid); log2 entries per tagged table (tage)")
-	width := flag.Uint("width", 32, "stored stride width in bits (dfcm/tage)")
-	delay := flag.Int("delay", 0, "update delay in predictions")
-	tables := flag.Uint("tables", 0, "tagged-table count (tage); 0 = default 4")
-	tag := flag.Uint("tag", 0, "partial-tag width in bits (tage); 0 = default 8")
-	hmin := flag.Uint("hmin", 0, "shortest history length in events (tage); 0 = default 4")
-	hmax := flag.Uint("hmax", 0, "longest history length in events (tage); 0 = default 64")
+	// The predictor flags are core.Spec's, the vocabulary cmd/vpserve
+	// declares too, so an offline run with these flags reproduces a
+	// served session's hit counts.
+	var spec core.Spec
+	spec.RegisterFlags(flag.CommandLine)
 	flag.Parse()
 
 	tr, err := loadTrace(*traceFile, *bench, *budget)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "vpredict:", err)
 		os.Exit(1)
-	}
-
-	// The spec is the same mapping cmd/vpserve uses, so an offline run
-	// with these flags reproduces a served session's hit counts.
-	spec := core.Spec{
-		Kind: *kind, L1: *l1, L2: *l2, Width: *width, Delay: *delay,
-		Tables: *tables, Tag: *tag, HistMin: *hmin, HistMax: *hmax,
 	}
 	p, err := spec.New()
 	if err != nil {

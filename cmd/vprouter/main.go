@@ -39,7 +39,6 @@ import (
 	"time"
 
 	"repro/internal/cluster"
-	"repro/internal/serve"
 )
 
 type options struct {
@@ -62,9 +61,7 @@ func parseFlags(fs *flag.FlagSet) *options {
 	fs.DurationVar(&o.cfg.Dialer.Timeout, "dial-timeout", 10*time.Second, "backend dial and round-trip timeout")
 	fs.IntVar(&o.cfg.Dialer.Retries, "dial-retries", 2, "extra connect attempts on transient backend dial errors")
 	fs.DurationVar(&o.cfg.Dialer.Backoff, "dial-backoff", 50*time.Millisecond, "initial backoff between connect attempts (doubles per retry)")
-	fs.IntVar(&o.cfg.MaxFrame, "max-frame", serve.DefaultMaxFrame, "maximum inbound request frame payload in bytes")
-	fs.DurationVar(&o.cfg.ReadTimeout, "read-timeout", 60*time.Second, "per-connection idle read deadline")
-	fs.DurationVar(&o.cfg.WriteTimeout, "write-timeout", 10*time.Second, "per-response write deadline")
+	o.cfg.Server.RegisterFlags(fs)
 	return o
 }
 

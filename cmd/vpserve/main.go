@@ -80,23 +80,13 @@ func parseFlags(fs *flag.FlagSet) *options {
 	o := &options{}
 	fs.StringVar(&o.addr, "addr", ":9177", "TCP listen address for the predictor protocol")
 	fs.StringVar(&o.httpAddr, "http", "", "optional HTTP listen address for JSON stats (empty disables)")
-	fs.StringVar(&o.spec.Kind, "predictor", "dfcm", "lvp | stride | 2delta | fcm | dfcm | hybrid | tage")
-	fs.UintVar(&o.spec.L1, "l1", 16, "log2 of the level-1 (or only) table entries")
-	fs.UintVar(&o.spec.L2, "l2", 12, "log2 of the level-2 table entries (fcm/dfcm/hybrid); log2 entries per tagged table (tage)")
-	fs.UintVar(&o.spec.Width, "width", 32, "stored stride width in bits (dfcm/tage)")
-	fs.IntVar(&o.spec.Delay, "delay", 0, "update delay in predictions")
-	fs.UintVar(&o.spec.Tables, "tables", 0, "tagged-table count (tage); 0 = default 4")
-	fs.UintVar(&o.spec.Tag, "tag", 0, "partial-tag width in bits (tage); 0 = default 8")
-	fs.UintVar(&o.spec.HistMin, "hmin", 0, "shortest history length in events (tage); 0 = default 4")
-	fs.UintVar(&o.spec.HistMax, "hmax", 0, "longest history length in events (tage); 0 = default 64")
+	o.spec.RegisterFlags(fs)
 	fs.IntVar(&o.engine.Shards, "shards", 0, "shard goroutines (0 = GOMAXPROCS)")
 	fs.IntVar(&o.engine.MailboxDepth, "mailbox", 128, "bounded queue depth per shard")
 	fs.IntVar(&o.engine.MaxSessions, "max-sessions", 4096, "live session cap across shards")
 	fs.StringVar(&o.engine.CheckpointDir, "checkpoint-dir", "", "directory for per-session predictor snapshots; enables warm start (empty disables)")
 	fs.DurationVar(&o.engine.CheckpointInterval, "checkpoint-interval", 30*time.Second, "background checkpoint period (0 = checkpoint on drain only)")
-	fs.DurationVar(&o.server.ReadTimeout, "read-timeout", 60*time.Second, "per-connection idle read deadline")
-	fs.DurationVar(&o.server.WriteTimeout, "write-timeout", 10*time.Second, "per-response write deadline")
-	fs.IntVar(&o.server.MaxFrame, "max-frame", serve.DefaultMaxFrame, "maximum request frame payload in bytes")
+	o.server.RegisterFlags(fs)
 	fs.DurationVar(&o.drain, "drain", 10*time.Second, "graceful drain timeout on SIGINT/SIGTERM")
 	fs.BoolVar(&o.autotune, "autotune", false, "enable the online autotuner (shadow-evaluates -autotune-candidates and hot-swaps winners)")
 	fs.StringVar(&o.atCandidates, "autotune-candidates", "", "comma-separated candidate specs, kind:l1[:l2[:width[:delay[:tables[:tag[:hmin[:hmax]]]]]]] (required with -autotune)")
@@ -127,7 +117,7 @@ func newServer(o *options) (*serve.Server, *autotune.Tuner, error) {
 		}
 	}
 	cfg := o.engine
-	cfg.Spec = o.spec // the engine derives NewPredictor from it
+	cfg.Spec = o.spec
 	// An autotuned server's sessions drift from the boot spec by
 	// hot-swap; adopting snapshot specs on warm start keeps a swapped
 	// session's configuration across a restart.

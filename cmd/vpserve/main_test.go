@@ -26,6 +26,22 @@ func optionsFromArgs(t *testing.T, args ...string) *options {
 	return o
 }
 
+// TestSharedFlags: vpserve's predictor flags are core.Spec's (the set
+// cmd/vpredict declares) and its connection flags serve.ServerConfig's
+// (the set cmd/vprouter declares), name for name, default for default.
+func TestSharedFlags(t *testing.T) {
+	fs := flag.NewFlagSet("vpserve", flag.ContinueOnError)
+	parseFlags(fs)
+	ref := flag.NewFlagSet("shared", flag.ContinueOnError)
+	new(core.Spec).RegisterFlags(ref)
+	new(serve.ServerConfig).RegisterFlags(ref)
+	ref.VisitAll(func(want *flag.Flag) {
+		if got := fs.Lookup(want.Name); got == nil || got.DefValue != want.DefValue || got.Usage != want.Usage {
+			t.Errorf("-%s: vpserve declares %+v, shared %+v", want.Name, got, want)
+		}
+	})
+}
+
 func TestNewServerRejectsBadSpec(t *testing.T) {
 	for _, args := range [][]string{
 		{"-predictor", "oracle"},

@@ -26,15 +26,16 @@ import (
 //     configuration from a single trace pass and must stay
 //     allocation-free to hit the engine's ~0 allocs/op budget;
 //   - internal/serve: the per-frame codec — every top-level append*
-//     and decode* function plus the frame writer (beginFrame,
-//     endFrame, ResponseFrame, growBody) and the frame readers
-//     (readHeader, readPayload, readResponseFrame, ReadRequestFrame).
-//     These run once per request frame on buffers the connection
-//     reuses; the serve batch path's 0 allocs/op budget dies the day
-//     one of them formats an error with fmt;
-//   - internal/cluster: the Router.forward and Router.writeReply
-//     methods — the proxy's per-frame backend round trip and its
-//     reply write, same budget;
+//     and decode* function plus the frame builders (beginFrame,
+//     endFrame, ResponseFrame, growBody), the frame readers
+//     (readHeader, readPayload, readResponseFrame, ReadRequestFrame)
+//     and writeReply, the FrontEnd's frame writer that answers every
+//     vpserve and vprouter request. These run once per request frame
+//     on buffers the connection reuses; the serve batch path's 0
+//     allocs/op budget dies the day one of them formats an error
+//     with fmt;
+//   - internal/cluster: the Router.forward method — the proxy's
+//     per-frame backend round trip, same budget;
 //   - internal/autotune: the mirror-enqueue path — the Tuner's Mirror
 //     and sampled methods, which run inline on every shard goroutine
 //     once per training batch and must shed, not allocate, when the
@@ -62,6 +63,7 @@ var coreHotMethods = map[string]bool{
 var serveHotFuncs = map[string]bool{
 	"beginFrame": true, "endFrame": true, "ResponseFrame": true, "growBody": true,
 	"readHeader": true, "readPayload": true, "readResponseFrame": true, "ReadRequestFrame": true,
+	"writeReply": true,
 }
 
 func runHotPathAlloc(pass *Pass) {
@@ -91,7 +93,7 @@ func runHotPathAlloc(pass *Pass) {
 				strings.HasPrefix(name, "decode")
 		})
 	case strings.HasSuffix(pass.Pkg.Path, "/internal/cluster"):
-		methodsNamed(pass.Pkg, map[string]bool{"forward": true, "writeReply": true}, func(decl *ast.FuncDecl, recvType string) {
+		methodsNamed(pass.Pkg, map[string]bool{"forward": true}, func(decl *ast.FuncDecl, recvType string) {
 			checkHotBody(pass, decl.Name.Name, decl.Body)
 		})
 	case strings.HasSuffix(pass.Pkg.Path, "/internal/autotune"):

@@ -1,14 +1,11 @@
 // Seeded-violation fixture for the hot-path-alloc analyzer (cluster
 // scope). Loaded with import path "repro/internal/cluster": the rule
-// lints the Router.forward and Router.writeReply methods — the proxy's
-// per-frame backend round trip and its reply write — and nothing else
-// in the package.
+// lints the Router.forward method — the proxy's per-frame backend
+// round trip — and nothing else in the package (the reply write is
+// serve's writeReply, linted in the serve scope).
 package cluster
 
-import (
-	"fmt"
-	"io"
-)
+import "fmt"
 
 type Router struct {
 	addrs []string
@@ -21,15 +18,6 @@ func (r *Router) forward(addr string, op byte, payload []byte) ([]byte, error) {
 	}
 	defer fmt.Println(addr) // want hot-path-alloc
 	return payload, nil
-}
-
-// writeReply writes every reply frame: in scope.
-func (r *Router) writeReply(w io.Writer, f []byte) error {
-	if len(f) == 0 {
-		return fmt.Errorf("empty reply to %v", r.addrs) // want hot-path-alloc
-	}
-	_, err := w.Write(f)
-	return err
 }
 
 // dispatch holds a per-session read lock for the duration of the

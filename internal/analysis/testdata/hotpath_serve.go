@@ -1,9 +1,10 @@
 // Seeded-violation fixture for the hot-path-alloc analyzer (serve
 // scope). Loaded with import path "repro/internal/serve": the rule
 // lints the per-frame codec — top-level append*/decode* functions
-// plus the frame writer (beginFrame, endFrame, ResponseFrame,
-// growBody) and readers (readHeader, readPayload, readResponseFrame,
-// ReadRequestFrame) — and nothing else in the package.
+// plus the frame builders (beginFrame, endFrame, ResponseFrame,
+// growBody), readers (readHeader, readPayload, readResponseFrame,
+// ReadRequestFrame) and the FrontEnd's frame writer (writeReply) —
+// and nothing else in the package.
 package serve
 
 import (
@@ -79,6 +80,16 @@ func ReadRequestFrame(r io.Reader, buf []byte) ([]byte, error) {
 	_ = x
 	_, err := io.ReadFull(r, buf)
 	return buf, err
+}
+
+// writeReply is the front end's frame writer, called once per
+// response: in scope by name.
+func writeReply(w io.Writer, f []byte) error {
+	if len(f) == 0 {
+		return fmt.Errorf("empty reply %v", f) // want hot-path-alloc
+	}
+	_, err := w.Write(f)
+	return err
 }
 
 // writeFrame is not a codec name: out of scope.

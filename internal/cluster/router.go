@@ -1,7 +1,6 @@
 package cluster
 
 import (
-	"bufio"
 	"encoding/json"
 	"fmt"
 	"net"
@@ -34,15 +33,9 @@ type Config struct {
 	// backend down. 0 selects 3. A single successful probe marks it
 	// back up.
 	HealthFails int
-	// MaxFrame bounds inbound request payloads, as in
-	// serve.ServerConfig. RestoreSession requests are always allowed
-	// up to serve.MaxSnapshotFrame. 0 selects serve.DefaultMaxFrame.
-	MaxFrame int
-	// ReadTimeout bounds the wait for the next inbound frame; an idle
-	// client past it is closed. 0 selects 60s.
-	ReadTimeout time.Duration
-	// WriteTimeout bounds writing one response frame. 0 selects 10s.
-	WriteTimeout time.Duration
+	// Server bounds the inbound client connections — frame cap, read
+	// and write deadlines — exactly as for a vpserve.
+	Server serve.ServerConfig
 }
 
 func (c Config) withDefaults() Config {
@@ -51,15 +44,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.HealthFails <= 0 {
 		c.HealthFails = 3
-	}
-	if c.MaxFrame <= 0 {
-		c.MaxFrame = serve.DefaultMaxFrame
-	}
-	if c.ReadTimeout <= 0 {
-		c.ReadTimeout = 60 * time.Second
-	}
-	if c.WriteTimeout <= 0 {
-		c.WriteTimeout = 10 * time.Second
 	}
 	return c
 }
@@ -90,11 +74,14 @@ func (l *sessionLocks) get(id uint64) *sync.RWMutex {
 // Router is the scale-out serving tier: a VP1 proxy that maps
 // sessions to backends on a consistent-hash ring, checks backend
 // health, and migrates live sessions between backends without losing
-// a prediction. All exported methods are safe for concurrent use.
+// a prediction. Its client connections run on the same serve.FrontEnd
+// as a vpserve, with dispatch as the per-frame handler. All exported
+// methods are safe for concurrent use.
 type Router struct {
 	cfg   Config
 	pool  *Pool
 	locks sessionLocks
+	fe    *serve.FrontEnd
 
 	mu     sync.RWMutex
 	ring   *Ring             // vplint:guardedby mu — current membership (copy-on-write)
@@ -104,13 +91,9 @@ type Router struct {
 	migrations    atomic.Uint64
 	forwardErrors atomic.Uint64
 
-	lifeMu   sync.Mutex
-	ln       net.Listener          // vplint:guardedby lifeMu
-	conns    map[net.Conn]struct{} // vplint:guardedby lifeMu
-	connWG   sync.WaitGroup
-	closed   bool // vplint:guardedby lifeMu
-	healthWG sync.WaitGroup
-	quit     chan struct{}
+	closeOnce sync.Once
+	healthWG  sync.WaitGroup
+	quit      chan struct{}
 }
 
 // NewRouter builds a router over the configured backends and starts
@@ -126,9 +109,9 @@ func NewRouter(cfg Config) (*Router, error) {
 		ring:   NewRing(cfg.VNodes),
 		routes: make(map[uint64]string),
 		pins:   make(map[uint64]string),
-		conns:  make(map[net.Conn]struct{}),
 		quit:   make(chan struct{}),
 	}
+	r.fe = serve.NewFrontEnd(cfg.Server, func() serve.FrameHandler { return r.dispatch })
 	for _, addr := range cfg.Backends {
 		if addr == "" {
 			return nil, fmt.Errorf("cluster: empty backend address")
@@ -145,87 +128,11 @@ func NewRouter(cfg Config) (*Router, error) {
 
 // Serve accepts VP1 connections on ln until Close. It always returns
 // a non-nil error; after a clean shutdown the error is net.ErrClosed.
-func (r *Router) Serve(ln net.Listener) error {
-	r.lifeMu.Lock()
-	if r.closed {
-		r.lifeMu.Unlock()
-		_ = ln.Close()
-		return net.ErrClosed
-	}
-	r.ln = ln
-	r.lifeMu.Unlock()
-	for {
-		conn, err := ln.Accept()
-		if err != nil {
-			return err
-		}
-		r.lifeMu.Lock()
-		if r.closed {
-			r.lifeMu.Unlock()
-			_ = conn.Close()
-			continue
-		}
-		r.conns[conn] = struct{}{}
-		r.connWG.Add(1)
-		r.lifeMu.Unlock()
-		go r.serveConn(conn)
-	}
-}
-
-// serveConn runs one inbound connection's frame loop, mirroring the
-// vpserve server: malformed payloads and oversized-but-drained frames
-// get a status response; only an unsynchronizable stream drops the
-// connection.
-func (r *Router) serveConn(conn net.Conn) {
-	defer r.connWG.Done()
-	defer func() {
-		_ = conn.Close()
-		r.lifeMu.Lock()
-		delete(r.conns, conn)
-		r.lifeMu.Unlock()
-	}()
-	br := bufio.NewReader(conn)
-	// Per-connection frame buffers: the inbound request frame and the
-	// reply frame reuse these across frames, so a steady-state proxied
-	// frame allocates nothing. Both are owned by this goroutine; each
-	// is valid until the next frame (the reply is written before the
-	// next read).
-	var in, out []byte
-	for {
-		if err := conn.SetReadDeadline(time.Now().Add(r.cfg.ReadTimeout)); err != nil {
-			return
-		}
-		req, oversized, err := serve.ReadRequestFrame(br, r.cfg.MaxFrame, in)
-		if err != nil {
-			return
-		}
-		in = req
-		var resp serve.Frame
-		if oversized {
-			resp = serve.ResponseFrame(out, req.Op(), serve.StatusBadRequest, nil)
-		} else {
-			resp = r.dispatch(req, out)
-		}
-		out = resp
-		if err := r.writeReply(conn, resp); err != nil {
-			return
-		}
-	}
-}
-
-// writeReply sends one reply frame to an inbound client with a single
-// Write.
-func (r *Router) writeReply(conn net.Conn, f serve.Frame) error {
-	if err := conn.SetWriteDeadline(time.Now().Add(r.cfg.WriteTimeout)); err != nil {
-		return err
-	}
-	_, err := conn.Write(f)
-	return err
-}
+func (r *Router) Serve(ln net.Listener) error { return r.fe.Serve(ln) }
 
 // dispatch routes one request frame, building the reply frame in
-// buf's storage (the returned frame is rooted there; serveConn keeps
-// it as the next frame's scratch). Stats aggregates across backends;
+// buf's storage (the returned frame is rooted there; the FrontEnd
+// keeps it as the next frame's buf). Stats aggregates across backends;
 // everything else passes through to the session's owner, request and
 // reply frames both forwarded verbatim.
 func (r *Router) dispatch(req serve.Frame, buf []byte) serve.Frame {
@@ -342,27 +249,11 @@ func (r *Router) aggregateStats(buf []byte) serve.Frame {
 		if err != nil {
 			continue
 		}
-		if contacted == 0 {
-			sum.Predictor = st.Predictor
-		}
 		contacted++
-		sum.Shards += st.Shards
-		sum.Sessions += st.Sessions
-		sum.Predictions += st.Predictions
-		sum.Hits += st.Hits
-		sum.Updates += st.Updates
-		sum.Resets += st.Resets
-		sum.Dropped += st.Dropped
-		sum.QueueDepth += st.QueueDepth
-		sum.Checkpoints += st.Checkpoints
-		sum.CheckpointErrors += st.CheckpointErrors
-		sum.Restored += st.Restored
+		sum.Merge(st)
 	}
 	if contacted == 0 {
 		return serve.ResponseFrame(buf, serve.OpStats, serve.StatusBusy, nil)
-	}
-	if sum.Predictions > 0 {
-		sum.HitRate = float64(sum.Hits) / float64(sum.Predictions)
 	}
 	body, err := json.Marshal(sum)
 	if err != nil {
@@ -563,25 +454,14 @@ func (r *Router) Backends() []string {
 	return r.ring.Members()
 }
 
-// Close stops the router: listener, inbound connections, health
-// checker and pooled backend connections. Idempotent.
+// Close stops the router immediately: listener and inbound
+// connections, then the health checker, then the pooled backend
+// connections. Idempotent.
 func (r *Router) Close() {
-	r.lifeMu.Lock()
-	if r.closed {
-		r.lifeMu.Unlock()
-		return
-	}
-	r.closed = true
-	ln := r.ln
-	for conn := range r.conns {
-		_ = conn.Close()
-	}
-	r.lifeMu.Unlock()
-	if ln != nil {
-		_ = ln.Close()
-	}
-	close(r.quit)
-	r.healthWG.Wait()
-	r.connWG.Wait()
-	r.pool.CloseAll()
+	r.closeOnce.Do(func() {
+		r.fe.Close()
+		close(r.quit)
+		r.healthWG.Wait()
+		r.pool.CloseAll()
+	})
 }

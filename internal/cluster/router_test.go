@@ -38,6 +38,13 @@ func offlineHits(tb testing.TB, events trace.Trace) uint64 {
 // startBackend runs one vpserve (engine + server) on a loopback
 // listener and returns its address. Cleanup closes everything.
 func startBackend(tb testing.TB) string {
+	_, addr := startBackendEngine(tb)
+	return addr
+}
+
+// startBackendEngine is startBackend also returning the backend's
+// engine, for tests that act on it directly.
+func startBackendEngine(tb testing.TB) (*serve.Engine, string) {
 	tb.Helper()
 	e, err := serve.NewEngine(serve.Config{Spec: clusterSpec, Shards: 2})
 	if err != nil {
@@ -57,7 +64,7 @@ func startBackend(tb testing.TB) string {
 		srv.Close()
 		<-done
 	})
-	return ln.Addr().String()
+	return e, ln.Addr().String()
 }
 
 // startRouter serves cfg's router on a loopback listener and returns
@@ -319,9 +326,11 @@ func TestRouterHealthRouteAround(t *testing.T) {
 }
 
 // TestRouterStatsAggregation: a Stats round trip against the router
-// sums over backends, and the admin handler exposes routing state.
+// sums every counter over backends, and the admin handler exposes
+// routing state.
 func TestRouterStatsAggregation(t *testing.T) {
-	b1, b2 := startBackend(t), startBackend(t)
+	e1, b1 := startBackendEngine(t)
+	e2, b2 := startBackendEngine(t)
 	r, raddr := startRouter(t, Config{Backends: []string{b1, b2}})
 	c := dialRouter(t, raddr)
 
@@ -332,9 +341,26 @@ func TestRouterStatsAggregation(t *testing.T) {
 			t.Fatalf("RunBatch: %v %v", st, err)
 		}
 	}
+	// One hot-swap on the backend that owns session 1 must show in the
+	// cluster-wide counters.
+	loc, ok := r.location(1)
+	if !ok {
+		t.Fatal("session 1 has no backend")
+	}
+	owner := map[string]*serve.Engine{b1: e1, b2: e2}[loc]
+	p, err := clusterSpec.New()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if st := owner.SwapSession(1, clusterSpec, p); st != serve.StatusOK {
+		t.Fatalf("SwapSession on %s: %v", loc, st)
+	}
 	st, err := c.Stats()
 	if err != nil {
 		t.Fatalf("Stats through router: %v", err)
+	}
+	if st.Swaps != 1 {
+		t.Errorf("aggregated swaps %d, want 1", st.Swaps)
 	}
 	if st.Predictions != 10*perSession {
 		t.Errorf("aggregated predictions %d, want %d", st.Predictions, 10*perSession)
@@ -448,7 +474,7 @@ func TestRouterAdminHandler(t *testing.T) {
 // the vpserve contract.
 func TestRouterOversizedFrame(t *testing.T) {
 	b1 := startBackend(t)
-	_, raddr := startRouter(t, Config{Backends: []string{b1}, MaxFrame: 64})
+	_, raddr := startRouter(t, Config{Backends: []string{b1}, Server: serve.ServerConfig{MaxFrame: 64}})
 	c := dialRouter(t, raddr)
 
 	big := make(trace.Trace, 200)
@@ -466,9 +492,14 @@ func TestRouterOversizedFrame(t *testing.T) {
 	if _, st, err := c.RunBatch(1, big[:2]); err != nil || st != serve.StatusOK {
 		t.Fatalf("connection unusable after oversized frame: %v %v", st, err)
 	}
-	// A frame the router cannot attribute to a session is refused.
-	if _, err := c.RoundTrip(0x7f, nil); err == nil {
-		t.Log("unknown op answered (status path)") // response is status-only; no error is fine
+	// A frame the router cannot attribute to a session is refused
+	// with a status, on the same connection.
+	p, err := c.RoundTrip(0x7f, nil)
+	if err != nil {
+		t.Fatalf("unknown op killed the connection: %v", err)
+	}
+	if len(p) != 1 || serve.Status(p[0]) != serve.StatusBadRequest {
+		t.Errorf("unknown op answered % x, want bad-request", p)
 	}
 }
 

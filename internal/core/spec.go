@@ -1,6 +1,9 @@
 package core
 
-import "fmt"
+import (
+	"flag"
+	"fmt"
+)
 
 // Spec describes a predictor configuration in the flag vocabulary
 // shared by cmd/vpredict and cmd/vpserve (-predictor/-l1/-l2/-width/
@@ -21,6 +24,22 @@ type Spec struct {
 	Tag     uint // partial-tag width in bits; 0 means 8
 	HistMin uint // shortest history length in events; 0 means 4
 	HistMax uint // longest history length in events; 0 means 64
+}
+
+// RegisterFlags binds the spec's flag vocabulary — -predictor, -l1,
+// -l2, -width, -delay, -tables, -tag, -hmin, -hmax — to s, so every
+// command that builds a predictor from flags declares the same flags
+// with the same defaults.
+func (s *Spec) RegisterFlags(fs *flag.FlagSet) {
+	fs.StringVar(&s.Kind, "predictor", "dfcm", "lvp | stride | 2delta | fcm | dfcm | hybrid | tage")
+	fs.UintVar(&s.L1, "l1", 16, "log2 of the level-1 (or only) table entries")
+	fs.UintVar(&s.L2, "l2", 12, "log2 of the level-2 table entries (fcm/dfcm/hybrid); log2 entries per tagged table (tage)")
+	fs.UintVar(&s.Width, "width", 32, "stored stride width in bits (dfcm/tage)")
+	fs.IntVar(&s.Delay, "delay", 0, "update delay in predictions")
+	fs.UintVar(&s.Tables, "tables", 0, "tagged-table count (tage); 0 = default 4")
+	fs.UintVar(&s.Tag, "tag", 0, "partial-tag width in bits (tage); 0 = default 8")
+	fs.UintVar(&s.HistMin, "hmin", 0, "shortest history length in events (tage); 0 = default 4")
+	fs.UintVar(&s.HistMax, "hmax", 0, "longest history length in events (tage); 0 = default 64")
 }
 
 // Canonical returns the spec with fields the kind ignores zeroed and

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"flag"
 	"strings"
 	"testing"
 )
@@ -227,5 +228,37 @@ func TestSpecWidthIgnoredOffDFCM(t *testing.T) {
 			t.Errorf("%s: width changed predictor: %s/%d vs %s/%d",
 				kind, base.Name(), base.SizeBits(), wide.Name(), wide.SizeBits())
 		}
+	}
+}
+
+// TestSpecRegisterFlags pins the predictor flag vocabulary that
+// cmd/vpredict and cmd/vpserve share: the nine names, their defaults,
+// and that parsing fills every Spec field.
+func TestSpecRegisterFlags(t *testing.T) {
+	var s Spec
+	fs := flag.NewFlagSet("spec", flag.ContinueOnError)
+	s.RegisterFlags(fs)
+	defaults := map[string]string{
+		"predictor": "dfcm", "l1": "16", "l2": "12", "width": "32", "delay": "0",
+		"tables": "0", "tag": "0", "hmin": "0", "hmax": "0",
+	}
+	n := 0
+	fs.VisitAll(func(f *flag.Flag) {
+		n++
+		if want, ok := defaults[f.Name]; !ok || f.DefValue != want {
+			t.Errorf("-%s default %q, want %q (known: %v)", f.Name, f.DefValue, want, ok)
+		}
+	})
+	if n != len(defaults) {
+		t.Errorf("%d flags registered, want %d", n, len(defaults))
+	}
+	args := []string{"-predictor", "tage", "-l1", "13", "-l2", "10", "-width", "8", "-delay", "3",
+		"-tables", "5", "-tag", "9", "-hmin", "2", "-hmax", "40"}
+	if err := fs.Parse(args); err != nil {
+		t.Fatal(err)
+	}
+	want := Spec{Kind: "tage", L1: 13, L2: 10, Width: 8, Delay: 3, Tables: 5, Tag: 9, HistMin: 2, HistMax: 40}
+	if s != want {
+		t.Errorf("parsed %+v, want %+v", s, want)
 	}
 }

@@ -68,6 +68,42 @@ func newRestoredSession(p core.Predictor, meta snapshot.Meta, override *core.Spe
 	return sess
 }
 
+// specOf returns the spec that built a session's predictor: its
+// override (hot-swapped or adopted) when it has one, the engine's
+// otherwise.
+func (e *Engine) specOf(sess *session) core.Spec {
+	if ov := sess.spec.Load(); ov != nil {
+		return *ov
+	}
+	return e.cfg.Spec
+}
+
+// admitSnapshot is the one restore admission rule, shared by the wire
+// RestoreSession op and the LoadCheckpoints warm start: it decides
+// whether snap may become session id on this engine and builds the
+// session if so. A snapshot under a different canonical spec is
+// StatusSpecMismatch unless the engine adopts snapshot specs, in which
+// case the session is rebuilt under the snapshot's own spec, recorded
+// as its override. A nonzero meta session that disagrees with id, or
+// state that does not restore, is StatusBadRequest.
+func (e *Engine) admitSnapshot(id uint64, snap *snapshot.Snapshot) (*session, Status) {
+	var override *core.Spec
+	if got := snap.Spec.Canonical(); got != e.cfg.Spec.Canonical() {
+		if !e.cfg.AdoptSnapshotSpecs {
+			return nil, StatusSpecMismatch
+		}
+		override = &got
+	}
+	if snap.Meta.Session != 0 && snap.Meta.Session != id {
+		return nil, StatusBadRequest
+	}
+	p, err := snap.Restore()
+	if err != nil {
+		return nil, StatusBadRequest
+	}
+	return newRestoredSession(p, snap.Meta, override), StatusOK
+}
+
 // captureSession freezes one live session. Runs on the shard
 // goroutine, so the predictor state and counters are a consistent
 // point-in-time view with no request in flight. A session carrying a
@@ -75,11 +111,7 @@ func newRestoredSession(p core.Predictor, meta snapshot.Meta, override *core.Spe
 // spec — its snapshot describes the predictor actually serving, so a
 // warm restart rebuilds the swapped configuration.
 func (e *Engine) captureSession(id uint64, sess *session) (*snapshot.Snapshot, error) {
-	spec := e.cfg.Spec
-	if ov := sess.spec.Load(); ov != nil {
-		spec = *ov
-	}
-	return snapshot.Capture(spec, sess.p, snapshot.Meta{
+	return snapshot.Capture(e.specOf(sess), sess.p, snapshot.Meta{
 		Session:     id,
 		Predictions: sess.predictions.Load(),
 		Hits:        sess.hits.Load(),
@@ -208,12 +240,13 @@ func (e *Engine) checkpointLoop(interval time.Duration) {
 }
 
 // LoadCheckpoints warm-starts the engine from CheckpointDir: every
-// readable session-<id>.vps file whose spec matches the engine's
-// (canonically — ignored fields don't block a restore) becomes a live
-// session with its predictor state and lifetime counters intact.
-// Unreadable, mismatched or unrestorable files are skipped, not fatal:
-// a warm start must never be worse than a cold one. Call before
-// serving traffic; restored sessions count in Stats.Restored.
+// readable session-<id>.vps file that admitSnapshot accepts for that
+// id — spec matched canonically, or adopted; meta session agreeing
+// with the file name — becomes a live session with its predictor
+// state and lifetime counters intact. Unreadable, refused or
+// unrestorable files are skipped and counted, not fatal: a warm start
+// must never be worse than a cold one. Call before serving traffic;
+// restored sessions count in Stats.Restored.
 func (e *Engine) LoadCheckpoints() (restored, skipped int, err error) {
 	dir := e.cfg.CheckpointDir
 	if dir == "" {
@@ -223,7 +256,6 @@ func (e *Engine) LoadCheckpoints() (restored, skipped int, err error) {
 	if err != nil {
 		return 0, 0, err
 	}
-	want := e.cfg.Spec.Canonical()
 	for _, ent := range ents {
 		id, ok := parseCheckpointName(ent.Name())
 		if !ok || ent.IsDir() {
@@ -234,25 +266,11 @@ func (e *Engine) LoadCheckpoints() (restored, skipped int, err error) {
 			skipped++
 			continue
 		}
-		// A snapshot under a different spec is normally a deliberate
-		// cold start (changed boot flags) and is skipped. With
-		// AdoptSnapshotSpecs — the autotuned server, whose sessions
-		// drift from the boot spec by hot-swap — the session is rebuilt
-		// under the snapshot's own spec, recorded as its override.
-		var override *core.Spec
-		if got := snap.Spec.Canonical(); got != want {
-			if !e.cfg.AdoptSnapshotSpecs {
-				skipped++
-				continue
-			}
-			override = &got
-		}
-		p, rerr := snap.Restore()
-		if rerr != nil {
+		sess, st := e.admitSnapshot(id, snap)
+		if st != StatusOK {
 			skipped++
 			continue
 		}
-		sess := newRestoredSession(p, snap.Meta, override)
 		resp := e.submitInternal(e.shardFor(id), request{op: opRestoreSession, session: id, sess: sess})
 		if resp.status != StatusOK {
 			skipped++

@@ -214,8 +214,8 @@ func TestSnapshotSessionOp(t *testing.T) {
 	}
 }
 
-// TestSnapshotSessionStatuses: missing session and spec-less engine
-// answer with the right statuses, and neither creates a session.
+// TestSnapshotSessionStatuses: a missing session answers
+// StatusBadRequest, and the snapshot does not create it.
 func TestSnapshotSessionStatuses(t *testing.T) {
 	e, err := NewEngine(Config{Spec: ckptSpec, Shards: 1})
 	if err != nil {
@@ -227,18 +227,6 @@ func TestSnapshotSessionStatuses(t *testing.T) {
 	}
 	if n := e.Snapshot().Sessions; n != 0 {
 		t.Errorf("SnapshotSession created %d sessions", n)
-	}
-
-	noSpec, err := NewEngine(Config{NewPredictor: func() core.Predictor { return core.NewLastValue(4) }, Shards: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer noSpec.Close()
-	if st := noSpec.ResetSession(1); st != StatusOK { // create the session
-		t.Fatal(st)
-	}
-	if _, st := noSpec.SnapshotSession(1); st != StatusUnsupported {
-		t.Errorf("spec-less engine: %v, want unsupported", st)
 	}
 }
 
@@ -254,28 +242,29 @@ func TestPeriodicCheckpointLoop(t *testing.T) {
 	if _, st := e.RunBatch(9, ckptEvents(300, 3)); st != StatusOK {
 		t.Fatal(st)
 	}
+	// The sweep writes the file before it counts itself, so wait for
+	// both: a file alone can be seen mid-sweep.
 	path := filepath.Join(dir, checkpointName(9))
 	deadline := time.Now().Add(5 * time.Second)
 	for {
-		if _, err := os.Stat(path); err == nil {
+		_, err := os.Stat(path)
+		if err == nil && e.Snapshot().Checkpoints > 0 {
 			break
 		}
 		if time.Now().After(deadline) {
-			t.Fatal("no background checkpoint appeared within 5s")
+			t.Fatalf("no counted background checkpoint within 5s (file: %v, sweeps: %d)", err, e.Snapshot().Checkpoints)
 		}
 		time.Sleep(5 * time.Millisecond)
-	}
-	if st := e.Snapshot(); st.Checkpoints == 0 {
-		t.Errorf("stats report %d checkpoint sweeps", st.Checkpoints)
 	}
 	if _, err := snapshot.ReadFile(path); err != nil {
 		t.Errorf("background checkpoint unreadable: %v", err)
 	}
 }
 
-// TestLoadCheckpointsSkips: corrupt files, foreign files and spec
-// mismatches are skipped without failing the warm start, and a session
-// that is already live is not clobbered by its disk copy.
+// TestLoadCheckpointsSkips: corrupt files, foreign files, spec
+// mismatches and snapshots filed under another session's name are
+// skipped without failing the warm start, and a session that is
+// already live is not clobbered by its disk copy.
 func TestLoadCheckpointsSkips(t *testing.T) {
 	dir := t.TempDir()
 
@@ -302,6 +291,17 @@ func TestLoadCheckpointsSkips(t *testing.T) {
 	if err := snapshot.WriteFile(filepath.Join(dir, checkpointName(4)), snap); err != nil {
 		t.Fatal(err)
 	}
+	// A good snapshot of session 7 filed under session 6's name.
+	p, err = ckptSpec.New()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if snap, err = snapshot.Capture(ckptSpec, p, snapshot.Meta{Session: 7}); err != nil {
+		t.Fatal(err)
+	}
+	if err := snapshot.WriteFile(filepath.Join(dir, checkpointName(6)), snap); err != nil {
+		t.Fatal(err)
+	}
 	// A corrupt file that parses as a checkpoint name, and a foreign
 	// file that does not.
 	if err := os.WriteFile(filepath.Join(dir, checkpointName(5)), []byte("garbage"), 0o644); err != nil {
@@ -324,8 +324,8 @@ func TestLoadCheckpointsSkips(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if restored != 0 || skipped != 3 { // live-3, mismatched-4, corrupt-5
-		t.Errorf("LoadCheckpoints = (%d, %d), want (0, 3)", restored, skipped)
+	if restored != 0 || skipped != 4 { // live-3, mismatched-4, corrupt-5, misfiled-6
+		t.Errorf("LoadCheckpoints = (%d, %d), want (0, 4)", restored, skipped)
 	}
 	if n := e2.Snapshot().Sessions; n != 1 {
 		t.Errorf("engine holds %d sessions, want 1", n)

@@ -18,15 +18,10 @@ import (
 
 // Config parameterizes an Engine.
 type Config struct {
-	// NewPredictor builds the predictor backing one session. Each call
-	// must return a fresh, independent instance. Optional when Spec is
-	// set (the engine then derives it); when both are set, NewPredictor
-	// must build predictors matching Spec.
-	NewPredictor func() core.Predictor
 	// Spec is the predictor configuration in the shared flag
-	// vocabulary. Required for checkpointing and the SnapshotSession
-	// op: a snapshot records the spec so a restart (or cmd/vpstate)
-	// can rebuild the exact predictor.
+	// vocabulary, required: every session's predictor is built from
+	// it, and a snapshot records it so a restart (or cmd/vpstate) can
+	// rebuild the exact predictor.
 	Spec core.Spec
 	// Shards is the number of independent shard goroutines. Sessions
 	// are assigned to shards by hashing the session ID, so sessions on
@@ -43,8 +38,8 @@ type Config struct {
 	// CheckpointDir, when non-empty, enables durable session state:
 	// every session is snapshot to one file in the directory
 	// (session-<id>.vps) on graceful Close, and LoadCheckpoints
-	// warm-starts from the same files on boot. Requires Spec. The
-	// directory is created if missing.
+	// warm-starts from the same files on boot. The directory is
+	// created if missing.
 	CheckpointDir string
 	// CheckpointInterval adds periodic background checkpoints between
 	// the boot and drain ones. 0 disables the ticker (checkpoint on
@@ -55,13 +50,13 @@ type Config struct {
 	// windowed hit rate covers its last one-to-two windows of judged
 	// traffic. 0 selects 4096.
 	StatsWindow int
-	// AdoptSnapshotSpecs lets LoadCheckpoints warm-start sessions
-	// whose snapshot spec differs from the engine's: the session is
-	// rebuilt under the snapshot's own spec, recorded as its
-	// per-session override — how an autotuned server restores
-	// hot-swapped sessions across a restart. When false (the default),
-	// mismatched snapshots are skipped, preserving the invariant that
-	// changed boot flags mean a deliberate cold start.
+	// AdoptSnapshotSpecs lets LoadCheckpoints and RestoreSession
+	// install sessions whose snapshot spec differs from the engine's:
+	// the session is rebuilt under the snapshot's own spec, recorded
+	// as its per-session override — how an autotuned server keeps
+	// hot-swapped sessions across a restart or a migration. When false
+	// (the default), mismatched snapshots are refused, preserving the
+	// invariant that changed boot flags mean a deliberate cold start.
 	AdoptSnapshotSpecs bool
 }
 
@@ -109,6 +104,32 @@ type Stats struct {
 	// sorted by session ID. Counters are read with relaxed ordering,
 	// like the engine-level totals.
 	SessionStats []SessionStat `json:"session_stats,omitempty"`
+}
+
+// Merge adds every counter in o to s and recomputes HitRate — the
+// cluster-wide view over several engines. Predictor is taken from o
+// when s has none yet; the per-shard and per-session lists are not
+// merged.
+func (s *Stats) Merge(o Stats) {
+	if s.Predictor == "" {
+		s.Predictor = o.Predictor
+	}
+	s.Shards += o.Shards
+	s.Sessions += o.Sessions
+	s.Predictions += o.Predictions
+	s.Hits += o.Hits
+	s.Updates += o.Updates
+	s.Resets += o.Resets
+	s.Dropped += o.Dropped
+	s.QueueDepth += o.QueueDepth
+	s.Checkpoints += o.Checkpoints
+	s.CheckpointErrors += o.CheckpointErrors
+	s.Restored += o.Restored
+	s.Swaps += o.Swaps
+	s.HitRate = 0
+	if s.Predictions > 0 {
+		s.HitRate = float64(s.Hits) / float64(s.Predictions)
+	}
 }
 
 // SessionStat is the per-session slice of a Stats snapshot: lifetime
@@ -174,7 +195,7 @@ type response struct {
 // them so a restored session resumes its stats where it left off.
 //
 // spec, when non-nil, is the canonical predictor spec that built p —
-// set by SwapSession and by spec-adopting warm starts, read by
+// set by SwapSession and by spec-adopting restores, read by
 // checkpoints and stats. nil means the engine's Config.Spec.
 //
 // The win/prev pairs are the windowed-accuracy buckets: judged
@@ -280,33 +301,18 @@ type Engine struct {
 // engine. Callers must Close it to stop them.
 func NewEngine(cfg Config) (*Engine, error) {
 	cfg = cfg.withDefaults()
-	if cfg.NewPredictor == nil {
-		if cfg.Spec.Kind == "" {
-			return nil, fmt.Errorf("serve: Config.NewPredictor or Config.Spec is required")
-		}
-		if _, err := cfg.Spec.New(); err != nil {
-			return nil, fmt.Errorf("serve: spec: %w", err)
-		}
-		spec := cfg.Spec
-		cfg.NewPredictor = func() core.Predictor {
-			p, err := spec.New()
-			if err != nil {
-				panic("serve: spec validated at engine start cannot fail: " + err.Error())
-			}
-			return p
-		}
+	probe, err := cfg.Spec.New()
+	if err != nil {
+		return nil, fmt.Errorf("serve: spec: %w", err)
 	}
 	if cfg.CheckpointDir != "" {
-		if cfg.Spec.Kind == "" {
-			return nil, fmt.Errorf("serve: checkpointing requires Config.Spec")
-		}
 		if err := os.MkdirAll(cfg.CheckpointDir, 0o755); err != nil {
 			return nil, fmt.Errorf("serve: checkpoint dir: %w", err)
 		}
 	}
 	e := &Engine{
 		cfg:    cfg,
-		name:   cfg.NewPredictor().Name(),
+		name:   probe.Name(),
 		window: uint64(cfg.StatsWindow),
 		shards: make([]*shard, cfg.Shards),
 		byID:   make(map[uint64]*session),
@@ -371,7 +377,11 @@ func (e *Engine) getSession(s *shard, id uint64) *session {
 	if int(e.sessions.Load()) >= e.cfg.MaxSessions {
 		return nil
 	}
-	sess := &session{p: e.cfg.NewPredictor()}
+	p, err := e.cfg.Spec.New()
+	if err != nil {
+		panic("serve: spec validated at engine start cannot fail: " + err.Error())
+	}
+	sess := &session{p: p}
 	s.sessions[id] = sess
 	e.sessMu.Lock()
 	e.byID[id] = sess
@@ -461,20 +471,16 @@ func (e *Engine) handle(s *shard, req request) {
 		e.mirror(req.session, seq, req.events)
 		req.reply <- response{status: StatusOK, hits: hits}
 	case OpResetSession:
-		// A swapped session resets within its own (swapped) spec: the
-		// override is the session's canonical configuration now.
+		// Every Spec kind resets in place; only a predictor handed to
+		// SwapSession can lack Reset, and it is rebuilt from the spec it
+		// came with — a session resets within its own configuration.
 		if !core.TryReset(sess.p) {
-			if ov := sess.spec.Load(); ov != nil {
-				p, err := ov.New()
-				if err == nil {
-					sess.p = p
-				} else {
-					sess.p = e.cfg.NewPredictor()
-					sess.spec.Store(nil)
-				}
-			} else {
-				sess.p = e.cfg.NewPredictor()
+			p, err := e.specOf(sess).New()
+			if err != nil {
+				req.reply <- response{status: StatusBadRequest}
+				return
 			}
+			sess.p = p
 		}
 		s.resets.Add(1)
 		req.reply <- response{status: StatusOK}
@@ -485,13 +491,9 @@ func (e *Engine) handle(s *shard, req request) {
 
 // handleSnapshotSession serializes one live session on its shard
 // goroutine. Missing sessions are StatusBadRequest (a snapshot never
-// creates a session); engines without a Spec cannot describe their
-// predictor in a snapshot and answer StatusUnsupported.
+// creates a session); a predictor that cannot export its state
+// answers StatusUnsupported.
 func (e *Engine) handleSnapshotSession(s *shard, req request) {
-	if e.cfg.Spec.Kind == "" {
-		req.reply <- response{status: StatusUnsupported}
-		return
-	}
 	sess, ok := s.sessions[req.session]
 	if !ok {
 		req.reply <- response{status: StatusBadRequest}
@@ -584,7 +586,7 @@ func (e *Engine) ResetSession(sessionID uint64) Status {
 // internal/snapshot format): spec, lifetime counters and complete
 // predictor state, captured atomically on the owning shard.
 // StatusBadRequest if the session does not exist, StatusUnsupported if
-// the engine has no Spec or its predictor cannot export state.
+// its predictor cannot export state.
 func (e *Engine) SnapshotSession(sessionID uint64) ([]byte, Status) {
 	r := e.submit(request{op: OpSnapshotSession, session: sessionID})
 	return r.blob, r.status
@@ -593,33 +595,23 @@ func (e *Engine) SnapshotSession(sessionID uint64) ([]byte, Status) {
 // RestoreSession installs a session from its encoded snapshot blob —
 // the bytes SnapshotSession returned, possibly on another engine,
 // which is how the cluster tier migrates a live session between
-// backends. The snapshot's canonical spec must match the engine's
-// (StatusSpecMismatch otherwise) and its meta session ID, when
-// nonzero, must match sessionID. A restore is authoritative: an
-// existing live session is replaced, which makes a re-driven
-// migration idempotent. Decode and state validation run on the
-// caller's goroutine; only the install itself visits the shard.
-// StatusUnsupported on engines without a Spec, StatusBadRequest on
-// undecodable or semantically invalid bytes.
+// backends. Admission follows the same rule as a warm start
+// (admitSnapshot): StatusSpecMismatch for a foreign spec unless the
+// engine adopts snapshot specs, StatusBadRequest for a meta session
+// that disagrees with sessionID or for undecodable or semantically
+// invalid bytes. A restore is authoritative: an existing live session
+// is replaced, which makes a re-driven migration idempotent. Decode
+// and state validation run on the caller's goroutine; only the
+// install itself visits the shard.
 func (e *Engine) RestoreSession(sessionID uint64, blob []byte) Status {
-	if e.cfg.Spec.Kind == "" {
-		return StatusUnsupported
-	}
 	snap, err := snapshot.Decode(bytes.NewReader(blob))
 	if err != nil {
 		return StatusBadRequest
 	}
-	if snap.Spec.Canonical() != e.cfg.Spec.Canonical() {
-		return StatusSpecMismatch
+	sess, st := e.admitSnapshot(sessionID, snap)
+	if st != StatusOK {
+		return st
 	}
-	if snap.Meta.Session != 0 && snap.Meta.Session != sessionID {
-		return StatusBadRequest
-	}
-	p, err := snap.Restore()
-	if err != nil {
-		return StatusBadRequest
-	}
-	sess := newRestoredSession(p, snap.Meta, nil)
 	return e.submit(request{op: opRestoreSession, session: sessionID, sess: sess, replace: true}).status
 }
 

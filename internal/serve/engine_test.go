@@ -14,14 +14,6 @@ import (
 // paper's DFCM at small table sizes.
 var testSpec = core.Spec{Kind: "dfcm", L1: 10, L2: 10}
 
-func newTestPredictor() core.Predictor {
-	p, err := testSpec.New()
-	if err != nil {
-		panic(err)
-	}
-	return p
-}
-
 // testEvents generates a deterministic mixed workload trace: shifting
 // the seed PC keeps distinct sessions' traces distinct.
 func testEvents(basePC uint32, n int) trace.Trace {
@@ -42,8 +34,8 @@ func offlineHits(t *testing.T, events trace.Trace) uint64 {
 
 func newTestEngine(t *testing.T, cfg Config) *Engine {
 	t.Helper()
-	if cfg.NewPredictor == nil {
-		cfg.NewPredictor = newTestPredictor
+	if cfg.Spec.Kind == "" {
+		cfg.Spec = testSpec
 	}
 	e, err := NewEngine(cfg)
 	if err != nil {
@@ -91,10 +83,7 @@ func TestRunBatchScorerPath(t *testing.T) {
 	}
 	want := core.Run(offline, trace.NewReader(events)).Correct
 
-	e := newTestEngine(t, Config{
-		Shards:       2,
-		NewPredictor: func() core.Predictor { p, _ := spec.New(); return p },
-	})
+	e := newTestEngine(t, Config{Shards: 2, Spec: spec})
 	if got := runThroughEngine(t, e, 5, events, 128); got != want {
 		t.Errorf("hybrid via engine: %d hits, offline %d", got, want)
 	}
@@ -215,29 +204,23 @@ func TestConcurrentSessions(t *testing.T) {
 	}
 }
 
-// gatedPredictor blocks inside Predict until released, letting the
-// backpressure test fill a shard's mailbox deterministically.
-type gatedPredictor struct {
+// gatedTap stalls the shard goroutine inside Mirror, which runs before
+// the reply, until the test opens the gate — letting the backpressure
+// test fill a shard's mailbox deterministically.
+type gatedTap struct {
 	entered chan struct{}
 	gate    chan struct{}
 }
 
-func (g *gatedPredictor) Predict(pc uint32) uint32 {
+func (g *gatedTap) Mirror(session, seq uint64, events []trace.Event) {
 	g.entered <- struct{}{}
 	<-g.gate
-	return 0
 }
-func (g *gatedPredictor) Update(pc, value uint32) {}
-func (g *gatedPredictor) Name() string            { return "gated" }
-func (g *gatedPredictor) SizeBits() int64         { return 0 }
 
 func TestBackpressureShedsInsteadOfBlocking(t *testing.T) {
-	gp := &gatedPredictor{entered: make(chan struct{}), gate: make(chan struct{})}
-	e := newTestEngine(t, Config{
-		Shards:       1,
-		MailboxDepth: 1,
-		NewPredictor: func() core.Predictor { return gp },
-	})
+	gp := &gatedTap{entered: make(chan struct{}), gate: make(chan struct{})}
+	e := newTestEngine(t, Config{Shards: 1, MailboxDepth: 1})
+	e.SetTap(gp)
 	one := trace.Trace{{PC: 4, Value: 0}}
 
 	results := make(chan Status, 2)
@@ -284,7 +267,7 @@ func TestMaxSessionsCap(t *testing.T) {
 }
 
 func TestClosedEngineRejects(t *testing.T) {
-	e, err := NewEngine(Config{Shards: 2, NewPredictor: newTestPredictor})
+	e, err := NewEngine(Config{Shards: 2, Spec: testSpec})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -297,7 +280,10 @@ func TestClosedEngineRejects(t *testing.T) {
 
 func TestEngineRequiresFactory(t *testing.T) {
 	if _, err := NewEngine(Config{}); err == nil {
-		t.Error("NewEngine without a predictor factory must fail")
+		t.Error("NewEngine without a Spec must fail")
+	}
+	if _, err := NewEngine(Config{Spec: core.Spec{Kind: "dfcm", L1: 10}}); err == nil {
+		t.Error("NewEngine with an invalid Spec must fail")
 	}
 }
 

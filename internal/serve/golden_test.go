@@ -341,7 +341,7 @@ func TestGoldenWireBytesThroughRouter(t *testing.T) {
 
 // TestGoldenWireSnapshotRestore pins the SnapshotSession and
 // RestoreSession frames, plus the BadRequest and SpecMismatch answers
-// around them.
+// around them, direct and through a router.
 func TestGoldenWireSnapshotRestore(t *testing.T) {
 	_, addr := startGoldenServer(t, serve.Config{Spec: goldenSpec, Shards: 1}, serve.ServerConfig{})
 	_, foreign := startGoldenServer(t, serve.Config{Spec: foreignSpec, Shards: 1}, serve.ServerConfig{})
@@ -379,7 +379,7 @@ func TestGoldenWireSnapshotRestore(t *testing.T) {
 			return st, err
 		}}
 	}
-	runGolden(t, addr, []goldenStep{
+	steps := []goldenStep{
 		snapshot("snapshot/missing", 3, serve.StatusBadRequest,
 			"56500106000000080000000000000003",
 			"565001860000000103"),
@@ -398,7 +398,12 @@ func TestGoldenWireSnapshotRestore(t *testing.T) {
 		restore("restore/short", 4, nil, serve.StatusBadRequest,
 			"56500107000000080000000000000004",
 			"565001870000000103"),
-	})
+	}
+	// The steps leave the server as they found it (restore/own
+	// replaces session 9 with the same blob), so they replay
+	// unchanged through a router in front of it.
+	runGolden(t, addr, steps)
+	runGolden(t, startGoldenRouter(t, addr), steps)
 }
 
 // TestGoldenWireErrorStatuses pins the answer to a request that
@@ -410,7 +415,7 @@ func TestGoldenWireErrorStatuses(t *testing.T) {
 	_, addr := startGoldenServer(t, serve.Config{Spec: goldenSpec, Shards: 1}, serve.ServerConfig{MaxFrame: 1 << 16})
 	malformed := append(binary.BigEndian.AppendUint64(nil, 1), 0, 0, 0, 2, 0, 0, 0x04, 0)
 	t.Run("bad-request", func(t *testing.T) {
-		runGolden(t, addr, []goldenStep{
+		steps := []goldenStep{
 			rawStep("predict/count-mismatch", serve.OpPredictBatch, malformed, serve.StatusBadRequest,
 				"565001010000001000000000000000010000000200000400",
 				"565001810000000103"),
@@ -432,32 +437,16 @@ func TestGoldenWireErrorStatuses(t *testing.T) {
 			runStep("run/oversized", 1, big, serve.StatusBadRequest,
 				"65620:bb7feeef094239e070f7319c5d6e4a1cc2d7e8d56bfb9f05f48bca05d1d1c16f",
 				"565001830000000103"),
-		})
+		}
+		runGolden(t, addr, steps)
+		runGolden(t, startGoldenRouter(t, addr), steps)
 	})
 
-	// An engine without a spec cannot snapshot; a closed one answers
-	// every op StatusClosed.
-	srv, plain := startGoldenServer(t, serve.Config{Shards: 1, NewPredictor: func() core.Predictor {
-		p, err := goldenSpec.New()
-		if err != nil {
-			panic(err)
-		}
-		return p
-	}}, serve.ServerConfig{})
-	t.Run("unsupported", func(t *testing.T) {
-		runGolden(t, plain, []goldenStep{
-			{name: "snapshot/unsupported", st: serve.StatusUnsupported,
-				req:  "56500106000000080000000000000001",
-				resp: "565001860000000104",
-				call: func(c *serve.Client) (serve.Status, error) {
-					_, st, err := c.SnapshotSession(1)
-					return st, err
-				}},
-		})
-	})
+	// A closed engine answers every op StatusClosed.
+	srv, closedAddr := startGoldenServer(t, serve.Config{Spec: goldenSpec, Shards: 1}, serve.ServerConfig{})
 	t.Run("closed", func(t *testing.T) {
 		srv.Engine().Close()
-		runGolden(t, plain, []goldenStep{
+		runGolden(t, closedAddr, []goldenStep{
 			predictStep("predict/closed", 1, goldenPCs(2048), serve.StatusClosed,
 				"8212:051d46ed1f8fbd9b6df2c875fb7feb64a66ca31b6418b52fcedf2bbfbbb4b0d8",
 				"565001810000000102"),

@@ -39,7 +39,11 @@ func TestConnScratchAliasingUnderConcurrency(t *testing.T) {
 			defer c.Close()
 			session := uint64(k + 1)
 			events := testEvents(uint32(0x1000*(k+1)), 4000)
-			replica := newTestPredictor()
+			replica, err := testSpec.New()
+			if err != nil {
+				errs <- err
+				return
+			}
 			var pcs, want, got []uint32
 			// Vary the chunk size per connection so frames of different
 			// lengths interleave on the server — exactly the traffic
@@ -97,7 +101,7 @@ func TestServeSteadyStateZeroAlloc(t *testing.T) {
 	if leakcheck.RaceEnabled {
 		t.Skip("race detector instrumentation allocates; zero-alloc budget holds in pure builds only")
 	}
-	e, err := NewEngine(Config{Shards: 1, NewPredictor: newTestPredictor})
+	e, err := NewEngine(Config{Shards: 1, Spec: testSpec})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -109,26 +113,28 @@ func TestServeSteadyStateZeroAlloc(t *testing.T) {
 	for i, ev := range events {
 		pcs[i] = ev.PC
 	}
-	predictReq := appendPredictReq(nil, 7, pcs)
-	runReq := appendEventReq(nil, 7, events)
+	predictReq := frameBytes(OpPredictBatch, appendPredictReq(nil, 7, pcs))
+	runReq := frameBytes(OpRunBatch, appendEventReq(nil, 7, events))
+	updateReq := frameBytes(OpUpdateBatch, runReq.Payload())
 	sc := &connScratch{}
+	var out []byte
 
 	// Warm: create the session, size every scratch buffer.
-	sc.out = s.dispatch(OpPredictBatch, predictReq, sc)
-	sc.out = s.dispatch(OpRunBatch, runReq, sc)
+	out = s.dispatch(predictReq, out, sc)
+	out = s.dispatch(runReq, out, sc)
 
 	if n := testing.AllocsPerRun(100, func() {
-		sc.out = s.dispatch(OpPredictBatch, predictReq, sc)
+		out = s.dispatch(predictReq, out, sc)
 	}); n != 0 {
 		t.Errorf("steady-state PredictBatch frame: %.1f allocs/op, want 0", n)
 	}
 	if n := testing.AllocsPerRun(100, func() {
-		sc.out = s.dispatch(OpRunBatch, runReq, sc)
+		out = s.dispatch(runReq, out, sc)
 	}); n != 0 {
 		t.Errorf("steady-state RunBatch frame: %.1f allocs/op, want 0", n)
 	}
 	if n := testing.AllocsPerRun(100, func() {
-		sc.out = s.dispatch(OpUpdateBatch, runReq, sc)
+		out = s.dispatch(updateReq, out, sc)
 	}); n != 0 {
 		t.Errorf("steady-state UpdateBatch frame: %.1f allocs/op, want 0", n)
 	}
@@ -141,7 +147,7 @@ func TestEngineBatchZeroAlloc(t *testing.T) {
 	if leakcheck.RaceEnabled {
 		t.Skip("race detector instrumentation allocates; zero-alloc budget holds in pure builds only")
 	}
-	e, err := NewEngine(Config{Shards: 1, NewPredictor: newTestPredictor})
+	e, err := NewEngine(Config{Shards: 1, Spec: testSpec})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -175,7 +181,7 @@ func TestEngineBatchZeroAlloc(t *testing.T) {
 // TestPredictBatchAppendReuses: the Into/Append decoding paths reuse
 // caller storage when capacity suffices and preserve values exactly.
 func TestPredictBatchAppendReuses(t *testing.T) {
-	e, err := NewEngine(Config{Shards: 1, NewPredictor: newTestPredictor})
+	e, err := NewEngine(Config{Shards: 1, Spec: testSpec})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -205,8 +211,8 @@ func TestPredictBatchAppendReuses(t *testing.T) {
 // OpUpdateBatch must keep judging Scorers by Predict — the two ops
 // score differently by design.
 func TestRunBatchScorerParityServed(t *testing.T) {
-	mk := func() core.Predictor { return core.NewPerfectHybrid(core.NewStride(8), core.NewFCM(8, 10)) }
-	e, err := NewEngine(Config{Shards: 1, NewPredictor: mk})
+	spec := core.Spec{Kind: "hybrid", L1: 8, L2: 10}
+	e, err := NewEngine(Config{Shards: 1, Spec: spec})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -216,7 +222,11 @@ func TestRunBatchScorerParityServed(t *testing.T) {
 	if st != StatusOK {
 		t.Fatalf("RunBatch: %v", st)
 	}
-	want := core.Run(mk(), trace.NewReader(events))
+	offline, err := spec.New()
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := core.Run(offline, trace.NewReader(events))
 	if uint64(hits) != want.Correct {
 		t.Errorf("served Scorer replay: %d hits, offline %d", hits, want.Correct)
 	}
@@ -231,26 +241,26 @@ func TestRunBatchScorerParityServed(t *testing.T) {
 
 const benchServeBatch = 2048
 
-func benchDispatch(b *testing.B, op byte, payload []byte) {
+func benchDispatch(b *testing.B, req Frame) {
 	b.Helper()
-	e, err := NewEngine(Config{Shards: 1, NewPredictor: newTestPredictor})
+	e, err := NewEngine(Config{Shards: 1, Spec: testSpec})
 	if err != nil {
 		b.Fatal(err)
 	}
 	defer e.Close()
 	s := NewServer(e, ServerConfig{})
 	sc := &connScratch{}
-	sc.out = s.dispatch(op, payload, sc) // warm session + scratch
-	b.SetBytes(int64(len(payload)))
+	out := s.dispatch(req, nil, sc) // warm session + scratch
+	b.SetBytes(int64(len(req.Payload())))
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		sc.out = s.dispatch(op, payload, sc)
+		out = s.dispatch(req, out, sc)
 	}
 }
 
 func BenchmarkServeDispatchRunBatch(b *testing.B) {
-	benchDispatch(b, OpRunBatch, appendEventReq(nil, 1, testEvents(0x1000, benchServeBatch)))
+	benchDispatch(b, frameBytes(OpRunBatch, appendEventReq(nil, 1, testEvents(0x1000, benchServeBatch))))
 }
 
 func BenchmarkServeDispatchPredictBatch(b *testing.B) {
@@ -259,7 +269,7 @@ func BenchmarkServeDispatchPredictBatch(b *testing.B) {
 	for i, ev := range events {
 		pcs[i] = ev.PC
 	}
-	benchDispatch(b, OpPredictBatch, appendPredictReq(nil, 1, pcs))
+	benchDispatch(b, frameBytes(OpPredictBatch, appendPredictReq(nil, 1, pcs)))
 }
 
 // Wire-level: the same path over a real loopback socket and client,
@@ -267,7 +277,7 @@ func BenchmarkServeDispatchPredictBatch(b *testing.B) {
 // the client side too (request encode + response decode), which the
 // reusable client buffers also hold at zero steady-state.
 func BenchmarkServeWireRunBatch(b *testing.B) {
-	e, err := NewEngine(Config{Shards: 1, NewPredictor: newTestPredictor})
+	e, err := NewEngine(Config{Shards: 1, Spec: testSpec})
 	if err != nil {
 		b.Fatal(err)
 	}

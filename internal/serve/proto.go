@@ -36,8 +36,8 @@
 // SnapshotSession returns the session's durable snapshot — the same
 // bytes a server-side checkpoint writes to disk — captured atomically
 // on the owning shard. It never creates a session (a missing session
-// is StatusBadRequest) and is StatusUnsupported on engines without a
-// predictor spec. Responses can far exceed DefaultMaxFrame; clients
+// is StatusBadRequest) and is StatusUnsupported when the predictor
+// cannot export its state. Responses can far exceed DefaultMaxFrame; clients
 // read them with the MaxSnapshotFrame bound.
 //
 // RestoreSession is the symmetric write: it installs the session from
@@ -218,8 +218,8 @@ func readResponseFrame(r io.Reader, maxFrame int, buf []byte) (Frame, error) {
 }
 
 // ReadRequestFrame reads one request frame into buf's storage with the
-// server-side cap discipline shared by the vpserve server and the
-// vprouter proxy: maxFrame bounds ordinary request payloads, while
+// server-side cap discipline of the FrontEnd that vpserve and vprouter
+// share: maxFrame bounds ordinary request payloads, while
 // RestoreSession requests — which carry a snapshot blob — are always
 // allowed up to MaxSnapshotFrame. A frame declaring a payload beyond
 // its cap but within MaxSnapshotFrame is drained and reported
@@ -253,9 +253,9 @@ func ReadRequestFrame(r io.Reader, maxFrame int, buf []byte) (f Frame, oversized
 // ResponseFrame builds op's response frame in buf's storage: status st
 // followed by body. With a nil body it is the universal error answer —
 // every VP1 response decoder accepts a one-byte payload for a non-OK
-// status — which the cluster router sends when a backend is
-// unreachable or a frame was oversized; with a JSON body it is a Stats
-// answer.
+// status — which the FrontEnd sends for an oversized frame and the
+// cluster router when a backend is unreachable; with a JSON body it is
+// a Stats answer.
 func ResponseFrame(buf []byte, op byte, st Status, body []byte) Frame {
 	return endFrame(append(append(beginFrame(buf, op|respFlag), byte(st)), body...))
 }

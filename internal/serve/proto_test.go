@@ -3,6 +3,7 @@ package serve
 import (
 	"bytes"
 	"encoding/binary"
+	"encoding/hex"
 	"errors"
 	"io"
 	"math/rand"
@@ -291,6 +292,23 @@ func TestStatusString(t *testing.T) {
 		if st.String() != want {
 			t.Errorf("%d.String() = %q, want %q", st, st.String(), want)
 		}
+	}
+}
+
+// TestSnapshotRespUnsupported pins the client-side decode of a
+// SnapshotSession answered StatusUnsupported, from its wire bytes.
+func TestSnapshotRespUnsupported(t *testing.T) {
+	raw, err := hex.DecodeString("565001860000000104")
+	if err != nil {
+		t.Fatal(err)
+	}
+	f, err := readResponseFrame(bytes.NewReader(raw), MaxSnapshotFrame, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	st, blob, err := decodeSnapshotResp(f.Payload())
+	if err != nil || st != StatusUnsupported || blob != nil || f.Op() != OpSnapshotSession|respFlag {
+		t.Errorf("decoded op %#x, status %v, blob % x, err %v; want unsupported snapshot answer", f.Op(), st, blob, err)
 	}
 }
 

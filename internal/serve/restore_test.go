@@ -1,11 +1,14 @@
 package serve
 
 import (
+	"bytes"
 	"net"
+	"runtime"
 	"testing"
 	"time"
 
 	"repro/internal/core"
+	"repro/internal/snapshot"
 	"repro/internal/trace"
 )
 
@@ -122,13 +125,6 @@ func TestEngineRestoreSessionStatuses(t *testing.T) {
 		t.Errorf("foreign spec: %v, want spec-mismatch", st)
 	}
 
-	// No spec: the engine cannot validate what it is restoring.
-	bare := newTestEngine(t, Config{NewPredictor: newTestPredictor, Shards: 1})
-	defer bare.Close()
-	if st := bare.RestoreSession(5, blob); st != StatusUnsupported {
-		t.Errorf("spec-less engine: %v, want unsupported", st)
-	}
-
 	// Replace semantics: a live session is overwritten, and its state
 	// afterwards equals the snapshot, not the overwritten session.
 	if _, st := e.RunBatch(9, testEvents(0x9000, 300)); st != StatusOK {
@@ -144,12 +140,87 @@ func TestEngineRestoreSessionStatuses(t *testing.T) {
 	}
 }
 
+// TestEngineRestoreSessionAdoptsSpec: an engine that adopts snapshot
+// specs (an autotuned backend) accepts a migrated session built under
+// a spec other than its own, reports that spec as the session's
+// override, and serves the suffix bit-identically to an unmigrated
+// run under that spec. A non-adopting engine refuses the same blob.
+func TestEngineRestoreSessionAdoptsSpec(t *testing.T) {
+	events := testEvents(0x5000, 4000)
+	const session, batch = 21, 16
+	half := len(events) / 2
+	tuned := core.Spec{Kind: "dfcm", L1: 12, L2: 11}
+
+	ref := newTestEngine(t, Config{Spec: tuned, Shards: 1})
+	predictAll(t, ref, session, events[:half], batch)
+	want := predictAll(t, ref, session, events[half:], batch)
+
+	src := newTestEngine(t, Config{Spec: tuned, Shards: 1})
+	predictAll(t, src, session, events[:half], batch)
+	blob, st := src.SnapshotSession(session)
+	if st != StatusOK {
+		t.Fatalf("SnapshotSession: %v", st)
+	}
+
+	strict := newTestEngine(t, Config{Spec: testSpec, Shards: 1})
+	if st := strict.RestoreSession(session, blob); st != StatusSpecMismatch {
+		t.Errorf("non-adopting engine: %v, want spec-mismatch", st)
+	}
+
+	dst := newTestEngine(t, Config{Spec: testSpec, Shards: 1, AdoptSnapshotSpecs: true})
+	if st := dst.RestoreSession(session, blob); st != StatusOK {
+		t.Fatalf("adopting engine: %v, want ok", st)
+	}
+	if ss := dst.Snapshot().SessionStats; len(ss) != 1 || ss[0].Spec == nil || *ss[0].Spec != tuned.Canonical() {
+		t.Fatalf("adopted session stats %+v, want spec %+v", ss, tuned.Canonical())
+	}
+	got := predictAll(t, dst, session, events[half:], batch)
+	for i := range want {
+		if got[i] != want[i] {
+			t.Fatalf("post-migration prediction %d diverged: %d != %d", i, got[i], want[i])
+		}
+	}
+}
+
+// TestEngineRestoreSessionBoundsAdoptedSpec: an adopting engine takes
+// the spec of a RestoreSession blob from the network, so the blob's
+// state must bound the tables that spec builds. A 64-byte state
+// claiming dfcm l1=l2=24 (about 256 MiB of tables) is a bad request,
+// answered without building the tables.
+func TestEngineRestoreSessionBoundsAdoptedSpec(t *testing.T) {
+	const session = 31
+	var buf bytes.Buffer
+	hostile := &snapshot.Snapshot{
+		Version: snapshot.Version,
+		Spec:    core.Spec{Kind: "dfcm", L1: 24, L2: 24},
+		Meta:    snapshot.Meta{Session: session},
+		State:   make([]byte, 64),
+	}
+	if err := hostile.Encode(&buf); err != nil {
+		t.Fatal(err)
+	}
+	e := newTestEngine(t, Config{Spec: testSpec, Shards: 1, AdoptSnapshotSpecs: true})
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	st := e.RestoreSession(session, buf.Bytes())
+	runtime.ReadMemStats(&after)
+	if st != StatusBadRequest {
+		t.Fatalf("hostile adopted spec: %v, want bad-request", st)
+	}
+	if grew := after.TotalAlloc - before.TotalAlloc; grew > 1<<20 {
+		t.Errorf("rejected restore allocated %d bytes", grew)
+	}
+	if n := e.Snapshot().Sessions; n != 0 {
+		t.Errorf("sessions after rejected restore = %d, want 0", n)
+	}
+}
+
 // TestServerRestoreSessionWire round-trips a migration over the
 // protocol: snapshot from one server, restore into another, and the
 // destination session continues exactly where the source left off.
 func TestServerRestoreSessionWire(t *testing.T) {
-	_, addrA := startServer(t, Config{Spec: testSpec, NewPredictor: newTestPredictor, Shards: 2}, ServerConfig{})
-	_, addrB := startServer(t, Config{Spec: testSpec, NewPredictor: newTestPredictor, Shards: 2}, ServerConfig{})
+	_, addrA := startServer(t, Config{Spec: testSpec, Shards: 2}, ServerConfig{})
+	_, addrB := startServer(t, Config{Spec: testSpec, Shards: 2}, ServerConfig{})
 	ca, err := Dial(addrA)
 	if err != nil {
 		t.Fatal(err)
@@ -203,15 +274,7 @@ func TestSnapshotFrameBeyondDefaultMax(t *testing.T) {
 	if testing.Short() {
 		t.Skip("multi-megabyte snapshot round trip")
 	}
-	cfg := Config{Spec: restoreSpec, Shards: 1}
-	cfg.NewPredictor = func() core.Predictor {
-		p, err := restoreSpec.New()
-		if err != nil {
-			panic(err)
-		}
-		return p
-	}
-	_, addr := startServer(t, cfg, ServerConfig{})
+	_, addr := startServer(t, Config{Spec: restoreSpec, Shards: 1}, ServerConfig{})
 	c, err := Dial(addr)
 	if err != nil {
 		t.Fatal(err)

@@ -129,8 +129,14 @@ func Capture(spec core.Spec, p core.Predictor, meta Meta) (*Snapshot, error) {
 
 // Restore builds a fresh predictor from the snapshot's spec and loads
 // the captured state into it, leaving it byte-equivalent to the
-// predictor Capture saw.
+// predictor Capture saw. The spec's tables are bounded by the state
+// before they are built, so a short blob from a network peer cannot
+// make Restore allocate tables it could never fill.
 func (s *Snapshot) Restore() (core.Predictor, error) {
+	if need := minStateBytes(s.Spec); uint64(len(s.State)) < need {
+		return nil, fmt.Errorf("%w: %d state bytes cannot fill the tables of %s l1=%d l2=%d (need at least %d)",
+			core.ErrState, len(s.State), s.Spec.Kind, s.Spec.L1, s.Spec.L2, need)
+	}
 	p, err := s.Spec.New()
 	if err != nil {
 		return nil, fmt.Errorf("snapshot: spec: %w", err)
@@ -143,6 +149,20 @@ func (s *Snapshot) Restore() (core.Predictor, error) {
 		return nil, err
 	}
 	return p, nil
+}
+
+// minStateBytes is a lower bound on the state any predictor built
+// from spec exports: every kind serializes each level-1 entry, and
+// each level-2 (or tagged-table) entry of the kinds that have one, in
+// at least four bytes. Widths past 32 saturate the shift; New rejects
+// them anyway.
+func minStateBytes(spec core.Spec) uint64 {
+	c := spec.Canonical()
+	n := uint64(4) << min(c.L1, 32)
+	if c.L2 > 0 {
+		n += uint64(4) << min(c.L2, 32)
+	}
+	return n
 }
 
 // crcWriter checksums everything written through it.

@@ -8,6 +8,7 @@ import (
 	"hash/crc32"
 	"os"
 	"path/filepath"
+	"runtime"
 	"testing"
 
 	"repro/internal/core"
@@ -314,7 +315,8 @@ func TestEncodeRejectsOversizedState(t *testing.T) {
 
 // TestRestoreRejectsHostileSpec: a decoded spec still goes through
 // Spec.New validation, so a snapshot cannot smuggle in an
-// unconstructible predictor.
+// unconstructible predictor, and its tables are bounded by the state
+// before they are built.
 func TestRestoreRejectsHostileSpec(t *testing.T) {
 	s := &Snapshot{Spec: core.Spec{Kind: "fcm", L1: 200, L2: 10}, State: nil}
 	if _, err := s.Restore(); err == nil {
@@ -323,5 +325,20 @@ func TestRestoreRejectsHostileSpec(t *testing.T) {
 	s = &Snapshot{Spec: core.Spec{Kind: "nonesuch"}, State: nil}
 	if _, err := s.Restore(); err == nil {
 		t.Fatal("Restore built a predictor from an unknown kind")
+	}
+
+	// dfcm l1=l2=24 is about 256 MiB of tables: enough that building
+	// them breaks the allocation budget, small enough that a
+	// regression fails here rather than exhausting memory.
+	s = &Snapshot{Spec: core.Spec{Kind: "dfcm", L1: 24, L2: 24}, State: make([]byte, 64)}
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	_, err := s.Restore()
+	runtime.ReadMemStats(&after)
+	if !errors.Is(err, core.ErrState) {
+		t.Fatalf("64-byte state under dfcm l1=l2=24: err = %v, want core.ErrState", err)
+	}
+	if grew := after.TotalAlloc - before.TotalAlloc; grew > 1<<20 {
+		t.Errorf("rejected restore allocated %d bytes", grew)
 	}
 }
