@@ -8,7 +8,7 @@
 
 GO ?= go
 
-.PHONY: verify fmt build test vet lint race bench serve-bench fuzz
+.PHONY: verify fmt build test vet lint race bench allocgate serve-bench fuzz
 
 verify: fmt vet build test race lint
 
@@ -68,11 +68,8 @@ fuzz:
 # before the flat-layout rework, so the `speedup` section tracks the
 # rework's per-predictor win.
 #
-# The -zero gates are the CI alloc-regression tripwire: the build
-# fails if the steady-state engine replay, the TAGE batch loop, the
-# delayed-update DFCM, either serve dispatch benchmark, the loopback
-# wire round trip, or the autotune mirror-tap path reports any
-# allocs/op.
+# bench first runs allocgate, so a recording never comes from a tree
+# that allocates on a zero-alloc path.
 BENCH_FIG9_BASELINE_NS ?= 18681932
 BENCH_REPLAY_BASELINE_NS ?= 2049359
 BENCH_DFCM_BASELINE_NS ?= 10.74
@@ -83,7 +80,7 @@ BENCH_LVP_BASELINE_NS ?= 4.836
 BENCH_DELAYED_BASELINE_NS ?= 16.21
 BENCH_PERFECT_BASELINE_NS ?= 17.69
 BENCH_COUNT ?= 3
-bench:
+bench: allocgate
 	{ $(GO) test -run='^$$' -bench=. -benchtime=1x -benchmem . ; \
 	  $(GO) test -run='^$$' -bench='^BenchmarkPredict' -benchmem -count=$(BENCH_COUNT) . ; \
 	  $(GO) test -run='^$$' -bench='^BenchmarkRunBatch' -benchmem -count=$(BENCH_COUNT) . ; \
@@ -102,15 +99,25 @@ bench:
 	    -speedup BenchmarkPredictTwoDelta=$(BENCH_TWODELTA_BASELINE_NS) \
 	    -speedup BenchmarkPredictLastValue=$(BENCH_LVP_BASELINE_NS) \
 	    -speedup BenchmarkPredictDFCMDelayed=$(BENCH_DELAYED_BASELINE_NS) \
-	    -speedup BenchmarkPredictPerfectHybrid=$(BENCH_PERFECT_BASELINE_NS) \
-	    -zero BenchmarkEngineReplay \
-	    -zero BenchmarkRunBatchTAGE \
-	    -zero BenchmarkPredictDFCMDelayed \
-	    -zero BenchmarkServeDispatchRunBatch \
-	    -zero BenchmarkServeDispatchPredictBatch \
-	    -zero BenchmarkServeWireRunBatch \
-	    -zero BenchmarkServeMirrorTap
+	    -speedup BenchmarkPredictPerfectHybrid=$(BENCH_PERFECT_BASELINE_NS)
 	@cat BENCH_engine.json
+
+# The alloc-regression tripwire, run by bench and by CI: it fails if
+# the steady-state engine replay, the TAGE batch loop, the fused
+# delayed-update kernel, the per-op delayed DFCM, either serve
+# dispatch benchmark, the loopback wire round trip, or the autotune
+# mirror-tap path reports any allocs/op, or if one of them is missing.
+# Runs without -race: the detector's instrumentation allocates.
+ALLOC_GATES = BenchmarkEngineReplay BenchmarkRunBatchTAGE \
+	BenchmarkRunBatchDelayed BenchmarkPredictDFCMDelayed \
+	BenchmarkServeDispatchRunBatch BenchmarkServeDispatchPredictBatch \
+	BenchmarkServeWireRunBatch BenchmarkServeMirrorTap
+allocgate:
+	{ $(GO) test -run='^$$' -bench='^BenchmarkEngineReplay$$' -benchmem ./internal/engine/ ; \
+	  $(GO) test -run='^$$' -bench='^Benchmark(RunBatchTAGE|RunBatchDelayed|PredictDFCMDelayed)$$' -benchmem . ; \
+	  $(GO) test -run='^$$' -bench='^BenchmarkServe(Dispatch|WireRunBatch)' -benchmem ./internal/serve/ ; \
+	  $(GO) test -run='^$$' -bench='^BenchmarkServeMirrorTap$$' -benchmem ./internal/autotune/ ; } \
+	| $(GO) run ./cmd/benchjson $(foreach g,$(ALLOC_GATES),-zero $(g)) > /dev/null
 
 # Per-op predictor baselines for the serving hot path.
 serve-bench:

@@ -8,6 +8,7 @@ package repro
 
 import (
 	"bytes"
+	"math"
 	"testing"
 
 	"repro/internal/core"
@@ -129,28 +130,36 @@ func BenchmarkPredictPerfectHybrid(b *testing.B) {
 // dispatched once to the predictor's concrete-type loop. ns/op is per
 // event, directly comparable to the BenchmarkPredict* per-event
 // numbers above; the gap between the two is the per-event interface
-// dispatch the batch path eliminates.
-func benchRunBatch(b *testing.B, p core.Predictor) {
+// dispatch the batch path eliminates. Chunks are the whole trace
+// unless chunk is smaller.
+func benchRunBatch(b *testing.B, p core.Predictor, chunk int) {
 	b.Helper()
 	body := workload.LoopBody(0x1000, 2, 6, 4, 2)
 	events := trace.Collect(workload.Interleave(body, 4096), 0)
 	b.ReportAllocs()
 	b.ResetTimer()
-	for i := 0; i < b.N; i += len(events) {
-		n := len(events)
-		if rem := b.N - i; rem < n {
-			n = rem
+	for i := 0; i < b.N; {
+		for start := 0; start < len(events) && i < b.N; {
+			n := min(chunk, len(events)-start, b.N-i)
+			benchSink += core.RunBatch(p, events[start:start+n]).Correct
+			start += n
+			i += n
 		}
-		res := core.RunBatch(p, events[:n])
-		benchSink += res.Correct
 	}
 }
 
-func BenchmarkRunBatchDFCM(b *testing.B)   { benchRunBatch(b, core.NewDFCM(14, 12)) }
-func BenchmarkRunBatchFCM(b *testing.B)    { benchRunBatch(b, core.NewFCM(14, 12)) }
-func BenchmarkRunBatchStride(b *testing.B) { benchRunBatch(b, core.NewStride(14)) }
+func BenchmarkRunBatchDFCM(b *testing.B)   { benchRunBatch(b, core.NewDFCM(14, 12), math.MaxInt) }
+func BenchmarkRunBatchFCM(b *testing.B)    { benchRunBatch(b, core.NewFCM(14, 12), math.MaxInt) }
+func BenchmarkRunBatchStride(b *testing.B) { benchRunBatch(b, core.NewStride(14), math.MaxInt) }
 func BenchmarkRunBatchTAGE(b *testing.B) {
-	benchRunBatch(b, core.NewTAGE(14, 12, 32, 4, 8, 4, 64))
+	benchRunBatch(b, core.NewTAGE(14, 12, 32, 4, 8, 4, 64), math.MaxInt)
+}
+
+// BenchmarkRunBatchDelayed is the Figure 17 kernel: DFCM 2^16/2^12
+// behind a 64-event update delay, fed in the sweep engine's
+// 4096-event chunks.
+func BenchmarkRunBatchDelayed(b *testing.B) {
+	benchRunBatch(b, core.NewDelayed(core.NewDFCM(16, 12), 64), 4096)
 }
 
 // --- microbenchmarks: snapshot encode/decode ---

@@ -16,11 +16,14 @@ import (
 //
 //   - internal/core: bodies of the per-event methods Predict,
 //     PredictConfident, Update, Score, L2Index and RunBatch, the
-//     top-level replay loops Run and RunBatch, and the top-level step
+//     top-level replay loops Run and RunBatch, the top-level step
 //     helpers (lastValueStep, strideStep, twoDeltaStep,
-//     fcmStep, dfcmStep) that Update and RunBatch share;
-//   - internal/hash: every Update method plus the Fold and Mask
-//     helpers (they run once per event inside FCM/DFCM updates);
+//     fcmStep, dfcmStep) that Update and RunBatch share, and the
+//     delayed-update kernel's helpers (delayedSteps, drop, pushAll)
+//     that Delayed.RunBatch runs once per chunk;
+//   - internal/hash: every Update method, Shifts32, and the Fold,
+//     Fold32 and Mask helpers (they run once per event, or once per
+//     chunk, inside FCM/DFCM updates);
 //   - internal/engine: every top-level function named replay* — the
 //     sweep engine's inner loops, which feed every predictor
 //     configuration from a single trace pass and must stay
@@ -49,13 +52,15 @@ var HotPathAlloc = &Analyzer{
 	Run: runHotPathAlloc,
 }
 
-// coreHotMethods names internal/core's per-event methods and the
-// top-level step helpers Update and RunBatch share.
+// coreHotMethods names internal/core's per-event methods, the
+// top-level step helpers Update and RunBatch share, and the helpers of
+// Delayed's fused delayed-update kernel.
 var coreHotMethods = map[string]bool{
 	"Predict": true, "PredictConfident": true, "Update": true,
 	"Score": true, "L2Index": true,
 	"RunBatch": true, "lastValueStep": true, "strideStep": true,
 	"twoDeltaStep": true, "fcmStep": true, "dfcmStep": true,
+	"delayedSteps": true, "drop": true, "pushAll": true,
 }
 
 // serveHotFuncs are internal/serve's fixed-name per-frame codec
@@ -76,11 +81,11 @@ func runHotPathAlloc(pass *Pass) {
 			return name == "Run" || coreHotMethods[name]
 		})
 	case strings.HasSuffix(pass.Pkg.Path, "/internal/hash"):
-		methodsNamed(pass.Pkg, map[string]bool{"Update": true, "Update32": true}, func(decl *ast.FuncDecl, recvType string) {
+		methodsNamed(pass.Pkg, map[string]bool{"Update": true, "Shifts32": true}, func(decl *ast.FuncDecl, recvType string) {
 			checkHotBody(pass, decl.Name.Name, decl.Body)
 		})
 		topLevelFuncs(pass, func(name string) bool {
-			return name == "Fold" || name == "Mask"
+			return name == "Fold" || name == "Fold32" || name == "Mask"
 		})
 	case strings.HasSuffix(pass.Pkg.Path, "/internal/engine"):
 		topLevelFuncs(pass, func(name string) bool {

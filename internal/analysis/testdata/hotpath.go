@@ -48,6 +48,21 @@ func dfcmStep(t []uint32, i int, v uint32) int32 {
 	return 0
 }
 
+// delayedSteps, drop and pushAll are the delayed-update kernel's
+// helpers, run once per chunk — in scope by name.
+func (h *Hot) delayedSteps(upd, ev []uint32) uint64 {
+	defer h.drop(0) // want hot-path-alloc
+	return uint64(len(upd) + len(ev))
+}
+
+func (h *Hot) drop(r int) {
+	h.name = fmt.Sprint(r) // want hot-path-alloc
+}
+
+func (h *Hot) pushAll(evs []uint32) {
+	_ = reflect.ValueOf(evs) // want hot-path-alloc
+}
+
 // Name is a cold path: fmt is fine here.
 func (h *Hot) Name() string { return fmt.Sprintf("hot-%d", len(h.t)) }
 

@@ -20,6 +20,20 @@ func Fold(v uint64, n uint) uint64 {
 	return v & Mask(n)
 }
 
+type Shifts struct{ k, n uint }
+
+// Shifts32 is hoisted once per chunk: in scope by name.
+func (f *F) Shifts32() Shifts {
+	go noteFold() // want hot-path-alloc
+	return Shifts{k: 1, n: f.n}
+}
+
+func Fold32(h uint64, v uint32, s Shifts) uint64 {
+	var x any = fmt.Sprint(v) // want hot-path-alloc
+	_ = x
+	return (h << s.k) ^ uint64(v)
+}
+
 func Mask(n uint) uint64 {
 	if n >= 64 {
 		return ^uint64(0)

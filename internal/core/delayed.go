@@ -3,6 +3,8 @@ package core
 import (
 	"encoding/binary"
 	"fmt"
+
+	"repro/internal/trace"
 )
 
 // Delayed wraps a predictor so that table updates take effect only
@@ -21,13 +23,8 @@ type Delayed struct {
 	// head, wrapping at len(ring). It holds at most delay+1 entries and
 	// grows on demand up to that size, so a huge delay costs memory
 	// only for updates that actually arrive.
-	ring    []pendingUpdate
+	ring    []trace.Event
 	head, n int
-}
-
-type pendingUpdate struct {
-	pc    uint32
-	value uint32
 }
 
 // NewDelayed wraps p with an update delay of delay predictions.
@@ -47,7 +44,7 @@ func NewDelayed(p Predictor, delay int) *Delayed {
 func (d *Delayed) Predict(pc uint32) uint32 {
 	for d.n > d.delay {
 		u := d.pop()
-		d.p.Update(u.pc, u.value)
+		d.p.Update(u.PC, u.Value)
 	}
 	return d.p.Predict(pc)
 }
@@ -60,7 +57,7 @@ func (d *Delayed) Predict(pc uint32) uint32 {
 func (d *Delayed) Update(pc, value uint32) {
 	if d.n > d.delay {
 		u := d.pop()
-		d.p.Update(u.pc, u.value)
+		d.p.Update(u.PC, u.Value)
 	}
 	if d.n == len(d.ring) {
 		d.grow()
@@ -69,12 +66,12 @@ func (d *Delayed) Update(pc, value uint32) {
 	if i >= len(d.ring) {
 		i -= len(d.ring)
 	}
-	d.ring[i] = pendingUpdate{pc: pc, value: value}
+	d.ring[i] = trace.Event{PC: pc, Value: value}
 	d.n++
 }
 
 // pop dequeues the oldest pending update.
-func (d *Delayed) pop() pendingUpdate {
+func (d *Delayed) pop() trace.Event {
 	u := d.ring[d.head]
 	d.head++
 	if d.head == len(d.ring) {
@@ -84,15 +81,40 @@ func (d *Delayed) pop() pendingUpdate {
 	return u
 }
 
-// grow doubles the full ring, capped at delay+1 entries, and unwraps
-// its contents to start at index 0. The cap is compared against delay,
+// drop discards the r <= n oldest pending updates, which RunBatch has
+// applied.
+func (d *Delayed) drop(r int) {
+	d.n -= r
+	d.head += r
+	if d.head >= len(d.ring) {
+		d.head -= len(d.ring)
+	}
+}
+
+// pushAll enqueues evs in order. The caller guarantees that n+len(evs)
+// stays within delay+1, so growing terminates.
+func (d *Delayed) pushAll(evs []trace.Event) {
+	for d.n+len(evs) > len(d.ring) {
+		d.grow()
+	}
+	i := d.head + d.n
+	if i >= len(d.ring) {
+		i -= len(d.ring)
+	}
+	k := copy(d.ring[i:], evs)
+	copy(d.ring, evs[k:])
+	d.n += len(evs)
+}
+
+// grow doubles the ring, capped at delay+1 entries, and unwraps its
+// contents to start at index 0. The cap is compared against delay,
 // not delay+1, so a delay of math.MaxInt cannot overflow.
 func (d *Delayed) grow() {
 	size := max(2*len(d.ring), 8)
 	if d.delay < size {
 		size = d.delay + 1
 	}
-	ring := make([]pendingUpdate, size)
+	ring := make([]trace.Event, size)
 	k := copy(ring, d.ring[d.head:])
 	copy(ring[k:], d.ring[:d.head])
 	d.ring, d.head = ring, 0
@@ -112,8 +134,8 @@ func (d *Delayed) AppendState(b []byte) []byte {
 	b = binary.BigEndian.AppendUint32(b, uint32(d.n))
 	for k := 0; k < d.n; k++ {
 		u := d.ring[(d.head+k)%len(d.ring)]
-		b = binary.BigEndian.AppendUint32(b, u.pc)
-		b = binary.BigEndian.AppendUint32(b, u.value)
+		b = binary.BigEndian.AppendUint32(b, u.PC)
+		b = binary.BigEndian.AppendUint32(b, u.Value)
 	}
 	return appendNested(b, d.p)
 }
@@ -134,11 +156,11 @@ func (d *Delayed) RestoreState(data []byte) error {
 	}
 	rows := data[4:]
 	d.n = int(n)
-	d.ring = make([]pendingUpdate, n)
+	d.ring = make([]trace.Event, n)
 	for i := range d.ring {
-		d.ring[i] = pendingUpdate{
-			pc:    binary.BigEndian.Uint32(rows[8*i:]),
-			value: binary.BigEndian.Uint32(rows[8*i+4:]),
+		d.ring[i] = trace.Event{
+			PC:    binary.BigEndian.Uint32(rows[8*i:]),
+			Value: binary.BigEndian.Uint32(rows[8*i+4:]),
 		}
 	}
 	d.head = 0

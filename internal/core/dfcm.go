@@ -32,13 +32,14 @@ type DFCM struct {
 	l2bits     uint
 	strideBits uint // width of strides stored in level-2 (section 4.4)
 	h          hash.Func
-	fsr        *hash.FSR // non-nil when h is an FSR with >= 8 index bits: inlined Update32 fast path
-	l1mask     uint32    // 2^l1bits − 1, applied to pc>>2
-	strideMask uint32    // low strideBits set: truncate is one AND
-	extShift   uint      // 32 − strideBits: sign-extension shift pair (0 = identity)
-	last       []uint32  // level-1: last value per static instruction
-	hist       []uint64  // level-1: hashed stride history per static instruction
-	l2         []uint32  // next stride per context, truncated to strideBits
+	fold       hash.Shifts // h as Fold32 takes it, when fast
+	fast       bool        // h is an FSR that Fold32 computes: the inlined fast path
+	l1mask     uint32      // 2^l1bits − 1, applied to pc>>2
+	strideMask uint32      // low strideBits set: truncate is one AND
+	extShift   uint        // 32 − strideBits: sign-extension shift pair (0 = identity)
+	last       []uint32    // level-1: last value per static instruction
+	hist       []uint64    // level-1: hashed stride history per static instruction
+	l2         []uint32    // next stride per context, truncated to strideBits
 }
 
 // NewDFCM returns a DFCM with 2^l1bits level-1 entries and 2^l2bits
@@ -77,16 +78,18 @@ func NewDFCMHash(l1bits, l2bits, strideBits uint, h hash.Func) *DFCM {
 		panic(fmt.Sprintf("core: hash produces %d-bit indices, level-2 needs %d",
 			h.IndexBits(), l2bits))
 	}
-	fsr, _ := h.(*hash.FSR)
-	if fsr != nil && fsr.IndexBits() < 8 {
-		fsr = nil // Update32 needs four chunks to cover a 32-bit value
+	var fold hash.Shifts
+	var fast bool
+	if fsr, ok := h.(*hash.FSR); ok {
+		fold, fast = fsr.Shifts32()
 	}
 	return &DFCM{
 		l1bits:     l1bits,
 		l2bits:     l2bits,
 		strideBits: strideBits,
 		h:          h,
-		fsr:        fsr,
+		fold:       fold,
+		fast:       fast,
 		l1mask:     uint32(1<<l1bits) - 1,
 		strideMask: uint32((uint64(1) << strideBits) - 1),
 		extShift:   32 - strideBits,
@@ -99,9 +102,11 @@ func NewDFCMHash(l1bits, l2bits, strideBits uint, h hash.Func) *DFCM {
 // signExtend sign-extends a stored stride back to 32 bits: shift the
 // sign bit of the stored width up to bit 31, then arithmetic-shift
 // back down. shift is 32 − strideBits, 0 at full width, making the
-// pair an identity — no width branch on the predict path.
+// pair an identity — no width branch on the predict path. shift is at
+// most 31, so the &31 changes nothing but lets the compiler drop the
+// guard a variable shift otherwise pays.
 func signExtend(stored uint32, shift uint) uint32 {
-	return uint32(int32(stored<<shift) >> shift)
+	return uint32(int32(stored<<(shift&31)) >> (shift & 31))
 }
 
 // Predict returns the instruction's last value plus the stride the
@@ -113,14 +118,14 @@ func (p *DFCM) Predict(pc uint32) uint32 {
 
 // Update computes the new stride (value − last), stores it in the
 // level-2 entry the prediction came from, folds it into the history,
-// and records value as the new last value. The FSR case is dispatched
-// on the concrete type so the per-event hash update inlines instead
-// of going through hash.Func.
+// and records value as the new last value. On the FSR fast path the
+// history fold is the inlined hash.Fold32 instead of a call through
+// hash.Func.
 func (p *DFCM) Update(pc, value uint32) {
 	i := int((pc >> 2) & p.l1mask)
 	h, stride, _ := dfcmStep(p.last, p.hist, p.l2, i, value, p.strideMask, p.extShift)
-	if p.fsr != nil {
-		p.hist[i] = p.fsr.Update32(h, stride)
+	if p.fast {
+		p.hist[i] = hash.Fold32(h, stride, p.fold)
 	} else {
 		p.hist[i] = p.h.Update(h, uint64(stride))
 	}

@@ -16,10 +16,11 @@ type FCM struct {
 	l1bits uint
 	l2bits uint
 	h      hash.Func
-	fsr    *hash.FSR // non-nil when h is an FSR with >= 8 index bits: inlined Update32 fast path
-	l1mask uint32    // 2^l1bits − 1, applied to pc>>2
-	l1     []uint64  // hashed value history per static instruction
-	l2     []uint32  // predicted next value per context
+	fold   hash.Shifts // h as Fold32 takes it, when fast
+	fast   bool        // h is an FSR that Fold32 computes: the inlined fast path
+	l1mask uint32      // 2^l1bits − 1, applied to pc>>2
+	l1     []uint64    // hashed value history per static instruction
+	l2     []uint32    // predicted next value per context
 }
 
 // NewFCM returns an FCM with 2^l1bits level-1 entries and 2^l2bits
@@ -43,15 +44,17 @@ func NewFCMHash(l1bits, l2bits uint, h hash.Func) *FCM {
 		panic(fmt.Sprintf("core: hash produces %d-bit indices, level-2 needs %d",
 			h.IndexBits(), l2bits))
 	}
-	fsr, _ := h.(*hash.FSR)
-	if fsr != nil && fsr.IndexBits() < 8 {
-		fsr = nil // Update32 needs four chunks to cover a 32-bit value
+	var fold hash.Shifts
+	var fast bool
+	if fsr, ok := h.(*hash.FSR); ok {
+		fold, fast = fsr.Shifts32()
 	}
 	return &FCM{
 		l1bits: l1bits,
 		l2bits: l2bits,
 		h:      h,
-		fsr:    fsr,
+		fold:   fold,
+		fast:   fast,
 		l1mask: uint32(1<<l1bits) - 1,
 		l1:     make([]uint64, 1<<l1bits),
 		l2:     make([]uint32, 1<<l2bits),
@@ -66,13 +69,13 @@ func (p *FCM) Predict(pc uint32) uint32 {
 
 // Update writes the produced value into the level-2 entry the
 // prediction came from and appends the value to the level-1 history.
-// The FSR case is dispatched on the concrete type so the per-event
-// hash update inlines instead of going through hash.Func.
+// On the FSR fast path the history fold is the inlined hash.Fold32
+// instead of a call through hash.Func.
 func (p *FCM) Update(pc, value uint32) {
 	i := int((pc >> 2) & p.l1mask)
 	h, _ := fcmStep(p.l1, p.l2, i, value)
-	if p.fsr != nil {
-		p.l1[i] = p.fsr.Update32(h, value)
+	if p.fast {
+		p.l1[i] = hash.Fold32(h, value, p.fold)
 	} else {
 		p.l1[i] = p.h.Update(h, uint64(value))
 	}

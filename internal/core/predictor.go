@@ -164,6 +164,14 @@ func RunBatch(p Predictor, batch []trace.Event) Result {
 	if b, ok := p.(BatchRunner); ok {
 		return b.RunBatch(batch)
 	}
+	return runEach(p, batch)
+}
+
+// runEach is RunBatch's generic per-event loop: Score for Scorers,
+// otherwise Predict then Update, through the interface. A BatchRunner
+// that has no concrete loop for its current configuration falls back
+// to it.
+func runEach(p Predictor, batch []trace.Event) Result {
 	var res Result
 	res.Predictions = uint64(len(batch))
 	if s, ok := p.(Scorer); ok {

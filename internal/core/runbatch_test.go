@@ -1,6 +1,7 @@
 package core
 
 import (
+	"fmt"
 	"testing"
 
 	"repro/internal/hash"
@@ -65,34 +66,12 @@ func TestRunBatchEmpty(t *testing.T) {
 	}
 }
 
-// runGenericBatch is RunBatch's generic per-event loop, bypassing the
-// BatchRunner dispatch — the reference the concrete-type loops must
-// match bit for bit.
-func runGenericBatch(p Predictor, batch []trace.Event) Result {
-	var res Result
-	res.Predictions = uint64(len(batch))
-	if s, ok := p.(Scorer); ok {
-		for _, e := range batch {
-			if s.Score(e.PC, e.Value) {
-				res.Correct++
-			}
-		}
-		return res
-	}
-	for _, e := range batch {
-		if p.Predict(e.PC) == e.Value {
-			res.Correct++
-		}
-		p.Update(e.PC, e.Value)
-	}
-	return res
-}
-
 // TestRunBatchConcreteMatchesGeneric: every concrete RunBatch
 // loop (batch.go) produces, chunk by chunk, exactly the Result of the
-// generic loop on an identical twin — and leaves the predictor in the
-// same state, witnessed by the serialized snapshot where available
-// and by post-run prediction parity everywhere.
+// generic loop (runEach, which bypasses the BatchRunner dispatch) on
+// an identical twin, and leaves the predictor in the same state,
+// witnessed by the serialized snapshot after every chunk and by
+// post-run prediction parity.
 func TestRunBatchConcreteMatchesGeneric(t *testing.T) {
 	tr := batchTrace(6000)
 	mks := map[string]func() Predictor{
@@ -102,42 +81,88 @@ func TestRunBatchConcreteMatchesGeneric(t *testing.T) {
 		"fcm":      func() Predictor { return NewFCM(8, 10) },
 		"dfcm":     func() Predictor { return NewDFCM(8, 10) },
 		"dfcm-w8":  func() Predictor { return NewDFCMWidth(8, 10, 8) },
-		// Narrow level-2 disables the FSR Update32 fast path, covering
+		// Narrow level-2 disables the FSR Fold32 fast path, covering
 		// the interface-hash loop variant.
 		"dfcm-small-l2": func() Predictor { return NewDFCMWidth(8, 6, 32) },
 		"fcm-small-l2":  func() Predictor { return NewFCMHash(8, 6, hash.NewFSR5(6)) },
+		// Inners without a fused delayed kernel take the generic
+		// fallback inside Delayed.RunBatch.
+		"delayed-dfcm-small-l2": func() Predictor { return NewDelayed(NewDFCMWidth(8, 6, 32), 16) },
+		"delayed-tage":          func() Predictor { return NewDelayed(NewTAGE(8, 6, 32, 4, 8, 4, 64), 16) },
+	}
+	// The fused delayed kernel, at delays from none through one
+	// engine chunk (4096 events) to more than the whole trace.
+	for _, delay := range []int{0, 1, 16, 733, 4096, len(tr) + 100} {
+		mks[fmt.Sprintf("delayed-fcm-%d", delay)] = func() Predictor { return NewDelayed(NewFCM(8, 10), delay) }
+		mks[fmt.Sprintf("delayed-dfcm-%d", delay)] = func() Predictor { return NewDelayed(NewDFCM(8, 10), delay) }
+		mks[fmt.Sprintf("delayed-dfcm-w8-%d", delay)] = func() Predictor { return NewDelayed(NewDFCMWidth(8, 10, 8), delay) }
 	}
 	for name, mk := range mks {
-		concrete, generic := mk(), mk()
-		if _, ok := concrete.(BatchRunner); !ok {
+		if _, ok := mk().(BatchRunner); !ok {
 			t.Errorf("%s: does not implement BatchRunner", name)
 			continue
 		}
 		for _, chunk := range []int{1, 17, 733, len(tr)} {
-			for start := 0; start < len(tr); start += chunk {
-				end := start + chunk
-				if end > len(tr) {
-					end = len(tr)
-				}
-				got := RunBatch(concrete, tr[start:end])
-				want := runGenericBatch(generic, tr[start:end])
-				if got != want {
-					t.Fatalf("%s chunk %d at %d: concrete %+v, generic %+v", name, chunk, start, got, want)
-				}
+			concrete, generic := mk(), mk()
+			checkConcreteMatchesGeneric(t, fmt.Sprintf("%s chunk %d", name, chunk), concrete, generic, tr, chunk)
+		}
+	}
+}
+
+// TestDelayedRunBatchAfterRestore: a restored Delayed holds its
+// pending updates in a ring of exactly their number, so the fused
+// kernel's first batch must grow it, whether the ring was
+// short of the delay window or at it.
+func TestDelayedRunBatchAfterRestore(t *testing.T) {
+	tr := batchTrace(6000)
+	for _, inner := range []string{"fcm", "dfcm"} {
+		mk := func(delay int) *Delayed {
+			if inner == "fcm" {
+				return NewDelayed(NewFCM(8, 10), delay)
+			}
+			return NewDelayed(NewDFCM(8, 10), delay)
+		}
+		for _, c := range []struct{ delay, prefix int }{{16, 5}, {16, 3000}, {733, 100}, {733, 3000}} {
+			src := mk(c.delay)
+			runEach(src, tr[:c.prefix])
+			state := src.AppendState(nil)
+			concrete, generic := mk(c.delay), mk(c.delay)
+			if err := concrete.RestoreState(state); err != nil {
+				t.Fatal(err)
+			}
+			if err := generic.RestoreState(state); err != nil {
+				t.Fatal(err)
+			}
+			for _, chunk := range []int{1, 17, 733} {
+				name := fmt.Sprintf("%s delay %d restored after %d, chunk %d", inner, c.delay, c.prefix, chunk)
+				checkConcreteMatchesGeneric(t, name, concrete, generic, tr[c.prefix:c.prefix+1500], chunk)
 			}
 		}
-		cs, cok := concrete.(Snapshotter)
-		gs, gok := generic.(Snapshotter)
-		if cok && gok {
-			if string(cs.AppendState(nil)) != string(gs.AppendState(nil)) {
-				t.Errorf("%s: serialized state diverged between concrete and generic loops", name)
-			}
+	}
+}
+
+// checkConcreteMatchesGeneric feeds tr in chunks to concrete through
+// RunBatch and to generic through the generic loop, requiring equal
+// Results and equal serialized state after every chunk.
+func checkConcreteMatchesGeneric(t *testing.T, name string, concrete, generic Predictor, tr trace.Trace, chunk int) {
+	t.Helper()
+	cs, gs := concrete.(Snapshotter), generic.(Snapshotter)
+	var cb, gb []byte
+	for start := 0; start < len(tr); start += chunk {
+		end := min(start+chunk, len(tr))
+		got := RunBatch(concrete, tr[start:end])
+		want := runEach(generic, tr[start:end])
+		if got != want {
+			t.Fatalf("%s at %d: concrete %+v, generic %+v", name, start, got, want)
 		}
-		for _, e := range tr[:64] {
-			if concrete.Predict(e.PC) != generic.Predict(e.PC) {
-				t.Errorf("%s: post-run predictions diverged at pc %#x", name, e.PC)
-				break
-			}
+		cb, gb = cs.AppendState(cb[:0]), gs.AppendState(gb[:0])
+		if string(cb) != string(gb) {
+			t.Fatalf("%s at %d: serialized state diverged between concrete and generic loops", name, start)
+		}
+	}
+	for _, e := range tr[:64] {
+		if concrete.Predict(e.PC) != generic.Predict(e.PC) {
+			t.Fatalf("%s: post-run predictions diverged at pc %#x", name, e.PC)
 		}
 	}
 }

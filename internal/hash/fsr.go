@@ -45,18 +45,37 @@ func (f *FSR) Update(h, value uint64) uint64 {
 	return ((h << f.k) ^ Fold(value, f.n)) & f.mask
 }
 
-// Update32 is Update specialized for 32-bit values on indices of at
-// least 8 bits. With 4n >= 32, the four n-bit chunks cover the whole
-// value (chunks i >= 4 are zero), and masking the XOR of chunks
-// equals XOR-ing masked chunks, so the result is exactly Update's —
-// but the data-dependent Fold loop collapses to a branchless XOR of
-// shifts, and the function stays small enough to inline into the
-// FCM/DFCM per-event updates that call it once per trace event.
-// Callers must ensure IndexBits() >= 8; the core constructors gate
-// their fast path on it.
-func (f *FSR) Update32(h uint64, value uint32) uint64 {
+// Shifts holds an FSR's shift counts and mask in the form Fold32
+// takes. A caller hoists it out of its per-event loop once, so the
+// loop body keeps k, n and the mask in registers instead of reloading
+// them through the *FSR on every event.
+type Shifts struct {
+	k, n, n2 uint // k, n and 2n, the last two clamped to 63
+	mask     uint64
+}
+
+// Shifts32 returns the Fold32 form of f, and whether Fold32 with it
+// equals Update for every 32-bit value. That needs n >= 8, so that
+// the four n-bit chunks cover the value, and k < 64, so that the
+// shift survives Fold32's &63. n and 2n are clamped to 63: a 32-bit
+// value shifted right by 63 is 0, exactly as by any larger count.
+func (f *FSR) Shifts32() (Shifts, bool) {
+	return Shifts{k: f.k, n: min(f.n, 63), n2: min(2*f.n, 63), mask: f.mask}, f.n >= 8 && f.k < 64
+}
+
+// Fold32 is FSR.Update for a 32-bit value, with s from Shifts32.
+// With 4n >= 32 the four n-bit chunks cover the whole value (chunks
+// i >= 4 are zero), and masking the XOR of chunks equals XOR-ing
+// masked chunks, so the result is exactly Update's. t = v ^ v>>2n
+// pairs chunks 0 and 2, 1 and 3, so t ^ t>>n is all four chunks in 2
+// shifts of v instead of 3. Every count is below 64, and the &63 lets
+// the compiler drop the guard a variable shift otherwise pays. The
+// data-dependent Fold loop becomes a branchless XOR of shifts, small
+// enough to inline into the FCM/DFCM per-event updates.
+func Fold32(h uint64, value uint32, s Shifts) uint64 {
 	v := uint64(value)
-	return ((h << f.k) ^ v ^ v>>f.n ^ v>>(2*f.n) ^ v>>(3*f.n)) & f.mask
+	t := v ^ v>>(s.n2&63)
+	return ((h << (s.k & 63)) ^ t ^ t>>(s.n&63)) & s.mask
 }
 
 // IndexBits returns n.

@@ -5,8 +5,10 @@ import "testing"
 // FuzzHash checks the algebraic invariants every history hash must
 // hold for arbitrary inputs: results stay inside the index width,
 // Update is pure (same inputs, same output — the level-1 tables store
-// hashed histories directly, so impurity would corrupt them), and
-// Fold preserves values that already fit the target width.
+// hashed histories directly, so impurity would corrupt them), Fold32
+// equals Update wherever Shifts32 says it may stand in for it (n in
+// 8..64 here), and Fold preserves values that already fit the target
+// width.
 func FuzzHash(f *testing.F) {
 	f.Add(uint64(0), uint64(0), uint8(12), uint8(5))
 	f.Add(uint64(1)<<63, ^uint64(0), uint8(1), uint8(1))
@@ -35,6 +37,13 @@ func FuzzHash(f *testing.F) {
 		}
 		if r1 > mask {
 			t.Fatalf("FSR.Update(%#x, %#x) = %#x exceeds %d-bit index", h0, value, r1, n)
+		}
+		if s, ok := fsr.Shifts32(); ok {
+			if got, want := Fold32(h0, uint32(value), s), fsr.Update(h0, uint64(uint32(value))); got != want {
+				t.Fatalf("Fold32(%#x, %#x) = %#x, FS R-%d Update on n=%d gives %#x", h0, uint32(value), got, k, n, want)
+			}
+		} else if n >= 8 && n <= 30 {
+			t.Fatalf("Shifts32 not usable for n=%d k=%d", n, k)
 		}
 
 		order := uint(kRaw%uint8(n)) + 1 // 1..n

@@ -98,18 +98,32 @@ func TestFSRUpdateRange(t *testing.T) {
 	}
 }
 
-func TestFSRUpdate32MatchesUpdate(t *testing.T) {
-	// Update32 is the branchless specialization for 32-bit values on
+func TestFold32MatchesUpdate(t *testing.T) {
+	// Fold32 is the branchless form of Update for 32-bit values on
 	// n >= 8; it must agree with Update bit for bit on every index
-	// width it is used with.
-	for n := uint(8); n <= 30; n++ {
-		f := NewFSR5(n)
-		prop := func(h uint64, v uint32) bool {
-			h &= Mask(n)
-			return f.Update32(h, v) == f.Update(h, uint64(v))
+	// width and shift it is used with. The core tables use n up to 30
+	// and figure ablation-hash builds FSRs with k != 5. From n = 22 on
+	// 3n >= 64, so the fourth chunk's shift only works composed as
+	// (v>>2n)>>n; from n = 32 on the 2n count itself is clamped.
+	for n := uint(8); n <= 64; n++ {
+		for k := uint(1); k <= 16; k++ {
+			f := NewFSR(n, k)
+			s, ok := f.Shifts32()
+			if !ok {
+				t.Fatalf("n=%d k=%d: Shifts32 not usable", n, k)
+			}
+			prop := func(h uint64, v uint32) bool {
+				h &= Mask(n)
+				return Fold32(h, v, s) == f.Update(h, uint64(v))
+			}
+			if err := quick.Check(prop, &quick.Config{MaxCount: 200}); err != nil {
+				t.Errorf("n=%d k=%d: %v", n, k, err)
+			}
 		}
-		if err := quick.Check(prop, nil); err != nil {
-			t.Errorf("n=%d: %v", n, err)
+	}
+	for _, n := range []uint{1, 7} {
+		if _, ok := NewFSR5(n).Shifts32(); ok {
+			t.Errorf("n=%d: Shifts32 usable, but four %d-bit chunks cannot cover a 32-bit value", n, n)
 		}
 	}
 }

@@ -1,6 +1,7 @@
 package serve
 
 import (
+	"bytes"
 	"sync"
 	"testing"
 	"time"
@@ -61,14 +62,62 @@ func runThroughEngine(t *testing.T, e *Engine, session uint64, events trace.Trac
 	return hits
 }
 
+// delayedSpec serves testSpec's DFCM behind a 16-event update delay,
+// the configuration that runs core's fused delayed-update kernel.
+var delayedSpec = core.Spec{Kind: "dfcm", L1: 10, L2: 10, Delay: 16}
+
 func TestRunBatchMatchesOffline(t *testing.T) {
 	events := testEvents(0x1000, 5000)
-	want := offlineHits(t, events)
-	for _, batch := range []int{1, 7, 64, 5000} {
-		e := newTestEngine(t, Config{Shards: 4})
-		if got := runThroughEngine(t, e, 1, events, batch); got != want {
-			t.Errorf("batch=%d: %d hits, offline %d", batch, got, want)
+	for _, spec := range []core.Spec{testSpec, delayedSpec} {
+		offline, err := spec.New()
+		if err != nil {
+			t.Fatal(err)
 		}
+		want := core.Run(offline, trace.NewReader(events)).Correct
+		for _, batch := range []int{1, 7, 64, 5000} {
+			e := newTestEngine(t, Config{Shards: 4, Spec: spec})
+			if got := runThroughEngine(t, e, 1, events, batch); got != want {
+				t.Errorf("%+v batch=%d: %d hits, offline %d", spec, batch, got, want)
+			}
+		}
+	}
+}
+
+// TestDelayedSessionSnapshotResumes: a delayed session snapshotted
+// mid-stream, with updates still pending, and restored on a fresh
+// engine scores the rest of the stream batch for batch like the
+// unmigrated session and ends in the same snapshot.
+func TestDelayedSessionSnapshotResumes(t *testing.T) {
+	events := testEvents(0x5000, 6000)
+	const session, batch = 31, 64
+	half := len(events) / 2
+	ref := newTestEngine(t, Config{Shards: 2, Spec: delayedSpec})
+	a := newTestEngine(t, Config{Shards: 2, Spec: delayedSpec})
+	b := newTestEngine(t, Config{Shards: 1, Spec: delayedSpec})
+	runThroughEngine(t, ref, session, events[:half], batch)
+	runThroughEngine(t, a, session, events[:half], batch)
+	blob, st := a.SnapshotSession(session)
+	if st != StatusOK {
+		t.Fatalf("SnapshotSession: %v", st)
+	}
+	if st := b.RestoreSession(session, blob); st != StatusOK {
+		t.Fatalf("RestoreSession: %v", st)
+	}
+	for start := half; start < len(events); start += batch {
+		chunk := events[start:min(start+batch, len(events))]
+		want, _ := ref.RunBatch(session, chunk)
+		got, st := b.RunBatch(session, chunk)
+		if st != StatusOK {
+			t.Fatalf("restored RunBatch: %v", st)
+		}
+		if got != want {
+			t.Fatalf("batch at %d: restored session %d hits, unmigrated %d", start, got, want)
+		}
+	}
+	wantBlob, _ := ref.SnapshotSession(session)
+	gotBlob, _ := b.SnapshotSession(session)
+	if !bytes.Equal(gotBlob, wantBlob) {
+		t.Error("restored session's final snapshot differs from the unmigrated session's")
 	}
 }
 
