@@ -1,21 +1,15 @@
 // Command benchjson converts `go test -bench` output on stdin into a
 // stable JSON snapshot: benchmark name → ns/op (and allocs/op when
 // the run used -benchmem). `make bench` uses it to regenerate
-// BENCH_engine.json, the checked-in record of the sweep engine's
-// wall-clock numbers.
+// BENCH_engine.json, the checked-in record of the benchmarks' ns/op
+// and allocs/op.
 //
 // Usage:
 //
 //	go test -run '^$' -bench . -benchtime 1x -benchmem . | benchjson \
 //	    -o BENCH_engine.json \
 //	    -cmd 'go test -bench . -benchtime 1x -benchmem .' \
-//	    -speedup BenchmarkFig9=18681932 \
 //	    -zero BenchmarkEngineReplay
-//
-// Each -speedup NAME=BASELINE_NS (repeatable) records the named
-// benchmark's baseline ns/op alongside the measured run and the
-// resulting speedup factor, so a perf claim lives next to the numbers
-// backing it.
 //
 // Each -zero NAME (repeatable) asserts the named benchmark is present
 // in the input and reported exactly 0 allocs/op; any violation is a
@@ -41,36 +35,10 @@ type result struct {
 	AllocsPerOp *float64 `json:"allocs_per_op,omitempty"`
 }
 
-// speedupEntry records a measured benchmark against a stated baseline.
-type speedupEntry struct {
-	BaselineNsPerOp float64 `json:"baseline_ns_per_op"`
-	NsPerOp         float64 `json:"ns_per_op"`
-	Speedup         float64 `json:"speedup"`
-}
-
 // snapshot is the emitted document.
 type snapshot struct {
-	Command    string                  `json:"command,omitempty"`
-	Speedup    map[string]speedupEntry `json:"speedup,omitempty"`
-	Benchmarks map[string]result       `json:"benchmarks"`
-}
-
-// speedupFlags collects repeated -speedup NAME=BASELINE_NS flags.
-type speedupFlags map[string]float64
-
-func (s speedupFlags) String() string { return fmt.Sprint(map[string]float64(s)) }
-
-func (s speedupFlags) Set(v string) error {
-	name, ns, ok := strings.Cut(v, "=")
-	if !ok {
-		return fmt.Errorf("want NAME=BASELINE_NS, got %q", v)
-	}
-	f, err := strconv.ParseFloat(ns, 64)
-	if err != nil {
-		return fmt.Errorf("baseline ns/op for %s: %v", name, err)
-	}
-	s[name] = f
-	return nil
+	Command    string            `json:"command,omitempty"`
+	Benchmarks map[string]result `json:"benchmarks"`
 }
 
 // zeroFlags collects repeated -zero NAME flags.
@@ -135,7 +103,7 @@ func parseBench(r io.Reader) (map[string]result, error) {
 	return out, sc.Err()
 }
 
-func run(in io.Reader, out io.Writer, cmd string, baselines speedupFlags, zeros zeroFlags) error {
+func run(in io.Reader, out io.Writer, cmd string, zeros zeroFlags) error {
 	benches, err := parseBench(in)
 	if err != nil {
 		return err
@@ -155,31 +123,14 @@ func run(in io.Reader, out io.Writer, cmd string, baselines speedupFlags, zeros 
 			return fmt.Errorf("-zero %s: %g allocs/op, want 0 — allocation regression on a zero-alloc steady-state path", name, *b.AllocsPerOp)
 		}
 	}
-	snap := snapshot{Command: cmd, Benchmarks: benches}
-	for name, base := range baselines {
-		b, ok := benches[name]
-		if !ok {
-			return fmt.Errorf("-speedup %s: benchmark not in input", name)
-		}
-		if snap.Speedup == nil {
-			snap.Speedup = make(map[string]speedupEntry)
-		}
-		snap.Speedup[name] = speedupEntry{
-			BaselineNsPerOp: base,
-			NsPerOp:         b.NsPerOp,
-			Speedup:         base / b.NsPerOp,
-		}
-	}
 	enc := json.NewEncoder(out)
 	enc.SetIndent("", "  ")
-	return enc.Encode(snap)
+	return enc.Encode(snapshot{Command: cmd, Benchmarks: benches})
 }
 
 func main() {
 	outPath := flag.String("o", "", "write JSON here instead of stdout")
 	cmd := flag.String("cmd", "", "record the command that produced the input")
-	baselines := make(speedupFlags)
-	flag.Var(baselines, "speedup", "NAME=BASELINE_NS: record a speedup over a baseline (repeatable)")
 	var zeros zeroFlags
 	flag.Var(&zeros, "zero", "NAME: fail unless the benchmark is present with exactly 0 allocs/op (repeatable)")
 	flag.Parse()
@@ -194,7 +145,7 @@ func main() {
 		defer f.Close()
 		out = f
 	}
-	if err := run(os.Stdin, out, *cmd, baselines, zeros); err != nil {
+	if err := run(os.Stdin, out, *cmd, zeros); err != nil {
 		fmt.Fprintln(os.Stderr, "benchjson:", err)
 		os.Exit(1)
 	}

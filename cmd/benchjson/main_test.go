@@ -55,11 +55,9 @@ func TestParseBench(t *testing.T) {
 	}
 }
 
-func TestRunEmitsSpeedup(t *testing.T) {
+func TestRunEmitsSnapshot(t *testing.T) {
 	var sb strings.Builder
-	err := run(strings.NewReader(sampleOutput), &sb, "go test -bench .",
-		speedupFlags{"BenchmarkFig9": 18735570}, nil)
-	if err != nil {
+	if err := run(strings.NewReader(sampleOutput), &sb, "go test -bench .", nil); err != nil {
 		t.Fatal(err)
 	}
 	var snap snapshot
@@ -69,23 +67,15 @@ func TestRunEmitsSpeedup(t *testing.T) {
 	if snap.Command != "go test -bench ." {
 		t.Errorf("command = %q", snap.Command)
 	}
-	e, ok := snap.Speedup["BenchmarkFig9"]
-	if !ok {
-		t.Fatalf("no speedup entry: %s", sb.String())
-	}
-	if e.Speedup < 1.99 || e.Speedup > 2.01 {
-		t.Errorf("speedup = %v, want ~2.0", e.Speedup)
+	if fig9 := snap.Benchmarks["BenchmarkFig9"]; fig9.NsPerOp != 9367785 {
+		t.Errorf("BenchmarkFig9 = %+v, want 9367785 ns/op", fig9)
 	}
 }
 
 func TestRunErrors(t *testing.T) {
 	var sb strings.Builder
-	if err := run(strings.NewReader("PASS\n"), &sb, "", nil, nil); err == nil {
+	if err := run(strings.NewReader("PASS\n"), &sb, "", nil); err == nil {
 		t.Error("empty input: want error")
-	}
-	if err := run(strings.NewReader(sampleOutput), &sb, "",
-		speedupFlags{"BenchmarkNope": 1}, nil); err == nil {
-		t.Error("unknown speedup benchmark: want error")
 	}
 }
 
@@ -105,28 +95,12 @@ func TestZeroGate(t *testing.T) {
 	}
 	for _, tc := range cases {
 		var sb strings.Builder
-		err := run(strings.NewReader(sampleOutput), &sb, "", nil, zeroFlags{tc.zero})
+		err := run(strings.NewReader(sampleOutput), &sb, "", zeroFlags{tc.zero})
 		if tc.ok && err != nil {
 			t.Errorf("%s: unexpected error %v", tc.name, err)
 		}
 		if !tc.ok && err == nil {
 			t.Errorf("%s: want error", tc.name)
 		}
-	}
-}
-
-func TestSpeedupFlagParsing(t *testing.T) {
-	s := make(speedupFlags)
-	if err := s.Set("BenchmarkFig9=18681932"); err != nil {
-		t.Fatal(err)
-	}
-	if s["BenchmarkFig9"] != 18681932 {
-		t.Errorf("parsed %v", s)
-	}
-	if err := s.Set("no-equals"); err == nil {
-		t.Error("missing =: want error")
-	}
-	if err := s.Set("BenchmarkX=abc"); err == nil {
-		t.Error("bad number: want error")
 	}
 }

@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"repro/internal/core"
+	"repro/internal/hash"
 	"repro/internal/progs"
 	"repro/internal/trace"
 )
@@ -84,7 +85,7 @@ func TestAnalyzerMatchesCorePredictor(t *testing.T) {
 func TestCategoriesPartitionPredictions(t *testing.T) {
 	an := New(6, 8, true)
 	tr := mixedTrace(2000, 9)
-	an.Run(trace.NewReader(tr))
+	an.Run(tr)
 	var sum uint64
 	for _, c := range an.Counts() {
 		sum += c.Predictions
@@ -152,7 +153,7 @@ func TestHashAliasingLowAccuracy(t *testing.T) {
 		t.Fatal(err)
 	}
 	an := New(10, 8, false) // small L2 to force hash pressure
-	an.Run(trace.NewReader(tr))
+	an.Run(tr)
 	c := an.Counts()
 	if c[Hash].Predictions == 0 {
 		t.Fatal("no hash aliasing on a small level-2 table")
@@ -176,9 +177,9 @@ func TestDFCMShiftsAliasMixTowardL2PC(t *testing.T) {
 		}
 	}
 	fcm := New(8, 10, false)
-	fcm.Run(trace.NewReader(tr))
+	fcm.Run(tr)
 	dfcm := New(8, 10, true)
-	dfcm.Run(trace.NewReader(tr))
+	dfcm.Run(tr)
 	f := float64(fcm.Counts()[L2PC].Predictions) / float64(len(tr))
 	d := float64(dfcm.Counts()[L2PC].Predictions) / float64(len(tr))
 	if d <= f {
@@ -187,7 +188,186 @@ func TestDFCMShiftsAliasMixTowardL2PC(t *testing.T) {
 }
 
 func TestName(t *testing.T) {
-	if New(4, 8, false).Name() == New(4, 8, true).Name() {
-		t.Error("names should distinguish FCM and DFCM analyzers")
+	if got, want := New(4, 8, false).Name(), "fcm-2^4/2^8 (alias analysis)"; got != want {
+		t.Errorf("FCM name = %q, want %q", got, want)
 	}
+	if got, want := New(4, 8, true).Name(), "dfcm-2^4/2^8 (alias analysis)"; got != want {
+		t.Errorf("DFCM name = %q, want %q", got, want)
+	}
+}
+
+// refAnalyzer is the straightforward form of the classifier: one
+// struct per table entry, histories as growing slices and one map per
+// level-1 entry for its private level-2 table. The flat Analyzer must
+// agree with it on every event.
+type refAnalyzer struct {
+	differential bool
+	h            *hash.FSR
+	order        int
+	l1mask       uint32
+	l1           []refL1
+	l2           []refL2
+	priv         []map[uint64]uint32
+	counts       [NumKinds]core.Result
+}
+
+type refItem struct{ value, pc uint32 }
+
+type refL1 struct {
+	last   uint32
+	hist   uint64
+	recent []refItem
+}
+
+type refL2 struct {
+	value    uint32
+	tagPC    uint32
+	tagHist  []uint32
+	tagValid bool
+}
+
+func newRef(l1bits, l2bits uint, differential bool) *refAnalyzer {
+	h := hash.NewFSR5(l2bits)
+	return &refAnalyzer{
+		differential: differential,
+		h:            h,
+		order:        h.Order(),
+		l1mask:       uint32(1<<l1bits) - 1,
+		l1:           make([]refL1, 1<<l1bits),
+		l2:           make([]refL2, 1<<l2bits),
+		priv:         make([]map[uint64]uint32, 1<<l1bits),
+	}
+}
+
+func (a *refAnalyzer) Step(pc, value uint32) (Kind, bool) {
+	i := (pc >> 2) & a.l1mask
+	e := &a.l1[i]
+	idx := e.hist
+	l2 := &a.l2[idx]
+	pred := l2.value
+	if a.differential {
+		pred += e.last
+	}
+	correct := pred == value
+	kind := a.classify(pc, i, e, l2, idx)
+	a.counts[kind].Predictions++
+	if correct {
+		a.counts[kind].Correct++
+	}
+
+	w := value
+	if a.differential {
+		w = value - e.last
+		e.last = value
+	}
+	l2.value = w
+	l2.tagPC = pc
+	l2.tagHist = l2.tagHist[:0]
+	for _, it := range e.recent {
+		l2.tagHist = append(l2.tagHist, it.value)
+	}
+	l2.tagValid = true
+	if a.priv[i] == nil {
+		a.priv[i] = make(map[uint64]uint32)
+	}
+	a.priv[i][idx] = w
+	e.hist = a.h.Update(e.hist, uint64(w))
+	e.recent = append(e.recent, refItem{value: w, pc: pc})
+	if len(e.recent) > a.order {
+		e.recent = e.recent[1:]
+	}
+	return kind, correct
+}
+
+func (a *refAnalyzer) classify(pc, i uint32, e *refL1, l2 *refL2, idx uint64) Kind {
+	for _, it := range e.recent {
+		if it.pc != pc {
+			return L1
+		}
+	}
+	if !l2.tagValid || len(l2.tagHist) != len(e.recent) {
+		return Hash
+	}
+	for k, it := range e.recent {
+		if l2.tagHist[k] != it.value {
+			return Hash
+		}
+	}
+	if a.priv[i][idx] != l2.value {
+		return L2Priv
+	}
+	if l2.tagPC != pc {
+		return L2PC
+	}
+	return None
+}
+
+// checkAgainstRef steps an Analyzer and a refAnalyzer through tr and
+// fails on the first event they classify or score differently, or if
+// their per-category counts differ at the end.
+func checkAgainstRef(t *testing.T, tr trace.Trace, l1bits, l2bits uint, differential bool) {
+	t.Helper()
+	an, ref := New(l1bits, l2bits, differential), newRef(l1bits, l2bits, differential)
+	for n, e := range tr {
+		k, ok := an.Step(e.PC, e.Value)
+		rk, rok := ref.Step(e.PC, e.Value)
+		if k != rk || ok != rok {
+			t.Fatalf("%s: event %d (pc %#x value %d): got (%v, %v), reference (%v, %v)",
+				an.Name(), n, e.PC, e.Value, k, ok, rk, rok)
+		}
+	}
+	if an.Counts() != ref.counts {
+		t.Errorf("%s: counts %v, reference %v", an.Name(), an.Counts(), ref.counts)
+	}
+}
+
+func TestAnalyzerMatchesReference(t *testing.T) {
+	// l1bits 0 puts all twelve instructions on one level-1 entry;
+	// l2bits 4 folds through FSR.Update, not Fold32. The shuffled
+	// copy visits the instructions in no fixed order, so a shared
+	// level-1 entry's history mixes them irregularly.
+	for _, l1bits := range []uint{0, 2, 6} {
+		for _, l2bits := range []uint{4, 8, 12} {
+			seed := int64(100*l1bits + l2bits)
+			tr := mixedTrace(1500, seed)
+			shuffled := append(trace.Trace(nil), tr...)
+			rand.New(rand.NewSource(seed)).Shuffle(len(shuffled), func(i, j int) {
+				shuffled[i], shuffled[j] = shuffled[j], shuffled[i]
+			})
+			for _, differential := range []bool{false, true} {
+				checkAgainstRef(t, tr, l1bits, l2bits, differential)
+				checkAgainstRef(t, shuffled, l1bits, l2bits, differential)
+			}
+		}
+	}
+}
+
+func TestAnalyzerMatchesReferenceOnBenchmark(t *testing.T) {
+	tr, err := progs.TraceFor("go", 400_000)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, differential := range []bool{false, true} {
+		checkAgainstRef(t, tr, 12, 12, differential)
+	}
+}
+
+// BenchmarkAliasAnalyzer is Figure 12's per-benchmark kernel: the
+// 2^12 x 2^12 FCM analyzer over a SPEC stand-in trace. The analyzer
+// is warmed by one pass first, so every private level-2 row the trace
+// touches exists and the steady state allocates nothing (an alloc
+// gate in the Makefile's allocgate target).
+func BenchmarkAliasAnalyzer(b *testing.B) {
+	tr, err := progs.TraceFor("li", 200_000)
+	if err != nil {
+		b.Fatal(err)
+	}
+	an := New(12, 12, false)
+	an.Run(tr)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		an.Run(tr)
+	}
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*len(tr)), "ns/event")
 }

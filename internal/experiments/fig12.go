@@ -6,7 +6,6 @@ import (
 	"repro/internal/alias"
 	"repro/internal/core"
 	"repro/internal/metrics"
-	"repro/internal/trace"
 )
 
 // aliasRun classifies one benchmark's trace with the 2^12 x 2^12
@@ -17,7 +16,7 @@ func aliasRun(cfg Config, bench string, differential bool) (*alias.Analyzer, err
 		return nil, err
 	}
 	an := alias.New(12, 12, differential)
-	an.Run(trace.NewReader(tr))
+	an.Run(tr)
 	return an, nil
 }
 
