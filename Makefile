@@ -8,7 +8,7 @@
 
 GO ?= go
 
-.PHONY: verify fmt build test vet lint race bench allocgate serve-bench fuzz
+.PHONY: verify fmt build test vet lint race bench allocgate serve-bench fuzz loc
 
 verify: fmt vet build test race lint
 
@@ -109,3 +109,11 @@ allocgate:
 # Per-op predictor baselines for the serving hot path.
 serve-bench:
 	$(GO) test -bench=PredictUpdate -benchmem ./internal/core/
+
+# The three line counts ROADMAP.md tracks: non-test Go, tests, and the
+# vplint fixtures under testdata/. vpbench/ is left out of all three.
+LOC_FIND = find . -name '*.go' -not -path './vpbench/*'
+loc:
+	@printf 'non-test Go    %s\n' "$$($(LOC_FIND) -not -name '*_test.go' -not -path '*/testdata/*' -exec cat {} + | wc -l)"
+	@printf 'tests          %s\n' "$$($(LOC_FIND) -name '*_test.go' -not -path '*/testdata/*' -exec cat {} + | wc -l)"
+	@printf 'lint fixtures  %s\n' "$$($(LOC_FIND) -path '*/testdata/*' -exec cat {} + | wc -l)"

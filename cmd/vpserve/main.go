@@ -11,6 +11,11 @@
 //	vpserve -addr :9177 -predictor dfcm -checkpoint-dir /var/lib/vpserve -checkpoint-interval 30s
 //	vpserve -addr :9177 -predictor tage -l1 13 -l2 10 -tables 4 -tag 8 -hmin 4 -hmax 64
 //
+// -predictor hybrid serves the paper's realizable stride/FCM chooser
+// (§4.3: a 2^l1 table of 2-bit counters picks a component per PC), so
+// its hits are hits a client comparing PredictBatch answers can get.
+// The perfect-meta oracle of Figure 16 is an offline bound only.
+//
 // SIGINT/SIGTERM drain the server gracefully: the listener closes
 // immediately, connected clients are served until they disconnect or
 // the drain timeout expires.
@@ -237,8 +242,8 @@ func main() {
 		}
 		<-statsDone
 		st := srv.Engine().Snapshot()
-		log.Printf("vpserve: served %d predictions (%.4f hit rate), %d sessions",
-			st.Predictions, st.HitRate, st.Sessions)
+		log.Printf("vpserve: served %d predictions, %d judged lookups (%.4f hit rate), %d sessions",
+			st.Predictions, st.Updates, st.HitRate, st.Sessions)
 	case err := <-done:
 		fmt.Fprintln(os.Stderr, "vpserve:", err)
 		os.Exit(1)

@@ -2,71 +2,6 @@ package core
 
 import "fmt"
 
-// classifyStateBytes is one serialized classifyState: seen, hits[4],
-// assigned.
-const classifyStateBytes = 1 + 4 + 1
-
-// AppendState implements Snapshotter: the per-instruction
-// classification rows followed by every component's nested state.
-func (p *Classified) AppendState(b []byte) []byte {
-	for i := range p.state {
-		s := &p.state[i]
-		b = append(b, s.seen, s.hits[0], s.hits[1], s.hits[2], s.hits[3], byte(s.assigned))
-	}
-	for _, c := range p.comps {
-		b = appendNested(b, c)
-	}
-	return b
-}
-
-// RestoreState implements Snapshotter. Assignments index the component
-// slice, so each must name an existing component (or the training/
-// unpredictable sentinels).
-func (p *Classified) RestoreState(data []byte) error {
-	fixed := classifyStateBytes * len(p.state)
-	if len(data) < fixed {
-		return stateSizeErr("classified", fixed, len(data))
-	}
-	for i := range p.state {
-		row := data[classifyStateBytes*i:]
-		assigned := int8(row[5])
-		if assigned < -2 || int(assigned) >= len(p.comps) {
-			return fmt.Errorf("%w: classification assignment %d with %d components", ErrState, assigned, len(p.comps))
-		}
-		p.state[i] = classifyState{
-			seen:     row[0],
-			hits:     [4]uint8{row[1], row[2], row[3], row[4]},
-			assigned: assigned,
-		}
-	}
-	rest := data[fixed:]
-	var err error
-	for _, c := range p.comps {
-		if rest, err = restoreNested(rest, c); err != nil {
-			return err
-		}
-	}
-	if len(rest) != 0 {
-		return fmt.Errorf("%w: %d trailing bytes after classified state", ErrState, len(rest))
-	}
-	return nil
-}
-
-// StateTables implements StateTabler.
-func (p *Classified) StateTables() []TableInfo {
-	live := 0
-	for i := range p.state {
-		if p.state[i] != (classifyState{assigned: -1}) {
-			live++
-		}
-	}
-	ts := []TableInfo{{Name: "class", Entries: len(p.state), Live: live}}
-	for _, c := range p.comps {
-		ts = append(ts, prefixTables(c.Name(), c)...)
-	}
-	return ts
-}
-
 // Classified implements dynamic instruction classification in the
 // style of Rychlik et al. ("Efficient and Accurate Value Prediction
 // Using Dynamic Classification", CMU TR 1998), the alternative design
@@ -186,17 +121,6 @@ func (p *Classified) Unpredictable() float64 {
 		return 0
 	}
 	return float64(un) / float64(done)
-}
-
-// Reset implements Resetter: every instruction re-enters its training
-// window and all components are cleared.
-func (p *Classified) Reset() {
-	for i := range p.state {
-		p.state[i] = classifyState{assigned: -1}
-	}
-	for _, c := range p.comps {
-		mustReset(c)
-	}
 }
 
 // Name implements Predictor.

@@ -1,7 +1,6 @@
 package core
 
 import (
-	"encoding/binary"
 	"fmt"
 
 	"repro/internal/hash"
@@ -115,54 +114,6 @@ func (c *CounterConfidence) Update(pc, value uint32) {
 	c.p.Update(pc, value)
 }
 
-// Reset implements Resetter.
-func (c *CounterConfidence) Reset() {
-	clear(c.counters)
-	mustReset(c.p)
-}
-
-// AppendState implements Snapshotter: the confidence counters followed
-// by the wrapped predictor's nested state.
-func (c *CounterConfidence) AppendState(b []byte) []byte {
-	b = append(b, c.counters...)
-	return appendNested(b, c.p)
-}
-
-// RestoreState implements Snapshotter.
-func (c *CounterConfidence) RestoreState(data []byte) error {
-	if len(data) < len(c.counters) {
-		return stateSizeErr("confidence counters", len(c.counters), len(data))
-	}
-	for _, v := range data[:len(c.counters)] {
-		if v > c.max {
-			return fmt.Errorf("%w: confidence counter %d exceeds %d", ErrState, v, c.max)
-		}
-	}
-	rest, err := restoreNested(data[len(c.counters):], c.p)
-	if err != nil {
-		return err
-	}
-	if len(rest) != 0 {
-		return fmt.Errorf("%w: %d trailing bytes after confidence state", ErrState, len(rest))
-	}
-	copy(c.counters, data)
-	return nil
-}
-
-// StateTables implements StateTabler.
-func (c *CounterConfidence) StateTables() []TableInfo {
-	live := 0
-	for _, v := range c.counters {
-		if v != 0 {
-			live++
-		}
-	}
-	return append(
-		[]TableInfo{{Name: "counters", Entries: len(c.counters), Live: live}},
-		prefixTables(c.p.Name(), c.p)...,
-	)
-}
-
 // Name implements Predictor.
 func (c *CounterConfidence) Name() string {
 	return fmt.Sprintf("%s+ctr2^%d(t%d)", c.p.Name(), c.bits, c.threshold)
@@ -266,98 +217,6 @@ func (h *HashTag) Update(pc, value uint32) {
 	h.hist[i] = h.h2.Update(h.hist[i], input)
 }
 
-// Reset implements Resetter: the second-hash histories, stored tags
-// and the wrapped predictor all return to their initial state.
-func (h *HashTag) Reset() {
-	clear(h.hist)
-	clear(h.tags)
-	clear(h.valid)
-	mustReset(h.p)
-}
-
-// AppendState implements Snapshotter: the second-hash histories, the
-// stored tags, the validity bits, then the wrapped predictor's nested
-// state.
-func (h *HashTag) AppendState(b []byte) []byte {
-	for _, v := range h.hist {
-		b = binary.BigEndian.AppendUint64(b, v)
-	}
-	for _, t := range h.tags {
-		b = binary.BigEndian.AppendUint16(b, t)
-	}
-	for _, v := range h.valid {
-		if v {
-			b = append(b, 1)
-		} else {
-			b = append(b, 0)
-		}
-	}
-	return appendNested(b, h.p)
-}
-
-// RestoreState implements Snapshotter.
-func (h *HashTag) RestoreState(data []byte) error {
-	fixed := 8*len(h.hist) + 2*len(h.tags) + len(h.valid)
-	if len(data) < fixed {
-		return stateSizeErr("hash-tag", fixed, len(data))
-	}
-	histMask := hash.Mask(h.h2.IndexBits())
-	for i := range h.hist {
-		v := binary.BigEndian.Uint64(data[8*i:])
-		if v&^histMask != 0 {
-			return fmt.Errorf("%w: hash-tag history %#x wider than %d bits", ErrState, v, h.h2.IndexBits())
-		}
-		h.hist[i] = v
-	}
-	tags := data[8*len(h.hist):]
-	for i := range h.tags {
-		t := binary.BigEndian.Uint16(tags[2*i:])
-		if uint64(t)&^h.tagMask != 0 {
-			return fmt.Errorf("%w: hash tag %#x wider than %d bits", ErrState, t, h.tagBits)
-		}
-		h.tags[i] = t
-	}
-	valid := tags[2*len(h.tags):]
-	for i := range h.valid {
-		switch valid[i] {
-		case 0:
-			h.valid[i] = false
-		case 1:
-			h.valid[i] = true
-		default:
-			return fmt.Errorf("%w: hash-tag validity byte %d", ErrState, valid[i])
-		}
-	}
-	rest, err := restoreNested(data[fixed:], h.p)
-	if err != nil {
-		return err
-	}
-	if len(rest) != 0 {
-		return fmt.Errorf("%w: %d trailing bytes after hash-tag state", ErrState, len(rest))
-	}
-	return nil
-}
-
-// StateTables implements StateTabler.
-func (h *HashTag) StateTables() []TableInfo {
-	histLive, tagLive := 0, 0
-	for _, v := range h.hist {
-		if v != 0 {
-			histLive++
-		}
-	}
-	for i := range h.valid {
-		if h.valid[i] {
-			tagLive++
-		}
-	}
-	ts := []TableInfo{
-		{Name: "hist2", Entries: len(h.hist), Live: histLive},
-		{Name: "tags", Entries: len(h.tags), Live: tagLive},
-	}
-	return append(ts, prefixTables(h.p.Name(), h.p)...)
-}
-
 // Name implements Predictor.
 func (h *HashTag) Name() string {
 	return fmt.Sprintf("%s+tag%d(%s)", h.p.Name(), h.tagBits, h.h2.Name())
@@ -417,54 +276,6 @@ func (c *Combined) Update(pc, value uint32) {
 	c.ctr.counters[i] = uint8(satConf(int32(c.ctr.counters[i]), hit, 1, int32(c.ctr.max), int32(c.ctr.max)))
 	// Tag bookkeeping updates the shared predictor itself.
 	c.tag.Update(pc, value)
-}
-
-// Reset implements Resetter: the tag reset also resets the shared
-// predictor, so only the counter table remains to clear.
-func (c *Combined) Reset() {
-	c.tag.Reset()
-	clear(c.ctr.counters)
-}
-
-// AppendState implements Snapshotter: the tag estimator's nested state
-// (which embeds the shared predictor exactly once) followed by the
-// counter table alone.
-func (c *Combined) AppendState(b []byte) []byte {
-	b = appendNested(b, c.tag)
-	return append(b, c.ctr.counters...)
-}
-
-// RestoreState implements Snapshotter: restoring the tag block also
-// restores the shared predictor, so only the counters remain.
-func (c *Combined) RestoreState(data []byte) error {
-	rest, err := restoreNested(data, c.tag)
-	if err != nil {
-		return err
-	}
-	if len(rest) != len(c.ctr.counters) {
-		return stateSizeErr("combined counters", len(c.ctr.counters), len(rest))
-	}
-	for _, v := range rest {
-		if v > c.ctr.max {
-			return fmt.Errorf("%w: confidence counter %d exceeds %d", ErrState, v, c.ctr.max)
-		}
-	}
-	copy(c.ctr.counters, rest)
-	return nil
-}
-
-// StateTables implements StateTabler.
-func (c *Combined) StateTables() []TableInfo {
-	live := 0
-	for _, v := range c.ctr.counters {
-		if v != 0 {
-			live++
-		}
-	}
-	return append(
-		prefixTables("tag", c.tag),
-		TableInfo{Name: "counters", Entries: len(c.ctr.counters), Live: live},
-	)
 }
 
 // Name implements Predictor.

@@ -56,45 +56,6 @@ func (p *PerfectHybrid) Update(pc, value uint32) {
 	}
 }
 
-// Reset implements Resetter by resetting every component.
-func (p *PerfectHybrid) Reset() {
-	for _, c := range p.comps {
-		mustReset(c)
-	}
-}
-
-// AppendState implements Snapshotter: one nested block per component,
-// in construction order.
-func (p *PerfectHybrid) AppendState(b []byte) []byte {
-	for _, c := range p.comps {
-		b = appendNested(b, c)
-	}
-	return b
-}
-
-// RestoreState implements Snapshotter.
-func (p *PerfectHybrid) RestoreState(data []byte) error {
-	var err error
-	for _, c := range p.comps {
-		if data, err = restoreNested(data, c); err != nil {
-			return err
-		}
-	}
-	if len(data) != 0 {
-		return fmt.Errorf("%w: %d trailing bytes after hybrid state", ErrState, len(data))
-	}
-	return nil
-}
-
-// StateTables implements StateTabler.
-func (p *PerfectHybrid) StateTables() []TableInfo {
-	var ts []TableInfo
-	for _, c := range p.comps {
-		ts = append(ts, prefixTables(c.Name(), c)...)
-	}
-	return ts
-}
-
 // Name implements Predictor, e.g. "perfect(stride-2^16+fcm-2^16/2^12)".
 func (p *PerfectHybrid) Name() string {
 	names := make([]string, len(p.comps))
@@ -118,7 +79,8 @@ func (p *PerfectHybrid) SizeBits() int64 {
 // (section 4.3, Figure 15 — "The meta-predictor is typically a set of
 // saturating counters, indexed by the program counter"). The counter
 // is biased toward a when high and b when low; it moves up when only a
-// was correct and down when only b was correct.
+// was correct and down when only b was correct. Spec kind "hybrid"
+// builds one over stride and FCM.
 type MetaHybrid struct {
 	a, b     Predictor
 	bits     uint

@@ -1,9 +1,6 @@
 package core
 
-import (
-	"encoding/binary"
-	"fmt"
-)
+import "fmt"
 
 // lastNSlot is one stored candidate value with its selection counter.
 type lastNSlot struct {
@@ -20,14 +17,10 @@ type lastNSlot struct {
 // alternating and small-period patterns the last-value predictor
 // misses, without a second table level.
 type LastN struct {
-	bits uint
-	n    int
-	// table's rows all alias one contiguous backing slice, kept so
-	// Reset can clear every slot with a single word-level memclr
-	// instead of a per-row loop.
-	table   [][]lastNSlot
-	backing []lastNSlot
-	clock   uint8
+	bits  uint
+	n     int
+	table [][]lastNSlot // rows alias one contiguous backing slice
+	clock uint8
 }
 
 const lastNConfMax = 3
@@ -44,7 +37,7 @@ func NewLastN(bits uint, n int) *LastN {
 	for i := range t {
 		t[i] = backing[i*n : (i+1)*n : (i+1)*n]
 	}
-	return &LastN{bits: bits, n: n, table: t, backing: backing}
+	return &LastN{bits: bits, n: n, table: t}
 }
 
 // best returns the index of the slot Predict would use.
@@ -95,74 +88,6 @@ func (p *LastN) Update(pc, value uint32) {
 		}
 	}
 	slots[vi] = lastNSlot{value: value, conf: 1, age: p.clock}
-}
-
-// Reset implements Resetter: one contiguous clear of the shared
-// backing array (every table row aliases it) instead of a per-row
-// loop.
-func (p *LastN) Reset() {
-	clear(p.backing)
-	p.clock = 0
-}
-
-// lastNSlotBytes is one serialized lastNSlot: value, conf, age.
-const lastNSlotBytes = 4 + 1 + 1
-
-// AppendState implements Snapshotter: the insertion clock followed by
-// every slot of every entry.
-func (p *LastN) AppendState(b []byte) []byte {
-	b = append(b, p.clock)
-	for _, slots := range p.table {
-		for i := range slots {
-			s := &slots[i]
-			b = binary.BigEndian.AppendUint32(b, s.value)
-			b = append(b, s.conf, s.age)
-		}
-	}
-	return b
-}
-
-// RestoreState implements Snapshotter.
-func (p *LastN) RestoreState(data []byte) error {
-	if len(data) < 1 {
-		return stateSizeErr("last-n", 1, len(data))
-	}
-	p.clock = data[0]
-	want := 1 + lastNSlotBytes*p.n*len(p.table)
-	if len(data) != want {
-		return stateSizeErr("last-n", want, len(data))
-	}
-	rows := data[1:]
-	off := 0
-	for _, slots := range p.table {
-		for i := range slots {
-			row := rows[off:]
-			conf := row[4]
-			if conf > lastNConfMax {
-				return fmt.Errorf("%w: last-n confidence %d exceeds %d", ErrState, conf, lastNConfMax)
-			}
-			slots[i] = lastNSlot{
-				value: binary.BigEndian.Uint32(row),
-				conf:  conf,
-				age:   row[5],
-			}
-			off += lastNSlotBytes
-		}
-	}
-	return nil
-}
-
-// StateTables implements StateTabler.
-func (p *LastN) StateTables() []TableInfo {
-	live := 0
-	for _, slots := range p.table {
-		for i := range slots {
-			if slots[i] != (lastNSlot{}) {
-				live++
-			}
-		}
-	}
-	return []TableInfo{{Name: "slots", Entries: p.n * len(p.table), Live: live}}
 }
 
 // Name implements Predictor.

@@ -41,7 +41,8 @@ type Predictor interface {
 // judged by comparing a single predicted value against the outcome —
 // notably perfect-meta hybrids, which count an event as correct when
 // any component predicted it. Run prefers Score over Predict/Update
-// when available.
+// when available. No Spec kind builds a Scorer: an oracle's hits are
+// an offline bound (Figure 16) that no serving client can reach.
 type Scorer interface {
 	// Score predicts, judges and updates in one step, returning
 	// whether the event counts as correctly predicted.
@@ -76,7 +77,8 @@ type L2Indexer interface {
 // freshly-constructed state in place, without reallocating tables.
 // After Reset, the predictor behaves exactly like a new instance from
 // the same constructor. Long-lived services (internal/serve) use this
-// to recycle per-session predictor state.
+// to recycle per-session predictor state; every type a Spec can build
+// implements it (see state.go).
 type Resetter interface {
 	// Reset clears all learned state.
 	Reset()

@@ -27,24 +27,21 @@ func trainEvents(n int) trace.Trace {
 	return t[:n]
 }
 
-// resettables enumerates one instance of every predictor the package
-// exports, paired with a factory producing an identical fresh one.
+// resettables enumerates one instance of every predictor type a Spec
+// can build — the types that carry the serving machinery (Resetter,
+// Snapshotter, StateTabler) — paired with a factory producing an
+// identical fresh one.
 func resettables() map[string]func() Predictor {
 	return map[string]func() Predictor{
-		"lvp":      func() Predictor { return NewLastValue(8) },
-		"stride":   func() Predictor { return NewStride(8) },
-		"2delta":   func() Predictor { return NewTwoDelta(8) },
-		"fcm":      func() Predictor { return NewFCM(8, 10) },
-		"dfcm":     func() Predictor { return NewDFCMWidth(8, 10, 8) },
-		"lastn":    func() Predictor { return NewLastN(8, 4) },
-		"delayed":  func() Predictor { return NewDelayed(NewDFCM(8, 10), 16) },
-		"perfect":  func() Predictor { return NewPerfectHybrid(NewStride(8), NewFCM(8, 10)) },
-		"meta":     func() Predictor { return NewMetaHybrid(NewStride(8), NewDFCM(8, 10), 8) },
-		"counter":  func() Predictor { return NewCounterConfidence(NewDFCM(8, 10), 8, 7, 4) },
-		"hashtag":  func() Predictor { return NewHashTag(NewDFCM(8, 10), 8, 3) },
-		"classify": func() Predictor { return NewClassified(8, 16, 8, NewStride(8), NewFCM(8, 10)) },
-		"tage":     func() Predictor { return NewTAGE(8, 6, 32, 4, 8, 4, 64) },
-		"tage-w8":  func() Predictor { return NewTAGE(8, 6, 8, 3, 10, 2, 32) },
+		"lvp":     func() Predictor { return NewLastValue(8) },
+		"stride":  func() Predictor { return NewStride(8) },
+		"2delta":  func() Predictor { return NewTwoDelta(8) },
+		"fcm":     func() Predictor { return NewFCM(8, 10) },
+		"dfcm":    func() Predictor { return NewDFCMWidth(8, 10, 8) },
+		"delayed": func() Predictor { return NewDelayed(NewDFCM(8, 10), 16) },
+		"meta":    func() Predictor { return NewMetaHybrid(NewStride(8), NewDFCM(8, 10), 8) },
+		"tage":    func() Predictor { return NewTAGE(8, 6, 32, 4, 8, 4, 64) },
+		"tage-w8": func() Predictor { return NewTAGE(8, 6, 8, 3, 10, 2, 32) },
 	}
 }
 

@@ -124,7 +124,9 @@ func (s Spec) New() (Predictor, error) {
 	case "dfcm":
 		p = NewDFCMWidth(s.L1, s.L2, width)
 	case "hybrid":
-		p = NewPerfectHybrid(NewStride(s.L1), NewFCM(s.L1, s.L2))
+		// The realizable §4.3 chooser, not the Figure 16 oracle
+		// (PerfectHybrid), whose hit count no client can reach.
+		p = NewMetaHybrid(NewStride(s.L1), NewFCM(s.L1, s.L2), s.L1)
 	case "tage":
 		c := s.Canonical()
 		if c.Tables > TAGEMaxTables {

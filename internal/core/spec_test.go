@@ -17,7 +17,7 @@ func TestSpecNewNames(t *testing.T) {
 		{Spec{Kind: "fcm", L1: 10, L2: 8}, "fcm-2^10/2^8"},
 		{Spec{Kind: "dfcm", L1: 10, L2: 8}, "dfcm-2^10/2^8"},
 		{Spec{Kind: "dfcm", L1: 10, L2: 8, Width: 8}, "dfcm-2^10/2^8/w8"},
-		{Spec{Kind: "hybrid", L1: 10, L2: 8}, "perfect(stride-2^10+fcm-2^10/2^8)"},
+		{Spec{Kind: "hybrid", L1: 10, L2: 8}, "meta2^10(stride-2^10|fcm-2^10/2^8)"},
 		{Spec{Kind: "dfcm", L1: 10, L2: 8, Delay: 64}, "dfcm-2^10/2^8@delay64"},
 		{Spec{Kind: "tage", L1: 10, L2: 8}, "tage-2^10+4x2^8/t8/h4..64"},
 		{Spec{Kind: "tage", L1: 10, L2: 8, Width: 8, Tables: 6, Tag: 10, HistMin: 2, HistMax: 128},
@@ -53,16 +53,30 @@ func TestSpecNewErrors(t *testing.T) {
 	}
 }
 
-// TestSpecBuiltAreResettable: every predictor a Spec can build must be
-// recyclable in place — internal/serve depends on it.
+// TestSpecBuiltAreResettable: every predictor a Spec can build,
+// delayed or not, carries the serving machinery — recycled in place
+// (Resetter), checkpointed and migrated (Snapshotter), inspected
+// (StateTabler) — and none is a Scorer, so a served session's hits
+// are the hits its Predict answers earn.
 func TestSpecBuiltAreResettable(t *testing.T) {
 	for _, kind := range []string{"lvp", "stride", "2delta", "fcm", "dfcm", "hybrid", "tage"} {
-		p, err := Spec{Kind: kind, L1: 8, L2: 8, Delay: 4}.New()
-		if err != nil {
-			t.Fatalf("%s: %v", kind, err)
-		}
-		if _, ok := p.(Resetter); !ok {
-			t.Errorf("%s-built predictor %s is not resettable", kind, p.Name())
+		for _, delay := range []int{0, 4} {
+			p, err := Spec{Kind: kind, L1: 8, L2: 8, Delay: delay}.New()
+			if err != nil {
+				t.Fatalf("%s delay %d: %v", kind, delay, err)
+			}
+			if _, ok := p.(Resetter); !ok {
+				t.Errorf("%s-built predictor %s is not a Resetter", kind, p.Name())
+			}
+			if _, ok := p.(Snapshotter); !ok {
+				t.Errorf("%s-built predictor %s is not a Snapshotter", kind, p.Name())
+			}
+			if _, ok := p.(StateTabler); !ok {
+				t.Errorf("%s-built predictor %s is not a StateTabler", kind, p.Name())
+			}
+			if _, ok := p.(Scorer); ok {
+				t.Errorf("%s-built predictor %s is a Scorer", kind, p.Name())
+			}
 		}
 	}
 }

@@ -199,33 +199,3 @@ func TestStateTablesLiveCounts(t *testing.T) {
 		})
 	}
 }
-
-// TestCombinedSnapshotSharedPredictorOnce: Combined's state embeds the
-// shared predictor exactly once (via the tag block); restoring must
-// rebuild all three views consistently.
-func TestCombinedSnapshotSharedPredictorOnce(t *testing.T) {
-	mk := func() (*Combined, *DFCM) {
-		p := NewDFCM(6, 8)
-		return NewCombined(p, NewHashTag(p, 6, 3), NewCounterConfidence(p, 6, 7, 4)), p
-	}
-	c, _ := mk()
-	events := trainEvents(1200)
-	RunConfident(c, trace.NewReader(events))
-
-	restored, rp := mk()
-	if err := restored.RestoreState(c.AppendState(nil)); err != nil {
-		t.Fatal(err)
-	}
-	for _, e := range events[:200] {
-		gv, gc := restored.PredictConfident(e.PC)
-		wv, wc := c.PredictConfident(e.PC)
-		if gv != wv || gc != wc {
-			t.Fatalf("PredictConfident(%#x) = (%d,%v), want (%d,%v)", e.PC, gv, gc, wv, wc)
-		}
-		if rp.Predict(e.PC) != wv {
-			t.Fatalf("shared predictor view diverged at %#x", e.PC)
-		}
-		c.Update(e.PC, e.Value)
-		restored.Update(e.PC, e.Value)
-	}
-}

@@ -38,19 +38,37 @@ func synthGen(tr trace.Trace) Generator {
 	}
 }
 
-// configs covers the predictor shapes the experiments sweep,
-// including a Scorer (perfect hybrid).
-func configs() []func() core.Predictor {
-	return []func() core.Predictor{
-		func() core.Predictor { return core.NewLastValue(8) },
-		func() core.Predictor { return core.NewStride(8) },
-		func() core.Predictor { return core.NewFCM(8, 10) },
-		func() core.Predictor { return core.NewDFCM(8, 10) },
-		func() core.Predictor { return core.NewDelayed(core.NewDFCM(8, 10), 16) },
-		func() core.Predictor {
-			return core.NewPerfectHybrid(core.NewStride(8), core.NewFCM(8, 10))
+// stateConfigs covers the predictor shapes the experiments sweep,
+// including a Scorer (perfect hybrid). Each constructor also returns
+// the Snapshotters that together hold the predictor's whole state: the
+// predictor itself, or the components of the perfect hybrid, which
+// keeps no state of its own. A predictor that is neither panics here.
+func stateConfigs() []func() (core.Predictor, []core.Snapshotter) {
+	self := func(p core.Predictor) (core.Predictor, []core.Snapshotter) {
+		return p, []core.Snapshotter{p.(core.Snapshotter)}
+	}
+	return []func() (core.Predictor, []core.Snapshotter){
+		func() (core.Predictor, []core.Snapshotter) { return self(core.NewLastValue(8)) },
+		func() (core.Predictor, []core.Snapshotter) { return self(core.NewStride(8)) },
+		func() (core.Predictor, []core.Snapshotter) { return self(core.NewFCM(8, 10)) },
+		func() (core.Predictor, []core.Snapshotter) { return self(core.NewDFCM(8, 10)) },
+		func() (core.Predictor, []core.Snapshotter) {
+			return self(core.NewDelayed(core.NewDFCM(8, 10), 16))
+		},
+		func() (core.Predictor, []core.Snapshotter) {
+			s, f := core.NewStride(8), core.NewFCM(8, 10)
+			return core.NewPerfectHybrid(s, f), []core.Snapshotter{s, f}
 		},
 	}
+}
+
+// configs is stateConfigs without the state parts.
+func configs() []func() core.Predictor {
+	var mks []func() core.Predictor
+	for _, mk := range stateConfigs() {
+		mks = append(mks, func() core.Predictor { p, _ := mk(); return p })
+	}
+	return mks
 }
 
 // TestSweepMatchesPerEventRun: the chunked multi-predictor single-pass

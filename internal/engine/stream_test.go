@@ -15,10 +15,11 @@ import (
 func TestStreamFeed(t *testing.T) {
 	tr := synthTrace(10_000)
 	for _, feed := range []int{1, 13, 997, 4096, len(tr), len(tr) + 5} {
-		mks := configs()
+		mks := stateConfigs()
 		preds := make([]core.Predictor, len(mks))
+		parts := make([][]core.Snapshotter, len(mks))
 		for i, mk := range mks {
-			preds[i] = mk()
+			preds[i], parts[i] = mk()
 		}
 		st := NewStream(preds, 256)
 		for start := 0; start < len(tr); start += feed {
@@ -30,24 +31,28 @@ func TestStreamFeed(t *testing.T) {
 		}
 		results := st.Finalize()
 		for i, mk := range mks {
-			ref := mk()
+			ref, refParts := mk()
 			want := core.Run(ref, trace.NewReader(tr))
 			if results[i] != want {
 				t.Errorf("feed %d predictor %d: got %+v want %+v", feed, i, results[i], want)
 			}
-			got, gok := st.Predictor(i).(core.Snapshotter)
-			refS, rok := ref.(core.Snapshotter)
-			if gok != rok {
-				t.Fatalf("feed %d predictor %d: snapshotter mismatch", feed, i)
+			if st.Predictor(i) != preds[i] {
+				t.Fatalf("feed %d predictor %d: stream hands out a different predictor", feed, i)
 			}
-			if !gok {
-				continue
-			}
-			if string(got.AppendState(nil)) != string(refS.AppendState(nil)) {
+			if string(stateOf(parts[i])) != string(stateOf(refParts)) {
 				t.Errorf("feed %d predictor %d: streamed state differs from sequential state", feed, i)
 			}
 		}
 	}
+}
+
+// stateOf concatenates the state bytes of a predictor's parts.
+func stateOf(parts []core.Snapshotter) []byte {
+	var b []byte
+	for _, s := range parts {
+		b = s.AppendState(b)
+	}
+	return b
 }
 
 // TestStreamResultsSnapshot: Results exposes the running totals

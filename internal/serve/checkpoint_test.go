@@ -2,6 +2,7 @@ package serve
 
 import (
 	"bytes"
+	"encoding/binary"
 	"net"
 	"os"
 	"path/filepath"
@@ -377,5 +378,62 @@ func TestSnapshotSessionOverWire(t *testing.T) {
 	}
 	if _, st, err := c.SnapshotSession(404); err != nil || st != StatusBadRequest {
 		t.Errorf("missing session over wire: %v %v", st, err)
+	}
+}
+
+// oldHybridState writes, by hand, the state layout the hybrid kind had
+// when it built the perfect-meta oracle: one length-prefixed nested
+// block per component (stride, then FCM), each trained on events.
+func oldHybridState(spec core.Spec, events trace.Trace) []byte {
+	var b []byte
+	for _, c := range []core.Snapshotter{core.NewStride(spec.L1), core.NewFCM(spec.L1, spec.L2)} {
+		core.Run(c, trace.NewReader(events))
+		st := c.AppendState(nil)
+		b = binary.BigEndian.AppendUint32(b, uint32(len(st)))
+		b = append(b, st...)
+	}
+	return b
+}
+
+// TestOldHybridSnapshotRefused: a hybrid snapshot in the old oracle
+// layout is refused, never misread — StatusBadRequest over
+// RestoreSession, skipped and counted at boot. The current layout
+// leads with the 2^L1 chooser counters, so an old blob is always
+// exactly that many bytes short and fails the exact-length checks.
+func TestOldHybridSnapshotRefused(t *testing.T) {
+	events := ckptEvents(600, 11)
+	for _, geo := range [][2]uint{{0, 1}, {3, 4}, {8, 10}, {10, 8}} {
+		spec := core.Spec{Kind: "hybrid", L1: geo[0], L2: geo[1]}
+		fresh, err := spec.New()
+		if err != nil {
+			t.Fatal(err)
+		}
+		old := oldHybridState(spec, events)
+		if short := len(fresh.(core.Snapshotter).AppendState(nil)) - len(old); short != 1<<spec.L1 {
+			t.Errorf("%+v: old layout is %d bytes short, want %d", spec, short, 1<<spec.L1)
+		}
+		snap := &snapshot.Snapshot{Version: snapshot.Version, Spec: spec, Meta: snapshot.Meta{Session: 5}, State: old}
+
+		var blob bytes.Buffer
+		if err := snap.Encode(&blob); err != nil {
+			t.Fatal(err)
+		}
+		e := newTestEngine(t, Config{Spec: spec, Shards: 1})
+		if st := e.RestoreSession(5, blob.Bytes()); st != StatusBadRequest {
+			t.Errorf("%+v: RestoreSession of an old-layout blob: %v, want %v", spec, st, StatusBadRequest)
+		}
+
+		dir := t.TempDir()
+		if err := snapshot.WriteFile(filepath.Join(dir, checkpointName(5)), snap); err != nil {
+			t.Fatal(err)
+		}
+		boot := newTestEngine(t, Config{Spec: spec, Shards: 1, CheckpointDir: dir})
+		restored, skipped, err := boot.LoadCheckpoints()
+		if err != nil || restored != 0 || skipped != 1 {
+			t.Errorf("%+v: LoadCheckpoints = (%d, %d, %v), want (0, 1, nil)", spec, restored, skipped, err)
+		}
+		if n := boot.Snapshot().Sessions; n != 0 {
+			t.Errorf("%+v: %d sessions after refusing the only checkpoint", spec, n)
+		}
 	}
 }

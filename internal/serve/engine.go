@@ -82,10 +82,10 @@ type Stats struct {
 	Predictor   string       `json:"predictor"`
 	Shards      int          `json:"shards"`
 	Sessions    int          `json:"sessions"`
-	Predictions uint64       `json:"predictions"`
-	Hits        uint64       `json:"hits"`
-	HitRate     float64      `json:"hit_rate"`
-	Updates     uint64       `json:"updates"`
+	Predictions uint64       `json:"predictions"` // PredictBatch + RunBatch lookups
+	Hits        uint64       `json:"hits"`        // correct judged lookups
+	HitRate     float64      `json:"hit_rate"`    // Hits / Updates
+	Updates     uint64       `json:"updates"`     // judged lookups: UpdateBatch + RunBatch events
 	Resets      uint64       `json:"resets"`
 	Dropped     uint64       `json:"dropped"` // requests shed by backpressure
 	QueueDepth  int          `json:"queue_depth"`
@@ -127,8 +127,8 @@ func (s *Stats) Merge(o Stats) {
 	s.Restored += o.Restored
 	s.Swaps += o.Swaps
 	s.HitRate = 0
-	if s.Predictions > 0 {
-		s.HitRate = float64(s.Hits) / float64(s.Predictions)
+	if s.Updates > 0 {
+		s.HitRate = float64(s.Hits) / float64(s.Updates)
 	}
 }
 
@@ -433,22 +433,11 @@ func (e *Engine) handle(s *shard, req request) {
 		s.predictions.Add(uint64(len(req.pcs)))
 		req.reply <- response{status: StatusOK, values: values}
 	case OpUpdateBatch:
-		// UpdateBatch hits are judged by Predict even for Scorers (the
-		// any-component-correct Score rule belongs to RunBatch), so only
-		// non-Scorers can take the concrete-type core.RunBatch loop —
-		// for them it is exactly predict-compare-update.
+		// Every Spec kind is judged by its own Predict answer, so
+		// core.RunBatch is exactly predict-compare-update: the hits a
+		// client comparing PredictBatch answers would count.
 		seq := sess.updates.Load()
-		var hits uint64
-		if _, ok := sess.p.(core.Scorer); ok {
-			for _, ev := range req.events {
-				if sess.p.Predict(ev.PC) == ev.Value {
-					hits++
-				}
-				sess.p.Update(ev.PC, ev.Value)
-			}
-		} else {
-			hits = core.RunBatch(sess.p, req.events).Correct
-		}
+		hits := core.RunBatch(sess.p, req.events).Correct
 		sess.judged(uint64(len(req.events)), hits, e.window)
 		s.hits.Add(hits)
 		s.updates.Add(uint64(len(req.events)))
@@ -457,10 +446,10 @@ func (e *Engine) handle(s *shard, req request) {
 		e.mirror(req.session, seq, req.events)
 		req.reply <- response{status: StatusOK}
 	case OpRunBatch:
-		// core.RunBatch mirrors core.Run exactly (Scorer fast path,
-		// concrete-type batch loops), so a served replay stays
-		// bit-equivalent to cmd/vpredict on the same spec while paying
-		// one interface dispatch per batch instead of two per event.
+		// core.RunBatch mirrors core.Run exactly (concrete-type batch
+		// loops), so a served replay stays bit-equivalent to
+		// cmd/vpredict on the same spec while paying one interface
+		// dispatch per batch instead of two per event.
 		seq := sess.updates.Load()
 		hits := uint32(core.RunBatch(sess.p, req.events).Correct)
 		sess.predictions.Add(uint64(len(req.events)))
@@ -652,8 +641,8 @@ func (e *Engine) Snapshot() Stats {
 		st.Resets += s.resets.Load()
 		st.QueueDepth += ss.QueueDepth
 	}
-	if st.Predictions > 0 {
-		st.HitRate = float64(st.Hits) / float64(st.Predictions)
+	if st.Updates > 0 {
+		st.HitRate = float64(st.Hits) / float64(st.Updates)
 	}
 	return st
 }

@@ -22,11 +22,11 @@ func testEvents(basePC uint32, n int) trace.Trace {
 	return trace.Collect(workload.Interleave(body, (n+13)/14), n)
 }
 
-// offlineHits is the ground truth: the hit count of an offline run
-// over the same spec.
-func offlineHits(t *testing.T, events trace.Trace) uint64 {
+// offlineHits is the ground truth: the hit count of an offline
+// core.Run over events under spec.
+func offlineHits(t *testing.T, spec core.Spec, events trace.Trace) uint64 {
 	t.Helper()
-	p, err := testSpec.New()
+	p, err := spec.New()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -66,19 +66,53 @@ func runThroughEngine(t *testing.T, e *Engine, session uint64, events trace.Trac
 // the configuration that runs core's fused delayed-update kernel.
 var delayedSpec = core.Spec{Kind: "dfcm", L1: 10, L2: 10, Delay: 16}
 
+// servedSpecs holds one spec of every Spec kind, plus delayedSpec, at
+// small table sizes: the served-parity tables run each of them.
+var servedSpecs = []core.Spec{
+	{Kind: "lvp", L1: 10},
+	{Kind: "stride", L1: 10},
+	{Kind: "2delta", L1: 10},
+	{Kind: "fcm", L1: 10, L2: 10},
+	testSpec,
+	{Kind: "hybrid", L1: 10, L2: 10},
+	{Kind: "tage", L1: 9, L2: 8},
+	delayedSpec,
+}
+
+// sessionStat returns one session's entry in the engine's stats.
+func sessionStat(t *testing.T, e *Engine, session uint64) SessionStat {
+	t.Helper()
+	for _, ss := range e.Snapshot().SessionStats {
+		if ss.Session == session {
+			return ss
+		}
+	}
+	t.Fatalf("session %d missing from stats", session)
+	return SessionStat{}
+}
+
+// TestRunBatchMatchesOffline: for every Spec kind, a served session
+// scores the offline core.Run hit count over RunBatch at any chunk
+// size, and over UpdateBatch as judged by the engine (SessionStats).
 func TestRunBatchMatchesOffline(t *testing.T) {
 	events := testEvents(0x1000, 5000)
-	for _, spec := range []core.Spec{testSpec, delayedSpec} {
-		offline, err := spec.New()
-		if err != nil {
-			t.Fatal(err)
-		}
-		want := core.Run(offline, trace.NewReader(events)).Correct
-		for _, batch := range []int{1, 7, 64, 5000} {
+	for _, spec := range servedSpecs {
+		want := offlineHits(t, spec, events)
+		for _, batch := range []int{1, 7, 64, len(events)} {
 			e := newTestEngine(t, Config{Shards: 4, Spec: spec})
 			if got := runThroughEngine(t, e, 1, events, batch); got != want {
-				t.Errorf("%+v batch=%d: %d hits, offline %d", spec, batch, got, want)
+				t.Errorf("%+v RunBatch chunk %d: %d hits, offline %d", spec, batch, got, want)
 			}
+		}
+		e := newTestEngine(t, Config{Shards: 2, Spec: spec})
+		for start := 0; start < len(events); start += 64 {
+			if st := e.UpdateBatch(1, events[start:min(start+64, len(events))]); st != StatusOK {
+				t.Fatalf("UpdateBatch: status %v", st)
+			}
+		}
+		if ss := sessionStat(t, e, 1); ss.Hits != want || ss.Lookups != uint64(len(events)) {
+			t.Errorf("%+v UpdateBatch: %d hits over %d judged lookups, offline %d over %d",
+				spec, ss.Hits, ss.Lookups, want, len(events))
 		}
 	}
 }
@@ -121,47 +155,39 @@ func TestDelayedSessionSnapshotResumes(t *testing.T) {
 	}
 }
 
-func TestRunBatchScorerPath(t *testing.T) {
-	// The perfect hybrid judges correctness through Score; the engine
-	// must follow core.Run and use it.
-	spec := core.Spec{Kind: "hybrid", L1: 10, L2: 10}
-	events := testEvents(0x2000, 3000)
-	offline, err := spec.New()
-	if err != nil {
-		t.Fatal(err)
-	}
-	want := core.Run(offline, trace.NewReader(events)).Correct
-
-	e := newTestEngine(t, Config{Shards: 2, Spec: spec})
-	if got := runThroughEngine(t, e, 5, events, 128); got != want {
-		t.Errorf("hybrid via engine: %d hits, offline %d", got, want)
-	}
-}
-
+// TestSplitPredictUpdateMatchesOffline: for every Spec kind, a client
+// that sends one event per frame and counts the PredictBatch answers
+// that match scores the offline core.Run hit count, as does the
+// engine's own judgement of the UpdateBatch that follows.
 func TestSplitPredictUpdateMatchesOffline(t *testing.T) {
 	// With batch size 1 the split PredictBatch/UpdateBatch path is
 	// sequentially consistent with the offline loop.
 	events := testEvents(0x3000, 2000)
-	want := offlineHits(t, events)
-	e := newTestEngine(t, Config{Shards: 2})
-	var hits uint64
-	for _, ev := range events {
-		values, st := e.PredictBatch(9, []uint32{ev.PC})
-		if st != StatusOK || len(values) != 1 {
-			t.Fatalf("PredictBatch: status %v, %d values", st, len(values))
+	for _, spec := range servedSpecs {
+		want := offlineHits(t, spec, events)
+		e := newTestEngine(t, Config{Shards: 2, Spec: spec})
+		var hits uint64
+		for _, ev := range events {
+			values, st := e.PredictBatch(9, []uint32{ev.PC})
+			if st != StatusOK || len(values) != 1 {
+				t.Fatalf("PredictBatch: status %v, %d values", st, len(values))
+			}
+			if values[0] == ev.Value {
+				hits++
+			}
+			if st := e.UpdateBatch(9, events[:0]); st != StatusOK {
+				t.Fatalf("empty UpdateBatch: status %v", st)
+			}
+			if st := e.UpdateBatch(9, []trace.Event{ev}); st != StatusOK {
+				t.Fatalf("UpdateBatch: status %v", st)
+			}
 		}
-		if values[0] == ev.Value {
-			hits++
+		if hits != want {
+			t.Errorf("%+v split replay: client counted %d hits, offline %d", spec, hits, want)
 		}
-		if st := e.UpdateBatch(9, events[:0]); st != StatusOK {
-			t.Fatalf("empty UpdateBatch: status %v", st)
+		if judged := sessionStat(t, e, 9).Hits; judged != want {
+			t.Errorf("%+v split replay: engine judged %d hits, offline %d", spec, judged, want)
 		}
-		if st := e.UpdateBatch(9, []trace.Event{ev}); st != StatusOK {
-			t.Fatalf("UpdateBatch: status %v", st)
-		}
-	}
-	if hits != want {
-		t.Errorf("split replay: %d hits, offline %d", hits, want)
 	}
 }
 
@@ -169,7 +195,7 @@ func TestSessionIsolation(t *testing.T) {
 	// Interleaved sessions must behave exactly like separate offline
 	// runs: no predictor state leaks between sessions.
 	a, b := testEvents(0x1000, 3000), testEvents(0x9000, 3000)
-	wantA, wantB := offlineHits(t, a), offlineHits(t, b)
+	wantA, wantB := offlineHits(t, testSpec, a), offlineHits(t, testSpec, b)
 	e := newTestEngine(t, Config{Shards: 3})
 	var hitsA, hitsB uint64
 	for start := 0; start < 3000; start += 50 {
@@ -192,7 +218,7 @@ func TestSessionIsolation(t *testing.T) {
 
 func TestResetSessionMatchesFresh(t *testing.T) {
 	events := testEvents(0x4000, 2000)
-	want := offlineHits(t, events)
+	want := offlineHits(t, testSpec, events)
 	e := newTestEngine(t, Config{Shards: 2})
 	first := runThroughEngine(t, e, 7, events, 100)
 	if st := e.ResetSession(7); st != StatusOK {
@@ -370,4 +396,40 @@ func TestSnapshotCounters(t *testing.T) {
 	if occupied != 2 {
 		t.Errorf("shard occupancy sums to %d, want 2", occupied)
 	}
+}
+
+// TestStatsHitRateCountsJudgedLookups: the engine-level hit rate is
+// Hits over judged lookups (Updates), the rule SessionStat uses, so
+// UpdateBatch-only traffic counts and PredictBatch-only lookups, which
+// nothing judges, do not. The merged cluster view follows the same
+// rule.
+func TestStatsHitRateCountsJudgedLookups(t *testing.T) {
+	events := testEvents(0x6000, 4000)
+	e := newTestEngine(t, Config{Shards: 2})
+	check := func(label string, st Stats) {
+		t.Helper()
+		if st.Updates == 0 || st.Hits == 0 {
+			t.Fatalf("%s: %d hits over %d judged lookups", label, st.Hits, st.Updates)
+		}
+		if st.HitRate < 0 || st.HitRate > 1 || st.HitRate != float64(st.Hits)/float64(st.Updates) {
+			t.Errorf("%s: hit rate %v, want %d/%d", label, st.HitRate, st.Hits, st.Updates)
+		}
+	}
+	if st := e.UpdateBatch(1, events); st != StatusOK {
+		t.Fatalf("UpdateBatch: %v", st)
+	}
+	st := e.Snapshot()
+	check("UpdateBatch only", st)
+	if ss := sessionStat(t, e, 1); ss.HitRate != st.HitRate {
+		t.Errorf("engine hit rate %v, its only session's %v", st.HitRate, ss.HitRate)
+	}
+	if _, s := e.PredictBatch(1, []uint32{0x6000, 0x6004}); s != StatusOK {
+		t.Fatalf("PredictBatch: %v", s)
+	}
+	check("UpdateBatch then PredictBatch", e.Snapshot())
+	runThroughEngine(t, e, 2, events, 256)
+	var merged Stats
+	merged.Merge(e.Snapshot())
+	merged.Merge(e.Snapshot())
+	check("merged", merged)
 }

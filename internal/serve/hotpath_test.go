@@ -5,9 +5,7 @@ import (
 	"sync"
 	"testing"
 
-	"repro/internal/core"
 	"repro/internal/leakcheck"
-	"repro/internal/trace"
 )
 
 // TestConnScratchAliasingUnderConcurrency: the per-connection reuse of
@@ -203,32 +201,6 @@ func TestPredictBatchAppendReuses(t *testing.T) {
 		if second[i] != baseline[i] {
 			t.Errorf("value %d: append path %#x, allocating path %#x", i, second[i], baseline[i])
 		}
-	}
-}
-
-// TestRunBatchScorerParityServed: OpRunBatch through core.RunBatch
-// must preserve Scorer semantics (any-component-correct), and
-// OpUpdateBatch must keep judging Scorers by Predict — the two ops
-// score differently by design.
-func TestRunBatchScorerParityServed(t *testing.T) {
-	spec := core.Spec{Kind: "hybrid", L1: 8, L2: 10}
-	e, err := NewEngine(Config{Shards: 1, Spec: spec})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer e.Close()
-	events := testEvents(0x3000, 2000)
-	hits, st := e.RunBatch(5, events)
-	if st != StatusOK {
-		t.Fatalf("RunBatch: %v", st)
-	}
-	offline, err := spec.New()
-	if err != nil {
-		t.Fatal(err)
-	}
-	want := core.Run(offline, trace.NewReader(events))
-	if uint64(hits) != want.Correct {
-		t.Errorf("served Scorer replay: %d hits, offline %d", hits, want.Correct)
 	}
 }
 

@@ -52,7 +52,7 @@ func TestServerRunBatchMatchesOffline(t *testing.T) {
 	defer c.Close()
 
 	events := testEvents(0x1000, 4000)
-	want := offlineHits(t, events)
+	want := offlineHits(t, testSpec, events)
 	var hits uint64
 	for start := 0; start < len(events); start += 256 {
 		end := min(start+256, len(events))

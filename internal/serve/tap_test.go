@@ -101,7 +101,7 @@ func TestSessionStats(t *testing.T) {
 	if len(st.SessionStats) != 3 {
 		t.Fatalf("got %d session stats, want 3", len(st.SessionStats))
 	}
-	wantHits := offlineHits(t, events)
+	wantHits := offlineHits(t, testSpec, events)
 	for i, id := range []uint64{2, 9, 31} {
 		ss := st.SessionStats[i]
 		if ss.Session != id {

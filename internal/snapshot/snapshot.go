@@ -45,10 +45,20 @@
 // optional, and files written by newer code degrade gracefully under
 // older readers. The version number is bumped only when an existing
 // section's layout changes incompatibly; a version-(n+1) decoder then
-// dispatches on the version it read. Decode must bound every claimed
-// length before allocating — the same proto-bounds discipline vplint
-// enforces on the VP1 decoders applies here (and to this package, see
-// internal/analysis).
+// dispatches on the version it read.
+//
+// A state layout that changes under an unchanged spec kind needs no
+// bump when no old blob can restore under the new layout. The hybrid
+// kind is the one case: it once built the perfect-meta oracle, whose
+// state was a nested stride block then a nested FCM block, and now
+// builds the realizable chooser, whose state leads with its 2^l1
+// counters before the same two blocks. An old blob is therefore always
+// exactly 2^l1 bytes short, the components' exact-length checks refuse
+// it, and a warm start skips and counts it like any unrestorable file.
+//
+// Decode must bound every claimed length before allocating — the same
+// proto-bounds discipline vplint enforces on the VP1 decoders applies
+// here (and to this package, see internal/analysis).
 package snapshot
 
 import (
