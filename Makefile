@@ -61,8 +61,9 @@ fuzz:
 # and a speed claim cites alternating parent/change vpbench runs. The
 # per-event predictor microbenchmarks, batch loops, engine replay,
 # alias analyzer and serve dispatch paths re-run at steady state ($(BENCH_COUNT) counts;
-# benchjson keeps the minimum ns/op and maximum allocs/op across
-# repeats) since their 1x numbers are pure noise.
+# benchjson records the median ns/op with its interquartile range, and
+# the maximum allocs/op, across repeats) since their 1x numbers are
+# pure noise; the 1x pass skips them so no such sample enters a median.
 #
 # The Fig12/13/14 allocations are the alias analyzer's
 # (internal/alias): its tables, plus one dense private level-2 row per
@@ -73,11 +74,11 @@ fuzz:
 # that allocates on a zero-alloc path.
 BENCH_COUNT ?= 3
 bench: allocgate
-	{ $(GO) test -run='^$$' -bench=. -benchtime=1x -benchmem . ; \
+	{ $(GO) test -run='^$$' -bench=. -skip='^Benchmark(Predict|RunBatch|Snapshot)' -benchtime=1x -benchmem . ; \
 	  $(GO) test -run='^$$' -bench='^BenchmarkPredict' -benchmem -count=$(BENCH_COUNT) . ; \
 	  $(GO) test -run='^$$' -bench='^BenchmarkRunBatch' -benchmem -count=$(BENCH_COUNT) . ; \
 	  $(GO) test -run='^$$' -bench='^BenchmarkSnapshot' -benchmem -count=$(BENCH_COUNT) . ; \
-	  $(GO) test -run='^$$' -bench='^BenchmarkEngineReplay$$' -benchmem ./internal/engine/ ; \
+	  $(GO) test -run='^$$' -bench='^BenchmarkEngineReplay$$' -benchmem -count=$(BENCH_COUNT) ./internal/engine/ ; \
 	  $(GO) test -run='^$$' -bench='^BenchmarkAliasAnalyzer$$' -benchmem -count=$(BENCH_COUNT) ./internal/alias/ ; \
 	  $(GO) test -run='^$$' -bench='^BenchmarkServe' -benchmem -count=$(BENCH_COUNT) ./internal/serve/ ; \
 	  $(GO) test -run='^$$' -bench='^BenchmarkServe' -benchmem -count=$(BENCH_COUNT) ./internal/autotune/ ; \

@@ -1,8 +1,9 @@
 // Command benchjson converts `go test -bench` output on stdin into a
-// stable JSON snapshot: benchmark name → ns/op (and allocs/op when
-// the run used -benchmem). `make bench` uses it to regenerate
-// BENCH_engine.json, the checked-in record of the benchmarks' ns/op
-// and allocs/op.
+// stable JSON snapshot: benchmark name → median ns/op, its
+// interquartile range and sample count over repeated runs (-count N),
+// and allocs/op when the run used -benchmem. `make bench` uses it to
+// regenerate BENCH_engine.json, the checked-in record of the
+// benchmarks' ns/op and allocs/op.
 //
 // Usage:
 //
@@ -25,13 +26,19 @@ import (
 	"io"
 	"os"
 	"regexp"
+	"sort"
 	"strconv"
 	"strings"
 )
 
-// result is one benchmark's measurements.
+// result is one benchmark's measurements: the median ns/op over its
+// samples, the interquartile range of those samples (0 for a single
+// sample), the sample count, and the largest allocs/op any sample
+// reported.
 type result struct {
 	NsPerOp     float64  `json:"ns_per_op"`
+	NsIQR       float64  `json:"ns_iqr"`
+	Samples     int      `json:"samples"`
 	AllocsPerOp *float64 `json:"allocs_per_op,omitempty"`
 }
 
@@ -59,11 +66,13 @@ var gomaxprocsSuffix = regexp.MustCompile(`-\d+$`)
 // parseBench extracts per-benchmark measurements from `go test -bench`
 // output. Non-benchmark lines (goos/pkg headers, PASS, ok) are
 // ignored. A benchmark appearing more than once (-count=N) merges to
-// the minimum ns/op — the standard noise-robust statistic on a shared
-// machine — and the maximum allocs/op, so the -zero gate fails if any
-// run allocated.
+// the median ns/op with the interquartile range as its spread — a
+// shared machine's noise shows in the IQR instead of being hidden by
+// a best-case minimum — and to the maximum allocs/op, so the -zero
+// gate fails if any run allocated.
 func parseBench(r io.Reader) (map[string]result, error) {
 	out := make(map[string]result)
+	samples := make(map[string][]float64)
 	sc := bufio.NewScanner(r)
 	for sc.Scan() {
 		fields := strings.Fields(sc.Text())
@@ -71,8 +80,7 @@ func parseBench(r io.Reader) (map[string]result, error) {
 			continue
 		}
 		name := gomaxprocsSuffix.ReplaceAllString(fields[0], "")
-		var res result
-		seen := false
+		ns, allocs := -1.0, -1.0
 		for i := 2; i+1 < len(fields); i += 2 {
 			v, err := strconv.ParseFloat(fields[i], 64)
 			if err != nil {
@@ -80,27 +88,42 @@ func parseBench(r io.Reader) (map[string]result, error) {
 			}
 			switch fields[i+1] {
 			case "ns/op":
-				res.NsPerOp = v
-				seen = true
+				ns = v
 			case "allocs/op":
-				a := v
-				res.AllocsPerOp = &a
+				allocs = v
 			}
 		}
-		if !seen {
+		if ns < 0 {
 			continue
 		}
-		if prev, ok := out[name]; ok {
-			if prev.NsPerOp < res.NsPerOp {
-				res.NsPerOp = prev.NsPerOp
-			}
-			if prev.AllocsPerOp != nil && (res.AllocsPerOp == nil || *prev.AllocsPerOp > *res.AllocsPerOp) {
-				res.AllocsPerOp = prev.AllocsPerOp
-			}
+		samples[name] = append(samples[name], ns)
+		res := out[name]
+		if allocs >= 0 && (res.AllocsPerOp == nil || allocs > *res.AllocsPerOp) {
+			res.AllocsPerOp = &allocs
 		}
 		out[name] = res
 	}
+	for name, ns := range samples {
+		sort.Float64s(ns)
+		res := out[name]
+		res.NsPerOp = quantile(ns, 0.5)
+		res.NsIQR = quantile(ns, 0.75) - quantile(ns, 0.25)
+		res.Samples = len(ns)
+		out[name] = res
+	}
 	return out, sc.Err()
+}
+
+// quantile returns the p-quantile of the sorted, non-empty xs by
+// linear interpolation between closest ranks, so the median of an
+// even count is the mean of the middle two samples.
+func quantile(xs []float64, p float64) float64 {
+	h := p * float64(len(xs)-1)
+	i := int(h)
+	if i+1 >= len(xs) {
+		return xs[i]
+	}
+	return xs[i] + (h-float64(i))*(xs[i+1]-xs[i])
 }
 
 func run(in io.Reader, out io.Writer, cmd string, zeros zeroFlags) error {

@@ -31,8 +31,8 @@ func TestParseBench(t *testing.T) {
 		t.Fatalf("parsed %d benchmarks, want 6: %v", len(got), got)
 	}
 	rep := got["BenchmarkRepeated"]
-	if rep.NsPerOp != 1500 {
-		t.Errorf("repeated counts should merge to min ns/op, got %v", rep.NsPerOp)
+	if rep.NsPerOp != 1800 || rep.Samples != 3 {
+		t.Errorf("repeated counts should merge to median ns/op over 3 samples, got %+v", rep)
 	}
 	if rep.AllocsPerOp == nil || *rep.AllocsPerOp != 2 {
 		t.Errorf("repeated counts should merge to max allocs/op, got %v", rep.AllocsPerOp)
@@ -52,6 +52,39 @@ func TestParseBench(t *testing.T) {
 	}
 	if s := got["BenchmarkSimulator"]; s.NsPerOp != 2856997 {
 		t.Errorf("custom-metric line misparsed: %+v", s)
+	}
+}
+
+// TestMedianAndIQR: repeated counts merge to the median ns/op and the
+// interquartile range (linear interpolation between closest ranks),
+// for odd and even counts; one sample is its own median with no
+// spread.
+func TestMedianAndIQR(t *testing.T) {
+	cases := []struct {
+		name     string
+		ns       []string
+		median   float64
+		iqr      float64
+		nsamples int
+	}{
+		{"single sample", []string{"700"}, 700, 0, 1},
+		{"odd count", []string{"50", "10", "40", "20", "30"}, 30, 20, 5},
+		{"even count", []string{"40", "10", "30", "20"}, 25, 15, 4},
+	}
+	for _, tc := range cases {
+		var in strings.Builder
+		for _, ns := range tc.ns {
+			in.WriteString("BenchmarkX-2 \t 100 \t " + ns + " ns/op \t 0 B/op \t 0 allocs/op\n")
+		}
+		got, err := parseBench(strings.NewReader(in.String()))
+		if err != nil {
+			t.Fatal(err)
+		}
+		x := got["BenchmarkX"]
+		if x.NsPerOp != tc.median || x.NsIQR != tc.iqr || x.Samples != tc.nsamples {
+			t.Errorf("%s: got median %v IQR %v samples %d, want %v %v %d",
+				tc.name, x.NsPerOp, x.NsIQR, x.Samples, tc.median, tc.iqr, tc.nsamples)
+		}
 	}
 }
 

@@ -25,9 +25,9 @@ import (
 //     Fold32 and Mask helpers (they run once per event, or once per
 //     chunk, inside FCM/DFCM updates);
 //   - internal/engine: every top-level function named replay* — the
-//     sweep engine's inner loops, which feed every predictor
-//     configuration from a single trace pass and must stay
-//     allocation-free to hit the engine's ~0 allocs/op budget;
+//     streaming engine's inner loop, which runs every predictor over
+//     each fed slice and must stay allocation-free to hit the
+//     engine's ~0 allocs/op budget;
 //   - internal/serve: the per-frame codec — every top-level append*
 //     and decode* function plus the frame builders (beginFrame,
 //     endFrame, ResponseFrame, growBody), the frame readers

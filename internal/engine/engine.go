@@ -1,24 +1,27 @@
 // Package engine executes predictor sweeps — the (configuration ×
-// benchmark) grids behind every figure of the paper — with one trace
-// replay per benchmark instead of one per configuration.
+// benchmark) grids behind every figure of the paper — over traces
+// generated once per benchmark and shared by every configuration.
 //
-// A sweep has one replay path. Each benchmark's cached trace is fed
-// once through a Stream, which hands each chunk of events to every
-// predictor configuration (core.RunBatch) before touching the next
-// chunk, so the chunk stays hot in cache. All work units run on one
-// worker pool sized by GOMAXPROCS, and traces come from a TraceCache
-// whose per-key singleflight lets distinct benchmarks generate
-// concurrently while duplicate requests coalesce. The online
-// autotuner (internal/autotune) feeds live traffic through the same
-// Stream.
+// A sweep is predictor-major. Each (configuration, benchmark) pair is
+// one work unit: it takes the benchmark's cached trace, builds a fresh
+// predictor and replays the whole trace through it in one
+// core.RunBatch call. A worker therefore holds one configuration's
+// tables at a time, and they stay cache-resident for the whole trace
+// instead of being evicted by the sweep's other configurations. All
+// units run on one worker pool sized by GOMAXPROCS, and traces come
+// from a TraceCache whose per-key singleflight lets distinct
+// benchmarks generate concurrently while duplicate requests coalesce.
+// The online autotuner (internal/autotune) feeds live traffic through
+// a Stream, which replays each fed slice predictor by predictor in
+// the same way.
 //
 // Results are bit-identical to one sequential core.Run per
-// configuration: every configuration gets its own predictor instance,
-// predictor state carries across chunks exactly as across events, and
-// all accumulation is integer arithmetic into index-addressed slots,
-// so neither chunking nor scheduling order can change any output
-// (DESIGN.md §9). The engine tests compare against core.Run, and
-// internal/experiments pins a digest of every rendered artifact.
+// configuration: every unit gets its own predictor instance, it sees
+// the benchmark's whole event sequence in order, and all accumulation
+// is integer arithmetic into index-addressed slots, so scheduling
+// order cannot change any output (DESIGN.md §9). The engine tests
+// compare against core.Run, and internal/experiments pins a digest of
+// every rendered artifact.
 package engine
 
 import (
@@ -31,16 +34,10 @@ import (
 )
 
 // Options is the sweep configuration. It has no fields: a sweep always
-// runs its units on a GOMAXPROCS-sized pool and replays each benchmark
-// in defaultChunk-event chunks. The type stays so NewSweep's signature
-// is unchanged for existing callers.
+// runs one unit per (configuration, benchmark) on a GOMAXPROCS-sized
+// pool. The type stays so NewSweep's signature is unchanged for
+// existing callers.
 type Options struct{}
-
-// defaultChunk is the replay chunk size: large enough to amortize the
-// per-chunk predictor loop, small enough that a chunk of events
-// (8 bytes each) stays resident in L1 while every predictor of the
-// sweep consumes it.
-const defaultChunk = 4096
 
 // Job is one predictor configuration registered with a sweep. After
 // Sweep.Run returns nil, its accessors expose the per-benchmark
@@ -60,10 +57,11 @@ func (j *Job) Weighted() float64 { return metrics.WeightedMean(j.per) }
 
 // Sweep collects work over a fixed benchmark list, then executes all
 // of it in one Run. Three kinds of work are supported: predictor
-// configurations (Add) share a single chunked replay per benchmark;
-// per-benchmark trace scans (AddScan) and free-form tasks (AddTask)
-// run as their own units on the same pool. A Sweep is not safe for
-// concurrent registration; Run may be called once.
+// configurations (Add) replay each benchmark's cached trace in one
+// unit per (configuration, benchmark); per-benchmark trace scans
+// (AddScan) and free-form tasks (AddTask) run as their own units on
+// the same pool. A Sweep is not safe for concurrent registration; Run
+// may be called once.
 type Sweep struct {
 	cache   *TraceCache
 	benches []string
@@ -107,21 +105,25 @@ func (s *Sweep) AddTask(fn func() error) {
 
 // Run executes all registered work and blocks until it finishes,
 // returning the first error in unit submission order.
+//
+// A predictor configuration runs as a scan that replays the cached
+// trace through a fresh predictor, so every scan and configuration
+// gets one unit per benchmark. Units are queued scan-major (benchmark
+// inner), so the pool's first units request distinct benchmarks and
+// cold trace generation runs in parallel; the later units of a
+// benchmark then find its trace cached.
 func (s *Sweep) Run() error {
+	scans := make([]func(i int, bench string, tr trace.Trace) error, 0, len(s.jobs)+len(s.scans))
 	for _, j := range s.jobs {
 		j.per = make([]metrics.BenchResult, len(s.benches))
+		scans = append(scans, func(bi int, bench string, tr trace.Trace) error {
+			j.per[bi] = metrics.BenchResult{Benchmark: bench, Result: core.RunBatch(j.mk(), tr)}
+			return nil
+		})
 	}
 	var units []func() error
-	if len(s.jobs) > 0 {
-		for bi := range s.benches {
-			bi := bi
-			units = append(units, func() error { return s.replayBench(bi) })
-		}
-	}
-	for _, scan := range s.scans {
-		scan := scan
+	for _, scan := range append(scans, s.scans...) {
 		for bi, bench := range s.benches {
-			bi, bench := bi, bench
 			units = append(units, func() error {
 				tr, err := s.cache.Get(bench, s.budget)
 				if err != nil {
@@ -133,27 +135,6 @@ func (s *Sweep) Run() error {
 	}
 	units = append(units, s.tasks...)
 	return runPool(units, runtime.GOMAXPROCS(0))
-}
-
-// replayBench is one work unit: all predictor configurations of the
-// sweep over one benchmark, from a single pass over its trace.
-func (s *Sweep) replayBench(bi int) error {
-	bench := s.benches[bi]
-	tr, err := s.cache.Get(bench, s.budget)
-	if err != nil {
-		return err
-	}
-	preds := make([]core.Predictor, len(s.jobs))
-	for ji, j := range s.jobs {
-		preds[ji] = j.mk()
-	}
-	st := NewStream(preds, 0)
-	st.Feed(tr)
-	results := st.Finalize()
-	for ji, j := range s.jobs {
-		j.per[bi] = metrics.BenchResult{Benchmark: bench, Result: results[ji]}
-	}
-	return nil
 }
 
 // runPool executes the units on a bounded worker pool and returns the

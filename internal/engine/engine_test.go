@@ -3,6 +3,7 @@ package engine
 import (
 	"errors"
 	"fmt"
+	"runtime"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -71,11 +72,9 @@ func configs() []func() core.Predictor {
 	return mks
 }
 
-// TestSweepMatchesPerEventRun: the chunked multi-predictor single-pass
-// replay must produce exactly the per-event core.Run results, for
-// every config — through a Sweep over two benchmarks, and through a
-// Stream at several chunk sizes (including ones that do not divide
-// the trace length).
+// TestSweepMatchesPerEventRun: the predictor-major sweep must produce
+// exactly the per-event core.Run results, for every config, on every
+// benchmark. (TestStreamFeed covers the Stream at many feed sizes.)
 func TestSweepMatchesPerEventRun(t *testing.T) {
 	tr := synthTrace(10_000)
 	want := make([]core.Result, len(configs()))
@@ -103,19 +102,100 @@ func TestSweepMatchesPerEventRun(t *testing.T) {
 			}
 		}
 	}
+}
 
-	for _, chunk := range []int{1, 7, 1024, 4096, 1 << 20} {
-		var preds []core.Predictor
-		for _, mk := range configs() {
-			preds = append(preds, mk())
+// countingPred is a BatchRunner that records the length of every
+// RunBatch call it receives and predicts nothing.
+type countingPred struct{ calls []int }
+
+func (c *countingPred) Predict(uint32) uint32 { return 0 }
+func (c *countingPred) Update(uint32, uint32) {}
+func (c *countingPred) Name() string          { return "counting" }
+func (c *countingPred) SizeBits() int64       { return 0 }
+func (c *countingPred) RunBatch(batch []trace.Event) core.Result {
+	c.calls = append(c.calls, len(batch))
+	return core.Result{Predictions: uint64(len(batch))}
+}
+
+// TestSweepUnitShape pins the predictor-major unit: a sweep builds one
+// predictor per (job, benchmark), and each one receives its
+// benchmark's whole trace in exactly one RunBatch call.
+func TestSweepUnitShape(t *testing.T) {
+	lens := map[string]int{"a": 300, "b": 10_000, "c": 7}
+	benches := []string{"a", "b", "c"}
+	cache := NewTraceCache(func(name string, _ uint64) (trace.Trace, error) {
+		return synthTrace(lens[name]), nil
+	})
+	s := NewSweep(Options{}, cache, benches, 0)
+	var mu sync.Mutex
+	var made []*countingPred
+	const jobs = 4
+	var js []*Job
+	for i := 0; i < jobs; i++ {
+		js = append(js, s.Add(func() core.Predictor {
+			p := &countingPred{}
+			mu.Lock()
+			made = append(made, p)
+			mu.Unlock()
+			return p
+		}))
+	}
+	if err := s.Run(); err != nil {
+		t.Fatal(err)
+	}
+	if len(made) != jobs*len(benches) {
+		t.Fatalf("mk ran %d times, want %d (jobs × benchmarks)", len(made), jobs*len(benches))
+	}
+	perLen := map[int]int{}
+	for i, p := range made {
+		if len(p.calls) != 1 {
+			t.Fatalf("predictor %d got %d RunBatch calls, want 1: %v", i, len(p.calls), p.calls)
 		}
-		st := NewStream(preds, chunk)
-		st.Feed(tr)
-		for ji, got := range st.Finalize() {
-			if got != want[ji] {
-				t.Errorf("chunk %d job %d: got %+v want %+v", chunk, ji, got, want[ji])
+		perLen[p.calls[0]]++
+	}
+	for _, bench := range benches {
+		if perLen[lens[bench]] != jobs {
+			t.Errorf("%d whole-trace batches of %s (len %d), want %d", perLen[lens[bench]], bench, lens[bench], jobs)
+		}
+	}
+	for ji, j := range js {
+		for bi, bench := range benches {
+			if got := j.PerBench()[bi]; got.Benchmark != bench || got.Result.Predictions != uint64(lens[bench]) {
+				t.Errorf("job %d slot %d = %+v, want %s with %d predictions", ji, bi, got, bench, lens[bench])
 			}
 		}
+	}
+}
+
+// TestSweepColdStartParallel: the first units of a sweep must request
+// distinct benchmarks, so two workers generate two cold traces at
+// once. The generator blocks until both benchmarks are generating and
+// fails after a timeout, so a benchmark-major unit order — both
+// workers waiting on the first benchmark's singleflight — fails here.
+func TestSweepColdStartParallel(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(2))
+	var mu sync.Mutex
+	generating := 0
+	both := make(chan struct{})
+	cache := NewTraceCache(func(name string, _ uint64) (trace.Trace, error) {
+		mu.Lock()
+		if generating++; generating == 2 {
+			close(both)
+		}
+		mu.Unlock()
+		select {
+		case <-both:
+			return synthTrace(100), nil
+		case <-time.After(5 * time.Second):
+			return nil, fmt.Errorf("%s generated alone: cold trace generation is serialized", name)
+		}
+	})
+	s := NewSweep(Options{}, cache, []string{"a", "b"}, 0)
+	for i := 0; i < 3; i++ {
+		s.Add(func() core.Predictor { return core.NewLastValue(4) })
+	}
+	if err := s.Run(); err != nil {
+		t.Fatal(err)
 	}
 }
 
@@ -282,10 +362,10 @@ func TestGeneratorErrorPropagates(t *testing.T) {
 	}
 }
 
-// BenchmarkEngineReplay measures the steady-state chunked replay loop
-// itself: predictors are constructed once outside the timed region,
-// so ReportAllocs shows the per-pass allocation count of the hot
-// path, which must stay at zero.
+// BenchmarkEngineReplay measures the steady-state predictor-major
+// replay loop itself: predictors are constructed once outside the
+// timed region, so ReportAllocs shows the per-pass allocation count
+// of the hot path, which must stay at zero.
 func BenchmarkEngineReplay(b *testing.B) {
 	tr := synthTrace(1 << 16)
 	preds := []core.Predictor{
@@ -298,7 +378,7 @@ func BenchmarkEngineReplay(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		replayChunks(preds, results, tr, defaultChunk)
+		replay(preds, results, tr)
 	}
 	b.ReportMetric(float64(len(tr)*len(preds)), "events/op")
 }

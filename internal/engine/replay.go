@@ -5,29 +5,22 @@ import (
 	"repro/internal/trace"
 )
 
-// replayChunks drives every predictor over tr exactly once, in shared
-// event chunks: each chunk is fed to all predictors before the next
-// chunk is touched, so the chunk's events stay hot in cache across
-// the whole sweep while each predictor's own batch runs without
-// per-event Source dispatch (core.RunBatch). Summing per-chunk
-// results is exactly one core.Run per predictor, because predictor
-// state carries across chunks and results are plain counters.
+// replay drives every predictor over events, predictor by predictor:
+// each predictor consumes the whole slice in one core.RunBatch call
+// before the next predictor starts, so only its tables compete for
+// cache while it runs. Results accumulate into results, which is
+// exactly one core.Run per predictor over everything replayed so far,
+// because predictor state carries across calls and results are plain
+// counters.
 //
-// This is the engine's per-event-chunk hot path: vplint's
-// hot-path-alloc rule lints every replay* function in this package,
-// so the loop body must stay free of fmt, reflect, defer, goroutine
-// launches and interface boxing.
-func replayChunks(preds []core.Predictor, results []core.Result, tr trace.Trace, chunk int) {
-	for start := 0; start < len(tr); start += chunk {
-		end := start + chunk
-		if end > len(tr) {
-			end = len(tr)
-		}
-		batch := tr[start:end]
-		for i, p := range preds {
-			r := core.RunBatch(p, batch)
-			results[i].Predictions += r.Predictions
-			results[i].Correct += r.Correct
-		}
+// This is the engine's streaming hot path: vplint's hot-path-alloc
+// rule lints every replay* function in this package, so the body must
+// stay free of fmt, reflect, defer, goroutine launches and interface
+// boxing.
+func replay(preds []core.Predictor, results []core.Result, events []trace.Event) {
+	for i, p := range preds {
+		r := core.RunBatch(p, events)
+		results[i].Predictions += r.Predictions
+		results[i].Correct += r.Correct
 	}
 }

@@ -6,17 +6,17 @@ import (
 )
 
 // Stream drives a fixed set of predictors over one incrementally
-// arriving event stream. It is the engine's streaming core: the
-// offline Sweep replays each benchmark's cached trace through a
-// Stream in one Feed call, and the online autotuner
-// (internal/autotune) feeds a Stream with mirrored live traffic, one
-// sampled batch at a time, to shadow-evaluate candidate predictor
-// configurations.
+// arriving event stream. The online autotuner (internal/autotune)
+// feeds a Stream with mirrored live traffic, one sampled batch at a
+// time, to shadow-evaluate candidate predictor configurations. Each
+// Feed is predictor-major: every predictor consumes the whole fed
+// slice in one core.RunBatch call (replay), the same rule the
+// offline Sweep applies to a whole cached trace.
 //
 // Feeding a trace through Feed in any number of consecutive slices is
 // exactly equivalent to one core.Run per predictor over the whole
 // trace: predictor state carries across calls and results are plain
-// counters, so slice boundaries cannot change any output. The offline
+// counters, so slice boundaries cannot change any output. The
 // equivalence tests (TestSweepMatchesPerEventRun, TestStreamFeed and
 // internal/experiments.TestRegistryDigest) pin that invariant.
 //
@@ -25,35 +25,31 @@ import (
 type Stream struct {
 	preds   []core.Predictor
 	results []core.Result
-	chunk   int
 	done    bool
 }
 
-// NewStream returns a stream over the given predictors. The stream
-// replays input in chunks of at most chunkSize events so a chunk
-// stays hot in cache while every predictor consumes it; chunkSize <= 0
-// selects the engine default. The predictors are owned by the stream
-// until a caller takes them back with Predictor.
-func NewStream(preds []core.Predictor, chunkSize int) *Stream {
-	if chunkSize <= 0 {
-		chunkSize = defaultChunk
-	}
+// NewStream returns a stream over the given predictors. The
+// predictors are owned by the stream until a caller takes them back
+// with Predictor. The second parameter is unused: it was the replay
+// chunk size before Feed became predictor-major, and it stays only so
+// existing callers compile unchanged.
+func NewStream(preds []core.Predictor, _ int) *Stream {
 	return &Stream{
 		preds:   preds,
 		results: make([]core.Result, len(preds)),
-		chunk:   chunkSize,
 	}
 }
 
-// Feed replays one slice of events through every predictor, in order,
-// accumulating into the stream's running results. The events are only
-// read during the call; the caller keeps ownership of the slice.
-// Feed after Finalize panics — the results were handed out.
+// Feed replays one slice of events through every predictor, one
+// predictor at a time, accumulating into the stream's running
+// results. The events are only read during the call; the caller keeps
+// ownership of the slice. Feed after Finalize panics — the results
+// were handed out.
 func (s *Stream) Feed(events []trace.Event) {
 	if s.done {
 		panic("engine: Stream.Feed after Finalize")
 	}
-	replayChunks(s.preds, s.results, events, s.chunk)
+	replay(s.preds, s.results, events)
 }
 
 // Results returns the running per-predictor results accumulated so

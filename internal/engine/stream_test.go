@@ -21,7 +21,7 @@ func TestStreamFeed(t *testing.T) {
 		for i, mk := range mks {
 			preds[i], parts[i] = mk()
 		}
-		st := NewStream(preds, 256)
+		st := NewStream(preds, 0)
 		for start := 0; start < len(tr); start += feed {
 			end := start + feed
 			if end > len(tr) {
@@ -59,7 +59,7 @@ func stateOf(parts []core.Snapshotter) []byte {
 // between Feed calls, and the totals only ever grow by the fed batch.
 func TestStreamResultsSnapshot(t *testing.T) {
 	tr := synthTrace(1000)
-	st := NewStream([]core.Predictor{core.NewDFCM(6, 8)}, 64)
+	st := NewStream([]core.Predictor{core.NewDFCM(6, 8)}, 0)
 	var fed uint64
 	for start := 0; start < len(tr); start += 100 {
 		st.Feed(tr[start : start+100])

@@ -60,7 +60,7 @@ func runExtConfidence(cfg Config) (*Result, error) {
 	}
 	var tagBest, ctrBest row
 	// RunConfident needs the estimator's full per-event protocol, so
-	// each scheme rides the shared trace pass as a per-benchmark scan.
+	// each scheme runs as a per-benchmark scan of the cached trace.
 	s := newSweep(cfg)
 	perBench := make([][]core.ConfidenceResult, len(schemes))
 	for si, sc := range schemes {

@@ -42,7 +42,7 @@ func runExtRelatedWork(cfg Config) (*Result, error) {
 	}
 	// The classification scheme's unpredictable fraction (Rychlik
 	// reports >50%, Lee 24%) needs the predictor's end-of-run state, so
-	// it rides along as a per-benchmark scan of the same trace pass.
+	// it runs as a per-benchmark scan of the same cached traces.
 	unFracs := make([]float64, len(cfg.benchmarks()))
 	s.AddScan(func(i int, bench string, tr trace.Trace) error {
 		cl := core.NewClassified(14, 16, 8,
