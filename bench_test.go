@@ -113,17 +113,6 @@ func BenchmarkPredictTAGE(b *testing.B) {
 func BenchmarkPredictDFCMDelayed(b *testing.B) {
 	benchPredictor(b, core.NewDelayed(core.NewDFCM(14, 12), 64))
 }
-func BenchmarkPredictPerfectHybrid(b *testing.B) {
-	p := core.NewPerfectHybrid(core.NewStride(14), core.NewFCM(14, 12))
-	body := workload.LoopBody(0x1000, 2, 6, 4, 2)
-	events := trace.Collect(workload.Interleave(body, 4096), 0)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		e := events[i%len(events)]
-		p.Score(e.PC, e.Value)
-	}
-}
 
 // benchRunBatch measures the chunked hot path the engine and the
 // serving tier actually run: one core.RunBatch call per chunk,

@@ -12,7 +12,6 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/progs"
-	"repro/internal/trace"
 )
 
 func main() {
@@ -26,15 +25,20 @@ func main() {
 		if err != nil {
 			log.Fatal(err)
 		}
-		run := func(p core.Predictor) float64 {
-			return core.Run(p, trace.NewReader(tr)).Accuracy()
+		// Each predictor runs once and records its per-event hits.
+		hits := func(p core.Predictor) []uint64 {
+			m := make([]uint64, core.HitWords(len(tr)))
+			core.Hits(p, tr, m)
+			return m
 		}
-		fcm := run(core.NewFCM(16, 12))
-		dfcm := run(core.NewDFCM(16, 12))
-		// Perfect hybrids: correct when either component is correct.
-		sf := run(core.NewPerfectHybrid(core.NewStride(16), core.NewFCM(16, 12)))
-		sd := run(core.NewPerfectHybrid(core.NewStride(16), core.NewDFCM(16, 12)))
-		fmt.Printf("%-10s %8.4f %8.4f %12.4f %13.4f\n", name, fcm, dfcm, sf, sd)
+		acc := func(masks ...[]uint64) float64 {
+			return float64(core.UnionHits(masks...)) / float64(len(tr))
+		}
+		stride, fcm, dfcm := hits(core.NewStride(16)), hits(core.NewFCM(16, 12)), hits(core.NewDFCM(16, 12))
+		// Perfect hybrids: correct when either component is correct,
+		// so their hits are the union of the components' masks.
+		sf, sd := acc(stride, fcm), acc(stride, dfcm)
+		fmt.Printf("%-10s %8.4f %8.4f %12.4f %13.4f\n", name, acc(fcm), acc(dfcm), sf, sd)
 	}
 
 	fmt.Println("\nSTRIDE+DFCM barely improves on DFCM alone: the DFCM already")

@@ -15,12 +15,15 @@ import (
 // Scope:
 //
 //   - internal/core: bodies of the per-event methods Predict,
-//     PredictConfident, Update, Score, L2Index and RunBatch, the
-//     top-level replay loops Run and RunBatch, the top-level step
-//     helpers (lastValueStep, strideStep, twoDeltaStep,
-//     fcmStep, dfcmStep) that Update and RunBatch share, and the
-//     delayed-update kernel's helpers (delayedSteps, drop, pushAll)
-//     that Delayed.RunBatch runs once per chunk;
+//     PredictConfident, Update, L2Index and RunBatch, the top-level
+//     replay loops Run, RunBatch, Hits and runEach (the generic
+//     per-event loop behind every predictor without a concrete batch
+//     loop, served ones included), the mask readers Hit and
+//     UnionHits, the top-level step helpers (lastValueStep,
+//     strideStep, twoDeltaStep, fcmStep, dfcmStep) that Update and
+//     RunBatch share, and the delayed-update kernel's helpers
+//     (delayedSteps, drop, pushAll) that Delayed.RunBatch runs once
+//     per chunk;
 //   - internal/hash: every Update method, Shifts32, and the Fold,
 //     Fold32 and Mask helpers (they run once per event, or once per
 //     chunk, inside FCM/DFCM updates);
@@ -53,12 +56,11 @@ var HotPathAlloc = &Analyzer{
 }
 
 // coreHotMethods names internal/core's per-event methods, the
-// top-level step helpers Update and RunBatch share, and the helpers of
+// top-level replay loops and step helpers, and the helpers of
 // Delayed's fused delayed-update kernel.
 var coreHotMethods = map[string]bool{
 	"Predict": true, "PredictConfident": true, "Update": true,
-	"Score": true, "L2Index": true,
-	"RunBatch": true, "lastValueStep": true, "strideStep": true,
+	"L2Index": true, "RunBatch": true, "Hits": true, "Hit": true, "UnionHits": true, "runEach": true, "lastValueStep": true, "strideStep": true,
 	"twoDeltaStep": true, "fcmStep": true, "dfcmStep": true,
 	"delayedSteps": true, "drop": true, "pushAll": true,
 }

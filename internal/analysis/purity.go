@@ -19,8 +19,7 @@ import (
 // receiver: assignments through receiver fields, map entries or slice
 // elements (including via local aliases like e := &p.l1[i]), append/
 // copy/delete/clear on receiver-reachable state, and calls to
-// mutating methods (Update, Reset, Score) on receiver-rooted
-// values.
+// mutating methods (Update, Reset) on receiver-rooted values.
 //
 // Delayed is the one documented exception: its Predict drains the
 // pending-update queue (DESIGN.md), so the Delayed receiver is
@@ -37,7 +36,7 @@ var PredictPurity = &Analyzer{
 var predictPurityExempt = map[string]bool{"Delayed": true}
 
 var mutatorMethods = map[string]bool{
-	"Update": true, "Reset": true, "Score": true,
+	"Update": true, "Reset": true,
 }
 
 func runPredictPurity(pass *Pass) {

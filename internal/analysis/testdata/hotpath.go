@@ -25,8 +25,14 @@ func (h *Hot) Update(pc, v uint32) {
 	h.t[pc&7] = v
 }
 
-func (h *Hot) Score(pc, v uint32) bool {
-	return reflect.DeepEqual(pc, v) // want hot-path-alloc
+// runEach is the generic per-event replay loop — in scope as a
+// top-level function.
+func runEach(h *Hot, batch []uint32) int {
+	n := 0
+	for _, v := range batch {
+		n += len(fmt.Sprint(v)) // want hot-path-alloc
+	}
+	return n
 }
 
 // RunBatch is the concrete-type chunk loop — in scope like the

@@ -21,8 +21,10 @@ import (
 // wrappers, hybrids, LastN and TAGE, and Delayed over any other inner)
 // run the generic loop, which gains nothing from a concrete receiver.
 // TestRunBatchConcreteMatchesGeneric pins each loop to the generic
-// one, so chunked replays (internal/engine) and served batches
-// (internal/serve) stay equivalent to the sequential reference.
+// one, so sweep replays (internal/engine) and served batches
+// (internal/serve) stay equivalent to the sequential reference. The
+// loops count hits only; per-event outcomes (Hits) take the generic
+// loop, so serving never pays for a mask write.
 //
 // The int-typed mask derived from len(t) lets the compiler prove
 // i <= len−1 and drop the bounds checks; the len-0 guard that makes
@@ -155,7 +157,7 @@ func (d *Delayed) RunBatch(batch []trace.Event) Result {
 		}
 	}
 	if k == nil {
-		return runEach(d, batch)
+		return runEach(d, batch, nil)
 	}
 	res := Result{Predictions: uint64(len(batch))}
 	// warm is the number of events predicted before the first due

@@ -70,17 +70,6 @@ func BenchmarkHybrid_PredictUpdate(b *testing.B) {
 	benchPredictUpdate(b, NewMetaHybrid(NewStride(14), NewDFCM(14, 12), 14))
 }
 
-func BenchmarkPerfectHybrid_Score(b *testing.B) {
-	p := NewPerfectHybrid(NewStride(14), NewFCM(14, 12))
-	events := benchTrace(4096)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		e := events[i%len(events)]
-		p.Score(e.PC, e.Value)
-	}
-}
-
 func BenchmarkReset(b *testing.B) {
 	p := NewDFCM(14, 12)
 	Run(p, trace.NewReader(benchTrace(4096)))

@@ -80,19 +80,6 @@ func TestRunCountsEvents(t *testing.T) {
 	}
 }
 
-func TestRunUsesScorer(t *testing.T) {
-	// A perfect hybrid of LVP and stride must get a stride sequence
-	// right even though LVP alone would not.
-	h := NewPerfectHybrid(NewLastValue(6), NewStride(6))
-	res := Run(h, seqSource(0x40, strideSeq(100, 4, 50)))
-	if res.Predictions != 50 {
-		t.Fatalf("predictions = %d", res.Predictions)
-	}
-	if res.Correct < 47 { // warmup only
-		t.Errorf("perfect hybrid correct = %d/50, want >= 47", res.Correct)
-	}
-}
-
 func TestPCIndexDropsAlignmentBits(t *testing.T) {
 	// Consecutive word-aligned PCs must map to consecutive entries.
 	if pcIndex(0x1000, 8) == pcIndex(0x1004, 8) {
@@ -222,7 +209,6 @@ func TestSizeBitsAccounting(t *testing.T) {
 		{NewFCM(16, 12), 1<<16*12 + 1<<12*32},
 		{NewDFCM(16, 12), 1<<16*(12+32) + 1<<12*32},
 		{NewDFCMWidth(16, 12, 8), 1<<16*(12+32) + 1<<12*8},
-		{NewPerfectHybrid(NewLastValue(4), NewStride(4)), 16*32 + 16*67},
 		{NewMetaHybrid(NewLastValue(4), NewStride(4), 4), 16*32 + 16*67 + 16*2},
 	}
 	for _, c := range cases {
@@ -261,7 +247,6 @@ func TestConstructorPanics(t *testing.T) {
 		{"dfcm stride width 0", func() { NewDFCMWidth(4, 8, 0) }},
 		{"dfcm stride width 33", func() { NewDFCMWidth(4, 8, 33) }},
 		{"delayed negative", func() { NewDelayed(NewLastValue(4), -1) }},
-		{"empty hybrid", func() { NewPerfectHybrid() }},
 	}
 	for _, c := range cases {
 		func() {

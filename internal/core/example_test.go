@@ -39,18 +39,20 @@ func ExampleRun() {
 	// 3/4 correct
 }
 
-// A perfect hybrid scores an event as correct when any component
-// predicted it, and always trains all components.
-func ExampleNewPerfectHybrid() {
-	h := core.NewPerfectHybrid(core.NewLastValue(8), core.NewStride(8))
-	var res core.Result
+// A perfect meta-predictor scores an event as correct when any
+// component predicted it, and every component trains on every event,
+// so its hits are the union of the components' hit masks.
+func ExampleUnionHits() {
+	var tr trace.Trace
 	for i := 0; i < 50; i++ {
-		res.Predictions++
-		if h.Score(0x40, uint32(i*3)) { // pure stride: the stride component carries it
-			res.Correct++
-		}
+		tr = append(tr, trace.Event{PC: 0x40, Value: uint32(i * 3)}) // pure stride
 	}
-	fmt.Printf("accuracy with warmup: %.2f\n", res.Accuracy())
+	lvp := make([]uint64, core.HitWords(len(tr)))
+	stride := make([]uint64, len(lvp))
+	core.Hits(core.NewLastValue(8), tr, lvp)
+	core.Hits(core.NewStride(8), tr, stride)
+	// The stride component carries it.
+	fmt.Printf("accuracy with warmup: %.2f\n", float64(core.UnionHits(lvp, stride))/float64(len(tr)))
 	// Output:
 	// accuracy with warmup: 0.98
 }

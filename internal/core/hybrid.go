@@ -1,78 +1,6 @@
 package core
 
-import (
-	"fmt"
-	"strings"
-)
-
-// PerfectHybrid models a hybrid predictor with a perfect
-// meta-predictor, as used in the paper's section 4.3: an event counts
-// as correctly predicted when *any* component predicted it, and every
-// component is always updated with the outcome. This is an upper bound
-// on any realizable selection mechanism over the same components.
-//
-// PerfectHybrid implements Scorer; it cannot implement a meaningful
-// Predict (the oracle choice depends on the outcome), so Predict
-// returns the first component's prediction and is only there to
-// satisfy Predictor for uniform handling in sweeps.
-type PerfectHybrid struct {
-	comps []Predictor
-}
-
-// NewPerfectHybrid combines the given component predictors under a
-// perfect meta-predictor. It panics if no components are given.
-//
-// Size accounting: the sum of the components (a perfect
-// meta-predictor needs no storage of its own — it is an oracle).
-func NewPerfectHybrid(comps ...Predictor) *PerfectHybrid {
-	if len(comps) == 0 {
-		panic("core: perfect hybrid needs at least one component")
-	}
-	return &PerfectHybrid{comps: comps}
-}
-
-// Score implements Scorer: correct iff any component is correct;
-// all components are updated.
-func (p *PerfectHybrid) Score(pc, value uint32) bool {
-	correct := false
-	for _, c := range p.comps {
-		if c.Predict(pc) == value {
-			correct = true
-		}
-	}
-	for _, c := range p.comps {
-		c.Update(pc, value)
-	}
-	return correct
-}
-
-// Predict returns the first component's prediction (see type comment).
-func (p *PerfectHybrid) Predict(pc uint32) uint32 { return p.comps[0].Predict(pc) }
-
-// Update updates all components.
-func (p *PerfectHybrid) Update(pc, value uint32) {
-	for _, c := range p.comps {
-		c.Update(pc, value)
-	}
-}
-
-// Name implements Predictor, e.g. "perfect(stride-2^16+fcm-2^16/2^12)".
-func (p *PerfectHybrid) Name() string {
-	names := make([]string, len(p.comps))
-	for i, c := range p.comps {
-		names[i] = c.Name()
-	}
-	return "perfect(" + strings.Join(names, "+") + ")"
-}
-
-// SizeBits implements Predictor.
-func (p *PerfectHybrid) SizeBits() int64 {
-	var s int64
-	for _, c := range p.comps {
-		s += c.SizeBits()
-	}
-	return s
-}
+import "fmt"
 
 // MetaHybrid is a realizable two-component hybrid: a PC-indexed table
 // of saturating counters selects between component a and component b

@@ -24,44 +24,25 @@ func mixedTrace(n int, seed int64) trace.Trace {
 	return tr
 }
 
+// perfectAccuracy is the accuracy of a perfect meta-predictor over
+// the given components: the union of their standalone hit masks.
+func perfectAccuracy(tr trace.Trace, comps ...Predictor) float64 {
+	masks := make([][]uint64, len(comps))
+	for i, c := range comps {
+		masks[i] = make([]uint64, HitWords(len(tr)))
+		Hits(c, tr, masks[i])
+	}
+	return float64(UnionHits(masks...)) / float64(len(tr))
+}
+
 func TestPerfectHybridAtLeastAsGoodAsComponents(t *testing.T) {
 	tr := mixedTrace(2000, 1)
 	stride := Run(NewStride(8), trace.NewReader(tr)).Accuracy()
 	fcm := Run(NewFCM(8, 12), trace.NewReader(tr)).Accuracy()
-	hybrid := Run(NewPerfectHybrid(NewStride(8), NewFCM(8, 12)), trace.NewReader(tr)).Accuracy()
+	hybrid := perfectAccuracy(tr, NewStride(8), NewFCM(8, 12))
 	if hybrid < stride || hybrid < fcm {
 		t.Errorf("perfect hybrid %.3f below components (stride %.3f, fcm %.3f)",
 			hybrid, stride, fcm)
-	}
-}
-
-func TestPerfectHybridScoreSemantics(t *testing.T) {
-	// Correct iff any component correct.
-	a, b := NewLastValue(4), NewStride(4)
-	h := NewPerfectHybrid(a, b)
-	h.Score(0x40, 10) // trains both
-	h.Score(0x40, 20) // stride learns +10; lvp learns 20
-	// Next value 30: stride predicts 30 (correct), lvp predicts 20.
-	if !h.Score(0x40, 30) {
-		t.Error("hybrid should be correct when stride component is")
-	}
-	// Next value 20: lvp predicts 30... actually lvp predicts last=30.
-	// Use a value neither predicts: stride predicts 40, lvp predicts 30.
-	if h.Score(0x40, 999) {
-		t.Error("hybrid should be wrong when no component is correct")
-	}
-}
-
-func TestPerfectHybridUpdatesAllComponents(t *testing.T) {
-	a, b := NewLastValue(4), NewLastValue(4)
-	h := NewPerfectHybrid(a, b)
-	h.Score(0x40, 123)
-	if a.Predict(0x40) != 123 || b.Predict(0x40) != 123 {
-		t.Error("Score must update every component")
-	}
-	h.Update(0x40, 456)
-	if a.Predict(0x40) != 456 || b.Predict(0x40) != 456 {
-		t.Error("Update must update every component")
 	}
 }
 
@@ -83,7 +64,7 @@ func TestDFCMBeatsPerfectStrideFCMHybridUnderPressure(t *testing.T) {
 		}
 	}
 	dfcm := Run(NewDFCM(10, 8), trace.NewReader(tr)).Accuracy()
-	hybrid := Run(NewPerfectHybrid(NewStride(10), NewFCM(10, 8)), trace.NewReader(tr)).Accuracy()
+	hybrid := perfectAccuracy(tr, NewStride(10), NewFCM(10, 8))
 	if dfcm <= hybrid-0.02 {
 		t.Errorf("DFCM %.3f should be competitive with perfect STRIDE+FCM %.3f under L2 pressure",
 			dfcm, hybrid)
@@ -109,7 +90,7 @@ func TestMetaHybridBetweenComponentsOnMixedTrace(t *testing.T) {
 	if m < lo-0.05 {
 		t.Errorf("meta hybrid %.3f far below both components (%.3f, %.3f)", m, a, b)
 	}
-	perfect := Run(NewPerfectHybrid(NewStride(8), NewLastValue(8)), trace.NewReader(tr)).Accuracy()
+	perfect := perfectAccuracy(tr, NewStride(8), NewLastValue(8))
 	if m > perfect {
 		t.Errorf("meta hybrid %.3f above perfect hybrid %.3f", m, perfect)
 	}

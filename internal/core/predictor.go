@@ -3,8 +3,10 @@
 // last-value predictor, the confidence-gated stride predictor, the
 // two-delta stride predictor, the finite context method (FCM), the
 // paper's contribution — the differential finite context method
-// (DFCM) — and hybrid predictors with perfect or saturating-counter
-// meta-predictors.
+// (DFCM) — and a hybrid with a saturating-counter meta-predictor.
+// The paper's perfect meta-predictor is an oracle, not a predictor:
+// its hits are the union of its components' per-event hit masks
+// (Hits, UnionHits).
 //
 // All predictors consume the same trace interface: a stream of
 // (pc, value) events where pc is the program counter of a static
@@ -17,7 +19,11 @@
 // reproduce the paper's accuracy-versus-Kbit plots.
 package core
 
-import "repro/internal/trace"
+import (
+	"math/bits"
+
+	"repro/internal/trace"
+)
 
 // Predictor is a value predictor processing one trace event at a time:
 // first Predict is consulted for the instruction at pc, then — once the
@@ -37,25 +43,13 @@ type Predictor interface {
 	SizeBits() int64
 }
 
-// Scorer is implemented by predictors whose correctness cannot be
-// judged by comparing a single predicted value against the outcome —
-// notably perfect-meta hybrids, which count an event as correct when
-// any component predicted it. Run prefers Score over Predict/Update
-// when available. No Spec kind builds a Scorer: an oracle's hits are
-// an offline bound (Figure 16) that no serving client can reach.
-type Scorer interface {
-	// Score predicts, judges and updates in one step, returning
-	// whether the event counts as correctly predicted.
-	Score(pc, value uint32) bool
-}
-
 // BatchRunner is implemented by predictors that can process a whole
 // in-memory chunk of events with a concrete-type loop. The top-level
 // RunBatch prefers it over the generic per-event loop: one interface
 // dispatch per chunk instead of two per event, with the table accesses
 // and hash updates fully inlined inside the method. Semantics are
-// exactly those of the generic loop (including Score for Scorers);
-// equivalence is pinned by TestRunBatchConcreteMatchesGeneric.
+// exactly those of the generic loop; equivalence is pinned by
+// TestRunBatchConcreteMatchesGeneric.
 type BatchRunner interface {
 	// RunBatch processes the events in order and returns the result of
 	// exactly that slice. State carries across calls, like Run.
@@ -124,22 +118,9 @@ func (r *Result) Add(other Result) {
 }
 
 // Run drives p over all events of src and returns the accumulated
-// result. If p implements Scorer, its one-step Score is used;
-// otherwise each event is processed as Predict, compare, Update.
+// result: each event is processed as Predict, compare, Update.
 func Run(p Predictor, src trace.Source) Result {
 	var res Result
-	if s, ok := p.(Scorer); ok {
-		for {
-			e, more := src.Next()
-			if !more {
-				return res
-			}
-			res.Predictions++
-			if s.Score(e.PC, e.Value) {
-				res.Correct++
-			}
-		}
-	}
 	for {
 		e, more := src.Next()
 		if !more {
@@ -154,39 +135,69 @@ func Run(p Predictor, src trace.Source) Result {
 }
 
 // RunBatch drives p over one in-memory slice of events and returns
-// the result of exactly that slice. It is the chunked counterpart of
-// Run: callers that already hold a materialized trace avoid the
-// per-event Source.Next interface dispatch, and a sweep engine can
-// interleave many predictors over the same chunk while it is hot in
-// cache (internal/engine). Feeding consecutive chunks of a trace
-// through RunBatch and summing the results is exactly equivalent to
-// one Run over the whole trace: predictor state carries across calls
-// and Result is a plain event count.
+// the result of exactly that slice. It is the in-memory counterpart
+// of Run: callers that already hold a materialized trace avoid the
+// per-event Source.Next interface dispatch. Feeding consecutive
+// slices of a trace through RunBatch and summing the results is
+// exactly equivalent to one Run over the whole trace: predictor state
+// carries across calls and Result is a plain event count.
 func RunBatch(p Predictor, batch []trace.Event) Result {
 	if b, ok := p.(BatchRunner); ok {
 		return b.RunBatch(batch)
 	}
-	return runEach(p, batch)
+	return runEach(p, batch, nil)
 }
 
-// runEach is RunBatch's generic per-event loop: Score for Scorers,
-// otherwise Predict then Update, through the interface. A BatchRunner
-// that has no concrete loop for its current configuration falls back
-// to it.
-func runEach(p Predictor, batch []trace.Event) Result {
-	var res Result
-	res.Predictions = uint64(len(batch))
-	if s, ok := p.(Scorer); ok {
-		for _, e := range batch {
-			if s.Score(e.PC, e.Value) {
-				res.Correct++
-			}
-		}
-		return res
+// Hits is RunBatch that also records each event's outcome: bit j%64
+// of hits[j/64] is set exactly when batch[j] was predicted (Hit). It
+// clears the HitWords(len(batch)) words it covers first, so hits may
+// be reused; len(hits) must be at least that. Hits always takes the
+// generic per-event loop: only offline experiments read outcomes, so
+// the concrete kernels stay count-only.
+func Hits(p Predictor, batch []trace.Event, hits []uint64) Result {
+	clear(hits[:HitWords(len(batch))])
+	return runEach(p, batch, hits)
+}
+
+// HitWords returns the number of mask words that hold n events.
+func HitWords(n int) int { return (n + 63) / 64 }
+
+// Hit reports whether event j is set in a hit mask.
+func Hit(hits []uint64, j int) bool { return hits[j>>6]>>(j&63)&1 != 0 }
+
+// UnionHits returns the number of events set in any of the masks,
+// the popcount of their OR. It is the hit count of the paper's
+// perfect meta-predictor (§4.3): an oracle that counts an event as
+// correct when any component predicted it, with every component
+// trained on every event, hits exactly where the components'
+// standalone runs hit. All masks must cover the same events.
+func UnionHits(masks ...[]uint64) uint64 {
+	if len(masks) == 0 {
+		return 0
 	}
-	for _, e := range batch {
-		if p.Predict(e.PC) == e.Value {
-			res.Correct++
+	var n uint64
+	for i := range masks[0] {
+		var w uint64
+		for _, m := range masks {
+			w |= m[i]
+		}
+		n += uint64(bits.OnesCount64(w))
+	}
+	return n
+}
+
+// runEach is RunBatch's generic per-event loop: Predict then Update,
+// through the interface. A BatchRunner that has no concrete loop for
+// its current configuration falls back to it. When hits is non-nil,
+// bit j of it is set for each predicted batch[j]; the caller clears
+// it first.
+func runEach(p Predictor, batch []trace.Event, hits []uint64) Result {
+	res := Result{Predictions: uint64(len(batch))}
+	for j, e := range batch {
+		h := hit01(p.Predict(e.PC), e.Value)
+		res.Correct += uint64(h)
+		if hits != nil {
+			hits[j>>6] |= uint64(h) << (j & 63)
 		}
 		p.Update(e.PC, e.Value)
 	}

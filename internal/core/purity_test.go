@@ -17,7 +17,6 @@ func predictorZoo() []Predictor {
 		NewDFCM(8, 10),
 		NewDFCMWidth(8, 10, 8),
 		NewMetaHybrid(NewStride(8), NewFCM(8, 10), 8),
-		NewPerfectHybrid(NewStride(8), NewDFCM(8, 10)),
 		NewDelayed(NewDFCM(8, 10), 16),
 		NewCounterConfidence(NewStride(8), 8, 15, 8),
 		NewHashTag(NewDFCM(8, 10), 6, 3),
@@ -37,41 +36,29 @@ func predictorZoo() []Predictor {
 // repeated Predict calls at the same point.
 func TestPredictIsPure(t *testing.T) {
 	tr := mixedTrace(1500, 99)
-	for _, mkIdx := range []int{0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12, 13} {
+	for mkIdx := range predictorZoo() {
 		zooA := predictorZoo()
 		zooB := predictorZoo()
 		a, b := zooA[mkIdx], zooB[mkIdx]
 		rng := rand.New(rand.NewSource(42))
 		var resA, resB Result
 		for _, e := range tr {
-			// a: the clean reference (scorers handled uniformly).
+			// a: the clean reference.
 			resA.Predictions++
-			if sa, ok := a.(Scorer); ok {
-				if sa.Score(e.PC, e.Value) {
-					resA.Correct++
-				}
-			} else {
-				if a.Predict(e.PC) == e.Value {
-					resA.Correct++
-				}
-				a.Update(e.PC, e.Value)
+			if a.Predict(e.PC) == e.Value {
+				resA.Correct++
 			}
+			a.Update(e.PC, e.Value)
 			// b: same, but with gratuitous extra Predict calls at
 			// random PCs sprinkled in.
 			for k := rng.Intn(3); k > 0; k-- {
 				b.Predict(uint32(0x1000 + 4*rng.Intn(64)))
 			}
 			resB.Predictions++
-			if sb, ok := b.(Scorer); ok {
-				if sb.Score(e.PC, e.Value) {
-					resB.Correct++
-				}
-			} else {
-				if b.Predict(e.PC) == e.Value {
-					resB.Correct++
-				}
-				b.Update(e.PC, e.Value)
+			if b.Predict(e.PC) == e.Value {
+				resB.Correct++
 			}
+			b.Update(e.PC, e.Value)
 		}
 		if _, isDelayed := a.(*Delayed); isDelayed {
 			continue // extra Predicts legitimately apply pending updates earlier

@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"math/bits"
 	"testing"
 
 	"repro/internal/hash"
@@ -26,8 +27,8 @@ func batchTrace(n int) trace.Trace {
 
 // TestRunBatchChunksEqualRun: feeding a trace through RunBatch in
 // chunks — predictor state carrying across calls — sums to exactly
-// one Run over the whole trace, for plain predictors, wrapped ones
-// and Scorers, at chunk sizes that do and do not divide the trace.
+// one Run over the whole trace, for plain and wrapped predictors, at
+// chunk sizes that do and do not divide the trace.
 func TestRunBatchChunksEqualRun(t *testing.T) {
 	tr := batchTrace(5000)
 	mks := map[string]func() Predictor{
@@ -37,7 +38,6 @@ func TestRunBatchChunksEqualRun(t *testing.T) {
 		"fcm":     func() Predictor { return NewFCM(8, 10) },
 		"dfcm":    func() Predictor { return NewDFCM(8, 10) },
 		"delayed": func() Predictor { return NewDelayed(NewDFCM(8, 10), 32) },
-		"perfect": func() Predictor { return NewPerfectHybrid(NewStride(8), NewFCM(8, 10)) },
 		"tage":    func() Predictor { return NewTAGE(8, 6, 32, 4, 8, 4, 64) },
 	}
 	for name, mk := range mks {
@@ -55,6 +55,84 @@ func TestRunBatchChunksEqualRun(t *testing.T) {
 			if got != want {
 				t.Errorf("%s chunk %d: RunBatch sum %+v, Run %+v", name, chunk, got, want)
 			}
+		}
+	}
+}
+
+// TestHitsMatchesRun: Hits fed in chunks of 1, 63, 64, 65 and the
+// whole trace, into a mask buffer pre-filled with ones, returns the
+// Result of Run, sets bit j exactly when event j of the chunk is
+// predicted by a twin stepped per event, clears every word the chunk
+// covers and no word beyond it.
+func TestHitsMatchesRun(t *testing.T) {
+	tr := batchTrace(5000)
+	mks := map[string]func() Predictor{
+		"lvp":          func() Predictor { return NewLastValue(8) },
+		"stride":       func() Predictor { return NewStride(8) },
+		"fcm":          func() Predictor { return NewFCM(8, 10) },
+		"dfcm":         func() Predictor { return NewDFCM(8, 10) },
+		"delayed-dfcm": func() Predictor { return NewDelayed(NewDFCM(8, 10), 16) },
+		"tage":         func() Predictor { return NewTAGE(8, 6, 32, 4, 8, 4, 64) },
+		"meta":         func() Predictor { return NewMetaHybrid(NewStride(8), NewFCM(8, 10), 8) },
+		"delayed-tage": func() Predictor { return NewDelayed(NewTAGE(8, 6, 32, 4, 8, 4, 64), 16) },
+	}
+	for name, mk := range mks {
+		want := Run(mk(), trace.NewReader(tr))
+		for _, chunk := range []int{1, 63, 64, 65, len(tr)} {
+			p, ref := mk(), mk()
+			buf := make([]uint64, (chunk+63)/64+1)
+			var got Result
+			for start := 0; start < len(tr); start += chunk {
+				batch := tr[start:min(start+chunk, len(tr))]
+				for i := range buf {
+					buf[i] = ^uint64(0)
+				}
+				r := Hits(p, batch, buf)
+				words := HitWords(len(batch))
+				var pop uint64
+				for _, w := range buf[:words] {
+					pop += uint64(bits.OnesCount64(w))
+				}
+				if r.Predictions != uint64(len(batch)) || pop != r.Correct {
+					t.Fatalf("%s chunk %d at %d: %+v, mask popcount %d", name, chunk, start, r, pop)
+				}
+				for i, w := range buf[words:] {
+					if w != ^uint64(0) {
+						t.Fatalf("%s chunk %d at %d: word %d beyond the batch changed", name, chunk, start, words+i)
+					}
+				}
+				for j, e := range batch {
+					hit := ref.Predict(e.PC) == e.Value
+					ref.Update(e.PC, e.Value)
+					if bit := Hit(buf, j); bit != hit {
+						t.Fatalf("%s chunk %d: event %d bit %v, outcome %v", name, chunk, start+j, bit, hit)
+					}
+				}
+				got.Add(r)
+			}
+			if got != want {
+				t.Errorf("%s chunk %d: Hits sum %+v, Run %+v", name, chunk, got, want)
+			}
+		}
+	}
+}
+
+// TestUnionHits: the union counts each event set in any mask once,
+// in every word including the top bit.
+func TestUnionHits(t *testing.T) {
+	a := []uint64{0b1010, 1 << 63, 0}
+	b := []uint64{0b0110, 1 << 63, 1}
+	for _, c := range []struct {
+		masks [][]uint64
+		want  uint64
+	}{
+		{[][]uint64{a, b}, 5},
+		{[][]uint64{b, a}, 5},
+		{[][]uint64{a}, 3},
+		{nil, 0},
+	} {
+		if got := UnionHits(c.masks...); got != c.want {
+			t.Errorf("UnionHits(%v) = %d, want %d", c.masks, got, c.want)
 		}
 	}
 }
@@ -124,7 +202,7 @@ func TestDelayedRunBatchAfterRestore(t *testing.T) {
 		}
 		for _, c := range []struct{ delay, prefix int }{{16, 5}, {16, 3000}, {733, 100}, {733, 3000}} {
 			src := mk(c.delay)
-			runEach(src, tr[:c.prefix])
+			runEach(src, tr[:c.prefix], nil)
 			state := src.AppendState(nil)
 			concrete, generic := mk(c.delay), mk(c.delay)
 			if err := concrete.RestoreState(state); err != nil {
@@ -151,7 +229,7 @@ func checkConcreteMatchesGeneric(t *testing.T, name string, concrete, generic Pr
 	for start := 0; start < len(tr); start += chunk {
 		end := min(start+chunk, len(tr))
 		got := RunBatch(concrete, tr[start:end])
-		want := runEach(generic, tr[start:end])
+		want := runEach(generic, tr[start:end], nil)
 		if got != want {
 			t.Fatalf("%s at %d: concrete %+v, generic %+v", name, start, got, want)
 		}

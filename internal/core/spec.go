@@ -125,7 +125,7 @@ func (s Spec) New() (Predictor, error) {
 		p = NewDFCMWidth(s.L1, s.L2, width)
 	case "hybrid":
 		// The realizable §4.3 chooser, not the Figure 16 oracle
-		// (PerfectHybrid), whose hit count no client can reach.
+		// (a union of hit masks, UnionHits), which no client can reach.
 		p = NewMetaHybrid(NewStride(s.L1), NewFCM(s.L1, s.L2), s.L1)
 	case "tage":
 		c := s.Canonical()

@@ -56,8 +56,7 @@ func TestSpecNewErrors(t *testing.T) {
 // TestSpecBuiltAreResettable: every predictor a Spec can build,
 // delayed or not, carries the serving machinery — recycled in place
 // (Resetter), checkpointed and migrated (Snapshotter), inspected
-// (StateTabler) — and none is a Scorer, so a served session's hits
-// are the hits its Predict answers earn.
+// (StateTabler).
 func TestSpecBuiltAreResettable(t *testing.T) {
 	for _, kind := range []string{"lvp", "stride", "2delta", "fcm", "dfcm", "hybrid", "tage"} {
 		for _, delay := range []int{0, 4} {
@@ -73,9 +72,6 @@ func TestSpecBuiltAreResettable(t *testing.T) {
 			}
 			if _, ok := p.(StateTabler); !ok {
 				t.Errorf("%s-built predictor %s is not a StateTabler", kind, p.Name())
-			}
-			if _, ok := p.(Scorer); ok {
-				t.Errorf("%s-built predictor %s is a Scorer", kind, p.Name())
 			}
 		}
 	}

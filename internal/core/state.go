@@ -22,9 +22,8 @@ import (
 // to exactly the predictor types a Spec can build: last-value, stride,
 // two-delta, FCM, DFCM, MetaHybrid, TAGE and the Delayed wrapper.
 // Those are the only predictors internal/serve holds, checkpoints or
-// recycles. The offline-only types (LastN, PerfectHybrid, Classified
-// and the confidence estimators) run in experiments and carry none of
-// it.
+// recycles. The offline-only types (LastN, Classified and the
+// confidence estimators) run in experiments and carry none of it.
 //
 // Layout discipline: all integers are big-endian (matching the VP1
 // wire protocol), tables are emitted in declaration order, and a

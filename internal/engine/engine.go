@@ -11,6 +11,8 @@
 // units run on one worker pool sized by GOMAXPROCS, and traces come
 // from a TraceCache whose per-key singleflight lets distinct
 // benchmarks generate concurrently while duplicate requests coalesce.
+// The paper's perfect meta-predictor (Sweep.Union) runs no unit: it
+// is scored from its components' per-event hit masks.
 // The online autotuner (internal/autotune) feeds live traffic through
 // a Stream, which replays each fed slice predictor by predictor in
 // the same way.
@@ -39,12 +41,17 @@ import (
 // existing callers.
 type Options struct{}
 
-// Job is one predictor configuration registered with a sweep. After
-// Sweep.Run returns nil, its accessors expose the per-benchmark
-// results.
+// Job is one predictor configuration registered with a sweep, or the
+// union of such configurations (Sweep.Union). After Sweep.Run returns
+// nil, its accessors expose the per-benchmark results.
 type Job struct {
 	mk  func() core.Predictor
 	per []metrics.BenchResult
+	// hits is non-nil on a union's components: their units record one
+	// hit mask per benchmark in it, through core.Hits.
+	hits [][]uint64
+	// of lists a union's component jobs; mk is nil then.
+	of []*Job
 }
 
 // PerBench returns the job's results in the sweep's benchmark order.
@@ -60,13 +67,15 @@ func (j *Job) Weighted() float64 { return metrics.WeightedMean(j.per) }
 // configurations (Add) replay each benchmark's cached trace in one
 // unit per (configuration, benchmark); per-benchmark trace scans
 // (AddScan) and free-form tasks (AddTask) run as their own units on
-// the same pool. A Sweep is not safe for concurrent registration; Run
+// the same pool. Unions of configurations (Union) run no unit of
+// their own. A Sweep is not safe for concurrent registration; Run
 // may be called once.
 type Sweep struct {
 	cache   *TraceCache
 	benches []string
 	budget  uint64
 	jobs    []*Job
+	unions  []*Job
 	scans   []func(i int, bench string, tr trace.Trace) error
 	tasks   []func() error
 }
@@ -85,6 +94,23 @@ func (s *Sweep) Add(mk func() core.Predictor) *Job {
 	j := &Job{mk: mk}
 	s.jobs = append(s.jobs, j)
 	return j
+}
+
+// Union registers the paper's perfect meta-predictor over the given
+// configurations (§4.3, Figure 16): an event counts as predicted when
+// any of them predicted it, and each trains on every event as it does
+// alone. Its hits on a benchmark are therefore the popcount of the OR
+// of the components' hit masks, so it replays nothing: the
+// components' units record their masks (core.Hits instead of
+// core.RunBatch) and Run combines them after the pool finishes. The
+// jobs, at least one, must come from Add on this sweep.
+func (s *Sweep) Union(jobs ...*Job) *Job {
+	for _, j := range jobs {
+		j.hits = make([][]uint64, len(s.benches))
+	}
+	u := &Job{of: jobs}
+	s.unions = append(s.unions, u)
+	return u
 }
 
 // AddScan registers a custom pass over every benchmark's trace. fn is
@@ -111,13 +137,21 @@ func (s *Sweep) AddTask(fn func() error) {
 // gets one unit per benchmark. Units are queued scan-major (benchmark
 // inner), so the pool's first units request distinct benchmarks and
 // cold trace generation runs in parallel; the later units of a
-// benchmark then find its trace cached.
+// benchmark then find its trace cached. Unions are combined from
+// their components' masks once every unit has finished.
 func (s *Sweep) Run() error {
 	scans := make([]func(i int, bench string, tr trace.Trace) error, 0, len(s.jobs)+len(s.scans))
 	for _, j := range s.jobs {
 		j.per = make([]metrics.BenchResult, len(s.benches))
 		scans = append(scans, func(bi int, bench string, tr trace.Trace) error {
-			j.per[bi] = metrics.BenchResult{Benchmark: bench, Result: core.RunBatch(j.mk(), tr)}
+			var r core.Result
+			if j.hits != nil {
+				j.hits[bi] = make([]uint64, core.HitWords(len(tr)))
+				r = core.Hits(j.mk(), tr, j.hits[bi])
+			} else {
+				r = core.RunBatch(j.mk(), tr)
+			}
+			j.per[bi] = metrics.BenchResult{Benchmark: bench, Result: r}
 			return nil
 		})
 	}
@@ -134,7 +168,21 @@ func (s *Sweep) Run() error {
 		}
 	}
 	units = append(units, s.tasks...)
-	return runPool(units, runtime.GOMAXPROCS(0))
+	if err := runPool(units, runtime.GOMAXPROCS(0)); err != nil {
+		return err
+	}
+	for _, u := range s.unions {
+		u.per = make([]metrics.BenchResult, len(s.benches))
+		masks := make([][]uint64, len(u.of))
+		for bi := range s.benches {
+			for k, j := range u.of {
+				masks[k] = j.hits[bi]
+			}
+			u.per[bi] = u.of[0].per[bi]
+			u.per[bi].Result.Correct = core.UnionHits(masks...)
+		}
+	}
+	return nil
 }
 
 // runPool executes the units on a bounded worker pool and returns the

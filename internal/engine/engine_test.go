@@ -39,37 +39,16 @@ func synthGen(tr trace.Trace) Generator {
 	}
 }
 
-// stateConfigs covers the predictor shapes the experiments sweep,
-// including a Scorer (perfect hybrid). Each constructor also returns
-// the Snapshotters that together hold the predictor's whole state: the
-// predictor itself, or the components of the perfect hybrid, which
-// keeps no state of its own. A predictor that is neither panics here.
-func stateConfigs() []func() (core.Predictor, []core.Snapshotter) {
-	self := func(p core.Predictor) (core.Predictor, []core.Snapshotter) {
-		return p, []core.Snapshotter{p.(core.Snapshotter)}
-	}
-	return []func() (core.Predictor, []core.Snapshotter){
-		func() (core.Predictor, []core.Snapshotter) { return self(core.NewLastValue(8)) },
-		func() (core.Predictor, []core.Snapshotter) { return self(core.NewStride(8)) },
-		func() (core.Predictor, []core.Snapshotter) { return self(core.NewFCM(8, 10)) },
-		func() (core.Predictor, []core.Snapshotter) { return self(core.NewDFCM(8, 10)) },
-		func() (core.Predictor, []core.Snapshotter) {
-			return self(core.NewDelayed(core.NewDFCM(8, 10), 16))
-		},
-		func() (core.Predictor, []core.Snapshotter) {
-			s, f := core.NewStride(8), core.NewFCM(8, 10)
-			return core.NewPerfectHybrid(s, f), []core.Snapshotter{s, f}
-		},
-	}
-}
-
-// configs is stateConfigs without the state parts.
+// configs covers the predictor shapes the experiments sweep. Each
+// one is a core.Snapshotter, so its whole state can be compared.
 func configs() []func() core.Predictor {
-	var mks []func() core.Predictor
-	for _, mk := range stateConfigs() {
-		mks = append(mks, func() core.Predictor { p, _ := mk(); return p })
+	return []func() core.Predictor{
+		func() core.Predictor { return core.NewLastValue(8) },
+		func() core.Predictor { return core.NewStride(8) },
+		func() core.Predictor { return core.NewFCM(8, 10) },
+		func() core.Predictor { return core.NewDFCM(8, 10) },
+		func() core.Predictor { return core.NewDelayed(core.NewDFCM(8, 10), 16) },
 	}
-	return mks
 }
 
 // TestSweepMatchesPerEventRun: the predictor-major sweep must produce
@@ -99,6 +78,85 @@ func TestSweepMatchesPerEventRun(t *testing.T) {
 			}
 			if got.Result != want[ji] {
 				t.Errorf("sweep job %d %s: got %+v want %+v", ji, bench, got.Result, want[ji])
+			}
+		}
+	}
+}
+
+// unionRef is the perfect meta-predictor replayed event by event:
+// every component predicts and trains on each event, and the event
+// counts when any component predicted it.
+func unionRef(tr trace.Trace, comps ...core.Predictor) core.Result {
+	res := core.Result{Predictions: uint64(len(tr))}
+	for _, e := range tr {
+		hit := false
+		for _, p := range comps {
+			if p.Predict(e.PC) == e.Value {
+				hit = true
+			}
+			p.Update(e.PC, e.Value)
+		}
+		if hit {
+			res.Correct++
+		}
+	}
+	return res
+}
+
+// TestSweepUnion: a union job's result on every benchmark equals the
+// per-event OR of its components, for pairs and triples of configs,
+// with a component shared by several unions and also read alone, on
+// traces whose last mask word is partial; the components' own
+// results stay those of core.Run.
+func TestSweepUnion(t *testing.T) {
+	lens := map[string]int{"a": 10_000, "b": 4_099, "c": 67}
+	benches := []string{"a", "b", "c"}
+	trs := map[string]trace.Trace{}
+	for _, b := range benches {
+		// Every fifth event continues a stride on its own PC, so the
+		// stride component hits where the two-level ones need warmup.
+		tr := synthTrace(lens[b])
+		for i := 4; i < len(tr); i += 5 {
+			tr[i] = trace.Event{PC: 0x2000, Value: uint32(7 * i)}
+		}
+		trs[b] = tr
+	}
+	cache := NewTraceCache(func(name string, _ uint64) (trace.Trace, error) { return trs[name], nil })
+	s := NewSweep(Options{}, cache, benches, 0)
+	mks := configs()
+	jobs := make([]*Job, len(mks))
+	for i, mk := range mks {
+		jobs[i] = s.Add(mk)
+	}
+	st, f, d, dl := jobs[1], jobs[2], jobs[3], jobs[4]
+	unions := []struct {
+		u   *Job
+		idx []int
+	}{
+		{s.Union(st, f), []int{1, 2}},
+		{s.Union(st, d), []int{1, 3}},
+		{s.Union(jobs[0], st, dl), []int{0, 1, 4}},
+		{s.Union(f), []int{2}},
+	}
+	if err := s.Run(); err != nil {
+		t.Fatal(err)
+	}
+	for bi, bench := range benches {
+		tr := trs[bench]
+		for ji, mk := range mks {
+			if got, want := jobs[ji].PerBench()[bi].Result, core.Run(mk(), trace.NewReader(tr)); got != want {
+				t.Errorf("%s: component %d = %+v, want %+v", bench, ji, got, want)
+			}
+		}
+		for ui, c := range unions {
+			comps := make([]core.Predictor, len(c.idx))
+			for k, i := range c.idx {
+				comps[k] = mks[i]()
+			}
+			want := unionRef(tr, comps...)
+			got := c.u.PerBench()[bi]
+			if got.Benchmark != bench || got.Result != want {
+				t.Errorf("%s: union %d = %+v, want %s %+v", bench, ui, got, bench, want)
 			}
 		}
 	}

@@ -15,11 +15,10 @@ import (
 func TestStreamFeed(t *testing.T) {
 	tr := synthTrace(10_000)
 	for _, feed := range []int{1, 13, 997, 4096, len(tr), len(tr) + 5} {
-		mks := stateConfigs()
+		mks := configs()
 		preds := make([]core.Predictor, len(mks))
-		parts := make([][]core.Snapshotter, len(mks))
 		for i, mk := range mks {
-			preds[i], parts[i] = mk()
+			preds[i] = mk()
 		}
 		st := NewStream(preds, 0)
 		for start := 0; start < len(tr); start += feed {
@@ -31,7 +30,7 @@ func TestStreamFeed(t *testing.T) {
 		}
 		results := st.Finalize()
 		for i, mk := range mks {
-			ref, refParts := mk()
+			ref := mk()
 			want := core.Run(ref, trace.NewReader(tr))
 			if results[i] != want {
 				t.Errorf("feed %d predictor %d: got %+v want %+v", feed, i, results[i], want)
@@ -39,20 +38,16 @@ func TestStreamFeed(t *testing.T) {
 			if st.Predictor(i) != preds[i] {
 				t.Fatalf("feed %d predictor %d: stream hands out a different predictor", feed, i)
 			}
-			if string(stateOf(parts[i])) != string(stateOf(refParts)) {
+			if string(stateOf(preds[i])) != string(stateOf(ref)) {
 				t.Errorf("feed %d predictor %d: streamed state differs from sequential state", feed, i)
 			}
 		}
 	}
 }
 
-// stateOf concatenates the state bytes of a predictor's parts.
-func stateOf(parts []core.Snapshotter) []byte {
-	var b []byte
-	for _, s := range parts {
-		b = s.AppendState(b)
-	}
-	return b
+// stateOf returns a predictor's state bytes.
+func stateOf(p core.Predictor) []byte {
+	return p.(core.Snapshotter).AppendState(nil)
 }
 
 // TestStreamResultsSnapshot: Results exposes the running totals

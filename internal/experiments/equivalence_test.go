@@ -3,10 +3,11 @@ package experiments
 // TestRegistryDigest pins the rendered output of every experiment at
 // a small configuration to the sha256 digests in
 // testdata/registry.sha256. The digests were recorded from a
-// sequential per-event core.Run replay, which the chunked, pooled
-// engine matched byte for byte. All experiment accumulation is integer
-// arithmetic into index-addressed slots read back in submission order,
-// so neither scheduling nor chunking can perturb output. When a change
+// sequential per-event core.Run replay, which the pooled
+// predictor-major engine matches byte for byte, perfect hybrids
+// included as unions of hit masks. All experiment accumulation is
+// integer arithmetic into index-addressed slots read back in
+// submission order, so scheduling cannot perturb output. When a change
 // alters an artifact on purpose, the failure prints the replacement
 // file.
 

@@ -26,7 +26,7 @@ func fig69Budget(cfg Config, bench string) uint64 {
 // stride-oracle hit mask over it. The mask is a pure function of the
 // trace, so it is memoized next to the trace itself
 // (TraceCache.Derived) and shared by Figures 6 and 9 across runs.
-func strideOracleHits(cfg Config, bench string) (trace.Trace, []bool, error) {
+func strideOracleHits(cfg Config, bench string) (trace.Trace, []uint64, error) {
 	budget := fig69Budget(cfg, bench)
 	tr, err := traceFor(bench, budget)
 	if err != nil {
@@ -39,7 +39,7 @@ func strideOracleHits(cfg Config, bench string) (trace.Trace, []bool, error) {
 	if err != nil {
 		return nil, nil, err
 	}
-	return tr, v.([]bool), nil
+	return tr, v.([]uint64), nil
 }
 
 // strideHistsFor computes the FCM and the DFCM histogram of one

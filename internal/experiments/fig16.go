@@ -17,20 +17,16 @@ func runFig16(cfg Config) (*Result, error) {
 	var xs []float64
 	ys := make([][]float64, 4)
 	s := newSweep(cfg)
+	// The perfect hybrids are unions of hit masks over the standalone
+	// jobs, so one stride run serves every row.
+	st := s.Add(func() core.Predictor { return core.NewStride(16) })
 	type row struct{ f, d, sf, sd *engine.Job }
 	rows := make([]row, len(l2Sweep))
 	for i, l2 := range l2Sweep {
 		l2 := l2
-		rows[i] = row{
-			f: s.Add(func() core.Predictor { return core.NewFCM(16, l2) }),
-			d: s.Add(func() core.Predictor { return core.NewDFCM(16, l2) }),
-			sf: s.Add(func() core.Predictor {
-				return core.NewPerfectHybrid(core.NewStride(16), core.NewFCM(16, l2))
-			}),
-			sd: s.Add(func() core.Predictor {
-				return core.NewPerfectHybrid(core.NewStride(16), core.NewDFCM(16, l2))
-			}),
-		}
+		f := s.Add(func() core.Predictor { return core.NewFCM(16, l2) })
+		d := s.Add(func() core.Predictor { return core.NewDFCM(16, l2) })
+		rows[i] = row{f: f, d: d, sf: s.Union(st, f), sd: s.Union(st, d)}
 	}
 	if err := s.Run(); err != nil {
 		return nil, err

@@ -48,20 +48,18 @@ func runExtLoads(cfg Config) (*Result, error) {
 		}
 		// One predictor sees the whole stream (tables shared, as in
 		// hardware); outcomes are attributed per class.
-		p := core.NewDFCM(16, 12)
-		var loadRes, otherRes core.Result
-		for _, e := range tr {
-			correct := p.Predict(e.PC) == e.Value
-			r := &otherRes
+		hits := make([]uint64, core.HitWords(len(tr)))
+		all := core.Hits(core.NewDFCM(16, 12), tr, hits)
+		var loadRes core.Result
+		for j, e := range tr {
 			if loads[e.PC] {
-				r = &loadRes
+				loadRes.Predictions++
+				if core.Hit(hits, j) {
+					loadRes.Correct++
+				}
 			}
-			r.Predictions++
-			if correct {
-				r.Correct++
-			}
-			p.Update(e.PC, e.Value)
 		}
+		otherRes := core.Result{Predictions: all.Predictions - loadRes.Predictions, Correct: all.Correct - loadRes.Correct}
 		cells[i] = cell{loadRes: loadRes, otherRes: otherRes}
 		return nil
 	})

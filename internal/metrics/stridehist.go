@@ -81,26 +81,22 @@ func StrideHists(oracleBits uint, tr trace.Trace, ps ...core.Predictor) []Histog
 }
 
 // StrideHits replays tr through a fresh 2^oracleBits-entry stride
-// predictor and returns its per-event outcomes: out[i] reports
-// whether the oracle, warmed by events [0,i), predicts event i. The
-// mask is a pure function of (oracleBits, tr), so callers scanning
-// the same trace repeatedly (the Figure 6/9 experiments, across runs)
-// can compute it once and share it (engine.TraceCache.Derived).
-func StrideHits(oracleBits uint, tr trace.Trace) []bool {
-	oracle := core.NewStride(oracleBits)
-	out := make([]bool, len(tr))
-	for i, e := range tr {
-		out[i] = oracle.Predict(e.PC) == e.Value
-		oracle.Update(e.PC, e.Value)
-	}
+// predictor and returns its hit mask (core.Hits): bit i%64 of word
+// i/64 reports whether the oracle, warmed by events [0,i), predicts
+// event i. The mask is a pure function of (oracleBits, tr), so
+// callers scanning the same trace repeatedly (the Figure 6/9
+// experiments, across runs) can compute it once and share it
+// (engine.TraceCache.Derived).
+func StrideHits(oracleBits uint, tr trace.Trace) []uint64 {
+	out := make([]uint64, core.HitWords(len(tr)))
+	core.Hits(core.NewStride(oracleBits), tr, out)
 	return out
 }
 
 // StrideHistsFromHits is StrideHists with the oracle outcomes
-// precomputed by StrideHits over the same trace. len(hits) must equal
-// len(tr).
-func StrideHistsFromHits(hits []bool, tr trace.Trace, ps ...core.Predictor) []Histogram {
-	if len(hits) != len(tr) {
+// precomputed by StrideHits over the same trace.
+func StrideHistsFromHits(hits []uint64, tr trace.Trace, ps ...core.Predictor) []Histogram {
+	if len(hits) != core.HitWords(len(tr)) {
 		panic("metrics: oracle hit mask does not match trace length")
 	}
 	idxs := make([]core.L2Indexer, len(ps))
@@ -122,7 +118,7 @@ func StrideHistsFromHits(hits []bool, tr trace.Trace, ps ...core.Predictor) []Hi
 		f := asFCM(ps[0])
 		c := counts[0]
 		for ei, e := range tr {
-			if hits[ei] {
+			if core.Hit(hits, ei) {
 				c[f.L2Index(e.PC)]++
 			}
 			f.Update(e.PC, e.Value)
@@ -131,7 +127,7 @@ func StrideHistsFromHits(hits []bool, tr trace.Trace, ps ...core.Predictor) []Hi
 		f, d := asFCM(ps[0]), asDFCM(ps[1])
 		cf, cd := counts[0], counts[1]
 		for ei, e := range tr {
-			if hits[ei] {
+			if core.Hit(hits, ei) {
 				cf[f.L2Index(e.PC)]++
 				cd[d.L2Index(e.PC)]++
 			}
@@ -140,7 +136,7 @@ func StrideHistsFromHits(hits []bool, tr trace.Trace, ps ...core.Predictor) []Hi
 		}
 	default:
 		for ei, e := range tr {
-			hit := hits[ei]
+			hit := core.Hit(hits, ei)
 			for i, p := range ps {
 				if hit {
 					counts[i][idxs[i].L2Index(e.PC)]++

@@ -74,8 +74,6 @@ var (
 	// a DFCM-style base plus tagged tables at geometrically
 	// increasing stride-history lengths.
 	NewTAGE = core.NewTAGE
-	// NewPerfectHybrid combines components under an oracle selector.
-	NewPerfectHybrid = core.NewPerfectHybrid
 	// NewMetaHybrid combines two components under counter selection.
 	NewMetaHybrid = core.NewMetaHybrid
 	// NewClassified assigns each instruction to one component
@@ -101,6 +99,15 @@ var (
 	Run = core.Run
 	// RunConfident additionally scores the confidence signal.
 	RunConfident = core.RunConfident
+	// Hits runs a predictor over an in-memory trace and records each
+	// event's outcome in a bitmask, one bit per event; HitWords sizes
+	// the mask and Hit reads one event's bit.
+	Hits     = core.Hits
+	HitWords = core.HitWords
+	Hit      = core.Hit
+	// UnionHits counts the events set in any mask: the hits of a
+	// perfect (oracle) meta-predictor over the masks' predictors.
+	UnionHits = core.UnionHits
 	// NewReader replays an in-memory trace.
 	NewReader = trace.NewReader
 )

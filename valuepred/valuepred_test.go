@@ -19,7 +19,6 @@ func TestPublicAPISurface(t *testing.T) {
 		valuepred.NewFCM(8, 10),
 		valuepred.NewDFCM(8, 10),
 		valuepred.NewDFCMWidth(8, 10, 16),
-		valuepred.NewPerfectHybrid(valuepred.NewStride(8), valuepred.NewFCM(8, 10)),
 		valuepred.NewMetaHybrid(valuepred.NewStride(8), valuepred.NewFCM(8, 10), 8),
 		valuepred.NewClassified(8, 16, 8, valuepred.NewLastValue(8), valuepred.NewStride(8)),
 		valuepred.NewDelayed(valuepred.NewDFCM(8, 10), 16),
@@ -34,6 +33,30 @@ func TestPublicAPISurface(t *testing.T) {
 		if res.Predictions != uint64(len(tr)) {
 			t.Errorf("%s: %d predictions", p.Name(), res.Predictions)
 		}
+	}
+}
+
+// TestPublicHitMasks: Hits through the facade agrees with Run, and
+// the union of two masks (the perfect hybrid) counts at least each
+// component's hits.
+func TestPublicHitMasks(t *testing.T) {
+	var tr valuepred.Trace
+	for i := 0; i < 500; i++ {
+		v := uint32(i * 3)
+		if i%2 == 1 {
+			v = 42
+		}
+		tr = append(tr, valuepred.Event{PC: 0x40 + 4*uint32(i%2), Value: v})
+	}
+	lvp := make([]uint64, valuepred.HitWords(len(tr)))
+	stride := make([]uint64, len(lvp))
+	rl := valuepred.Hits(valuepred.NewLastValue(8), tr, lvp)
+	rs := valuepred.Hits(valuepred.NewStride(8), tr, stride)
+	if want := valuepred.Run(valuepred.NewStride(8), valuepred.NewReader(tr)); rs != want {
+		t.Errorf("Hits %+v, Run %+v", rs, want)
+	}
+	if u := valuepred.UnionHits(lvp, stride); u < rl.Correct || u < rs.Correct || u > uint64(len(tr)) {
+		t.Errorf("union %d outside [max(%d, %d), %d]", u, rl.Correct, rs.Correct, len(tr))
 	}
 }
 
