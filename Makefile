@@ -30,9 +30,9 @@ vet:
 # Project-specific invariants: Predict purity, replay determinism,
 # hot-path allocation discipline, VP1 decode bounds, error discipline,
 # lock discipline around guardedby-annotated fields, goroutine
-# lifecycle ties, VP1 op/status exhaustiveness, and snapshot
-# append/restore symmetry. One process runs all nine rules; the
-# deadline keeps that single-pass design honest as the tree grows.
+# lifecycle ties, and VP1 op/status exhaustiveness. One process runs
+# all eight rules; the deadline keeps that single-pass design honest
+# as the tree grows.
 # Non-zero exit on any finding; suppress only with
 # //lint:ignore <rule> <reason>.
 lint:
@@ -41,8 +41,8 @@ lint:
 race:
 	$(GO) test -race ./internal/serve/... ./internal/cluster/... ./internal/autotune/... ./internal/core/... ./internal/engine/... ./internal/snapshot/... ./cmd/vpserve/... ./cmd/vprouter/... ./cmd/vploadgen/... ./cmd/vpstate/... ./cmd/dfcmsim/...
 
-# Short fuzz smoke over the attacker-facing decoders and the history
-# hashes. CI-friendly: a few seconds per target; crank -fuzztime for
+# Short fuzz smoke over the attacker-facing decoders, predictor state
+# restore and the history hashes. CI-friendly: a few seconds per target; crank -fuzztime for
 # a real campaign.
 FUZZTIME ?= 5s
 fuzz:
@@ -50,6 +50,7 @@ fuzz:
 	$(GO) test -run='^$$' -fuzz='^FuzzDecodeMessage$$' -fuzztime=$(FUZZTIME) ./internal/serve
 	$(GO) test -run='^$$' -fuzz='^FuzzDecodeFrameReaderErrors$$' -fuzztime=$(FUZZTIME) ./internal/serve
 	$(GO) test -run='^$$' -fuzz='^FuzzDecodeSnapshot$$' -fuzztime=$(FUZZTIME) ./internal/snapshot
+	$(GO) test -run='^$$' -fuzz='^FuzzRestoreState$$' -fuzztime=$(FUZZTIME) ./internal/core
 	$(GO) test -run='^$$' -fuzz='^FuzzHash$$' -fuzztime=$(FUZZTIME) ./internal/hash
 	$(GO) test -run='^$$' -fuzz='^FuzzReadAuto$$' -fuzztime=$(FUZZTIME) ./internal/trace
 

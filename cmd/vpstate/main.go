@@ -91,12 +91,13 @@ func runInspect(files []string, stdout, stderr io.Writer) int {
 		fmt.Fprintf(stdout, "version:     %d\n", snap.Version)
 		fmt.Fprintf(stdout, "spec:        %s\n", specString(snap.Spec))
 		fmt.Fprintf(stdout, "session:     %d\n", snap.Meta.Session)
-		if snap.Meta.Predictions > 0 {
-			fmt.Fprintf(stdout, "predictions: %d\n", snap.Meta.Predictions)
+		// The hit rate is over judged lookups (updates), as Stats.HitRate
+		// is: a PredictBatch-only lookup has no outcome to judge.
+		fmt.Fprintf(stdout, "predictions: %d\n", snap.Meta.Predictions)
+		if snap.Meta.Updates > 0 {
 			fmt.Fprintf(stdout, "hits:        %d (%.2f%%)\n", snap.Meta.Hits,
-				100*float64(snap.Meta.Hits)/float64(snap.Meta.Predictions))
+				100*float64(snap.Meta.Hits)/float64(snap.Meta.Updates))
 		} else {
-			fmt.Fprintf(stdout, "predictions: 0\n")
 			fmt.Fprintf(stdout, "hits:        %d\n", snap.Meta.Hits)
 		}
 		fmt.Fprintf(stdout, "updates:     %d\n", snap.Meta.Updates)

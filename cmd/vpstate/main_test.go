@@ -81,6 +81,14 @@ func TestInspect(t *testing.T) {
 		}
 	}
 
+	// The hit rate is over judged lookups (Updates), not Predictions:
+	// a session that served many PredictBatch-only lookups would
+	// otherwise read low, and one that served few would read above 100%.
+	lookups := writeSnap(t, dir, "lookups.vps", spec, 500, snapshot.Meta{Session: 10, Predictions: 10, Hits: 250, Updates: 500})
+	if code, out, _ := runCmd("inspect", lookups); code != 0 || !strings.Contains(out, "hits:        250 (50.00%)") {
+		t.Errorf("hits over updates: exit %d, want \"hits:        250 (50.00%%)\" in:\n%s", code, out)
+	}
+
 	if code, _, _ := runCmd("inspect", filepath.Join(dir, "missing.vps")); code != 1 {
 		t.Errorf("missing file: exit %d, want 1", code)
 	}

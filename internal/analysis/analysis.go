@@ -6,8 +6,7 @@
 // allocation discipline, wire-protocol bounds checking, error
 // handling in the operational layers, and the concurrency/protocol
 // invariants of the serving tier: mutex discipline around annotated
-// fields, goroutine lifecycle ties, VP1 op/status exhaustiveness, and
-// Snapshotter append/restore symmetry.
+// fields, goroutine lifecycle ties, and VP1 op/status exhaustiveness.
 //
 // The analyzers are deliberately narrow: each encodes one invariant
 // documented in DESIGN.md §"Statically enforced invariants", scoped
@@ -88,7 +87,6 @@ func All() []*Analyzer {
 		LockDiscipline,
 		GoroutineLifecycle,
 		ProtoExhaustive,
-		SnapshotSymmetry,
 	}
 }
 

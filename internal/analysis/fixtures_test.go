@@ -152,29 +152,11 @@ func TestProtoExhaustiveFixture(t *testing.T) {
 	runFixture(t, "protoexhaustive.go", "repro/internal/serve", ProtoExhaustive)
 }
 
-func TestSnapshotSymmetryFixture(t *testing.T) {
-	runFixture(t, "snapshotsymmetry.go", "repro/internal/core", SnapshotSymmetry)
-}
-
-// TestSnapshotSymmetryFixtureAnywhere: like lock-discipline, the rule
-// anchors on the method-name convention, not the import path.
-func TestSnapshotSymmetryFixtureAnywhere(t *testing.T) {
-	runFixture(t, "snapshotsymmetry.go", "repro/internal/elsewhere", SnapshotSymmetry)
-}
-
 // TestHotPathAllocTAGEFixture: the tagged predictor's per-event shape
 // — provider walk, folded-history maintenance, aging sweep — under the
 // same hot-path rules as the flat tables.
 func TestHotPathAllocTAGEFixture(t *testing.T) {
 	runFixture(t, "hotpath_tage.go", "repro/internal/core", HotPathAlloc)
-}
-
-// TestSnapshotSymmetryTAGEFixture seeds the TAGE-specific asymmetries:
-// a dropped history ring, swapped tagged arrays, serialized derived
-// folds, and an orphan capture — each a warm-start divergence the real
-// layout avoids.
-func TestSnapshotSymmetryTAGEFixture(t *testing.T) {
-	runFixture(t, "snapshotsymmetry_tage.go", "repro/internal/core", SnapshotSymmetry)
 }
 
 // TestAnalyzersScopeToTheirPackages: the same violations outside the

@@ -47,13 +47,13 @@ func (p *LastValue) RunBatch(batch []trace.Event) Result {
 // RunBatch implements BatchRunner.
 func (p *Stride) RunBatch(batch []trace.Event) Result {
 	res := Result{Predictions: uint64(len(batch))}
-	t := p.table
-	if len(t) == 0 {
+	last, stride, conf := p.last, p.stride, p.conf
+	if len(last) == 0 || len(stride) != len(last) || len(conf) != len(last) {
 		return res
 	}
-	mask := len(t) - 1
+	mask := len(last) - 1
 	for _, e := range batch {
-		res.Correct += uint64(strideStep(&t[int(e.PC>>2)&mask], e.Value))
+		res.Correct += uint64(strideStep(last, stride, conf, int(e.PC>>2)&mask, e.Value))
 	}
 	return res
 }
@@ -61,13 +61,13 @@ func (p *Stride) RunBatch(batch []trace.Event) Result {
 // RunBatch implements BatchRunner.
 func (p *TwoDelta) RunBatch(batch []trace.Event) Result {
 	res := Result{Predictions: uint64(len(batch))}
-	t := p.table
-	if len(t) == 0 {
+	last, s1, s2 := p.last, p.s1, p.s2
+	if len(last) == 0 || len(s1) != len(last) || len(s2) != len(last) {
 		return res
 	}
-	mask := len(t) - 1
+	mask := len(last) - 1
 	for _, e := range batch {
-		res.Correct += uint64(twoDeltaStep(&t[int(e.PC>>2)&mask], e.Value))
+		res.Correct += uint64(twoDeltaStep(last, s1, s2, int(e.PC>>2)&mask, e.Value))
 	}
 	return res
 }

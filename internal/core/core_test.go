@@ -152,24 +152,24 @@ func TestStrideConfidenceProtectsAcrossReset(t *testing.T) {
 
 func TestStrideConfidenceCounterSaturation(t *testing.T) {
 	p := NewStride(4)
-	e := &p.table[pcIndex(0x40, 4)]
+	i := pcIndex(0x40, 4)
 	for _, v := range strideSeq(0, 3, 20) {
 		p.Update(0x40, v)
 	}
-	if e.conf != strideConfMax {
-		t.Errorf("confidence = %d, want saturated %d", e.conf, strideConfMax)
+	if p.conf[i] != strideConfMax {
+		t.Errorf("confidence = %d, want saturated %d", p.conf[i], strideConfMax)
 	}
 	// A wrong outcome decrements by 2.
 	p.Update(0x40, 9999)
-	if e.conf != strideConfMax-strideConfDecrement {
-		t.Errorf("confidence after miss = %d, want %d", e.conf, strideConfMax-strideConfDecrement)
+	if p.conf[i] != strideConfMax-strideConfDecrement {
+		t.Errorf("confidence after miss = %d, want %d", p.conf[i], strideConfMax-strideConfDecrement)
 	}
 	// Saturates at zero, never wraps.
-	for i := 0; i < 10; i++ {
-		p.Update(0x40, uint32(100000+i*17+i*i))
+	for k := 0; k < 10; k++ {
+		p.Update(0x40, uint32(100000+k*17+k*k))
 	}
-	if e.conf > strideConfMax {
-		t.Errorf("confidence wrapped: %d", e.conf)
+	if p.conf[i] > strideConfMax {
+		t.Errorf("confidence wrapped: %d", p.conf[i])
 	}
 }
 

@@ -1,8 +1,8 @@
 package core
 
 import (
-	"encoding/binary"
 	"fmt"
+	"math"
 
 	"repro/internal/trace"
 )
@@ -127,52 +127,32 @@ func (d *Delayed) Reset() {
 	mustReset(d.p)
 }
 
-// AppendState implements Snapshotter: the count of not-yet-applied
-// updates, the updates oldest-first, then the wrapped predictor's
-// nested state.
-func (d *Delayed) AppendState(b []byte) []byte {
-	b = binary.BigEndian.AppendUint32(b, uint32(d.n))
-	for k := 0; k < d.n; k++ {
-		u := d.ring[(d.head+k)%len(d.ring)]
-		b = binary.BigEndian.AppendUint32(b, u.PC)
-		b = binary.BigEndian.AppendUint32(b, u.Value)
+// walkState lists the state: the count of not-yet-applied updates
+// (at most delay+1), the updates oldest-first, then the wrapped
+// predictor's nested state. Restore checks the claimed count against
+// the bytes that actually arrived before it allocates the ring.
+func (d *Delayed) walkState(w *stateWalk) {
+	n := uint32(d.n)
+	w.u32(&n, uint32(min(uint64(d.delay)+1, math.MaxUint32)))
+	if w.restore {
+		if !w.need(8 * uint64(n)) {
+			return
+		}
+		d.ring, d.head, d.n = make([]trace.Event, n), 0, int(n)
 	}
-	return appendNested(b, d.p)
+	for k := range d.n {
+		u := &d.ring[(d.head+k)%len(d.ring)]
+		w.u32(&u.PC, math.MaxUint32)
+		w.u32(&u.Value, math.MaxUint32)
+	}
+	w.nested(d.p)
 }
 
-// RestoreState implements Snapshotter. The claimed queue length is
-// checked against the delay window and against the bytes that actually
-// arrived before the ring is allocated.
-func (d *Delayed) RestoreState(data []byte) error {
-	if len(data) < 4 {
-		return stateSizeErr("delayed", 4, len(data))
-	}
-	n := binary.BigEndian.Uint32(data)
-	if uint64(n) > uint64(d.delay)+1 {
-		return fmt.Errorf("%w: delayed queue holds %d updates, delay %d allows at most %d", ErrState, n, d.delay, uint64(d.delay)+1)
-	}
-	if uint64(len(data)-4) < 8*uint64(n) {
-		return fmt.Errorf("%w: delayed queue claims %d updates, %d bytes remain", ErrState, n, len(data)-4)
-	}
-	rows := data[4:]
-	d.n = int(n)
-	d.ring = make([]trace.Event, n)
-	for i := range d.ring {
-		d.ring[i] = trace.Event{
-			PC:    binary.BigEndian.Uint32(rows[8*i:]),
-			Value: binary.BigEndian.Uint32(rows[8*i+4:]),
-		}
-	}
-	d.head = 0
-	rest, err := restoreNested(rows[8*n:], d.p)
-	if err != nil {
-		return err
-	}
-	if len(rest) != 0 {
-		return fmt.Errorf("%w: %d trailing bytes after delayed state", ErrState, len(rest))
-	}
-	return nil
-}
+// AppendState implements Snapshotter.
+func (d *Delayed) AppendState(b []byte) []byte { return appendState(d, b) }
+
+// RestoreState implements Snapshotter.
+func (d *Delayed) RestoreState(data []byte) error { return restoreState(d, data) }
 
 // StateTables implements StateTabler.
 func (d *Delayed) StateTables() []TableInfo {

@@ -1,8 +1,8 @@
 package core
 
 import (
-	"encoding/binary"
 	"fmt"
+	"math"
 
 	"repro/internal/hash"
 )
@@ -179,47 +179,20 @@ func (p *DFCM) Reset() {
 	clear(p.l2)
 }
 
-// AppendState implements Snapshotter: level-1 rows (last value + 8-byte
-// stride history, interleaved exactly as the pre-SoA struct layout
-// serialized them) followed by the level-2 strides.
-func (p *DFCM) AppendState(b []byte) []byte {
-	for i := range p.last {
-		b = binary.BigEndian.AppendUint32(b, p.last[i])
-		b = binary.BigEndian.AppendUint64(b, p.hist[i])
-	}
-	for _, v := range p.l2 {
-		b = binary.BigEndian.AppendUint32(b, v)
-	}
-	return b
+// walkState lists the state: level-1 rows (last value, stride
+// history), interleaved exactly as the pre-SoA struct layout
+// serialized them, then the level-2 strides. A history is a level-2
+// index and a stored stride must fit the configured width.
+func (p *DFCM) walkState(w *stateWalk) {
+	w.table(col32(p.last, math.MaxUint32), col64(p.hist, uint64(len(p.l2)-1)))
+	w.table(col32(p.l2, p.strideMask))
 }
 
-// RestoreState implements Snapshotter. Histories index the level-2
-// table, so each must be below its entry count; stored strides must
-// fit the configured stride width.
-func (p *DFCM) RestoreState(data []byte) error {
-	want := 4*len(p.last) + 8*len(p.hist) + 4*len(p.l2)
-	if len(data) != want {
-		return stateSizeErr("dfcm", want, len(data))
-	}
-	for i := range p.last {
-		row := data[12*i:]
-		hist := binary.BigEndian.Uint64(row[4:])
-		if hist >= uint64(len(p.l2)) {
-			return fmt.Errorf("%w: dfcm history %#x exceeds level-2 size %d", ErrState, hist, len(p.l2))
-		}
-		p.last[i] = binary.BigEndian.Uint32(row)
-		p.hist[i] = hist
-	}
-	l2 := data[12*len(p.last):]
-	for i := range p.l2 {
-		v := binary.BigEndian.Uint32(l2[4*i:])
-		if v&p.strideMask != v {
-			return fmt.Errorf("%w: dfcm stride %#x wider than %d bits", ErrState, v, p.strideBits)
-		}
-		p.l2[i] = v
-	}
-	return nil
-}
+// AppendState implements Snapshotter.
+func (p *DFCM) AppendState(b []byte) []byte { return appendState(p, b) }
+
+// RestoreState implements Snapshotter.
+func (p *DFCM) RestoreState(data []byte) error { return restoreState(p, data) }
 
 // StateTables implements StateTabler.
 func (p *DFCM) StateTables() []TableInfo {

@@ -1,8 +1,8 @@
 package core
 
 import (
-	"encoding/binary"
 	"fmt"
+	"math"
 
 	"repro/internal/hash"
 )
@@ -119,40 +119,19 @@ func (p *FCM) Reset() {
 	clear(p.l2)
 }
 
-// AppendState implements Snapshotter: the level-1 histories (8 bytes
-// each) followed by the level-2 values (4 bytes each).
-func (p *FCM) AppendState(b []byte) []byte {
-	for _, h := range p.l1 {
-		b = binary.BigEndian.AppendUint64(b, h)
-	}
-	for _, v := range p.l2 {
-		b = binary.BigEndian.AppendUint32(b, v)
-	}
-	return b
+// walkState lists the state: the level-1 histories, each a level-2
+// index (restore rejects one past the level-2 table, which Predict
+// would dereference), then the level-2 values.
+func (p *FCM) walkState(w *stateWalk) {
+	w.table(col64(p.l1, uint64(len(p.l2)-1)))
+	w.table(col32(p.l2, math.MaxUint32))
 }
 
-// RestoreState implements Snapshotter. Restored histories are level-2
-// indices, so each must be below the level-2 entry count — hostile
-// state must not plant an out-of-bounds index that Predict would
-// dereference later.
-func (p *FCM) RestoreState(data []byte) error {
-	want := 8*len(p.l1) + 4*len(p.l2)
-	if len(data) != want {
-		return stateSizeErr("fcm", want, len(data))
-	}
-	for i := range p.l1 {
-		h := binary.BigEndian.Uint64(data[8*i:])
-		if h >= uint64(len(p.l2)) {
-			return fmt.Errorf("%w: fcm history %#x exceeds level-2 size %d", ErrState, h, len(p.l2))
-		}
-		p.l1[i] = h
-	}
-	l2 := data[8*len(p.l1):]
-	for i := range p.l2 {
-		p.l2[i] = binary.BigEndian.Uint32(l2[4*i:])
-	}
-	return nil
-}
+// AppendState implements Snapshotter.
+func (p *FCM) AppendState(b []byte) []byte { return appendState(p, b) }
+
+// RestoreState implements Snapshotter.
+func (p *FCM) RestoreState(data []byte) error { return restoreState(p, data) }
 
 // StateTables implements StateTabler.
 func (p *FCM) StateTables() []TableInfo {

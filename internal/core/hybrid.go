@@ -62,37 +62,19 @@ func (p *MetaHybrid) Reset() {
 	mustReset(p.b)
 }
 
-// AppendState implements Snapshotter: the selection counters followed
-// by both components' nested state.
-func (p *MetaHybrid) AppendState(b []byte) []byte {
-	b = append(b, p.counters...)
-	b = appendNested(b, p.a)
-	return appendNested(b, p.b)
+// walkState lists the state: the selection counters, then both
+// components' nested state.
+func (p *MetaHybrid) walkState(w *stateWalk) {
+	w.table(col8(p.counters, p.max))
+	w.nested(p.a)
+	w.nested(p.b)
 }
 
+// AppendState implements Snapshotter.
+func (p *MetaHybrid) AppendState(b []byte) []byte { return appendState(p, b) }
+
 // RestoreState implements Snapshotter.
-func (p *MetaHybrid) RestoreState(data []byte) error {
-	if len(data) < len(p.counters) {
-		return stateSizeErr("meta-hybrid counters", len(p.counters), len(data))
-	}
-	for _, c := range data[:len(p.counters)] {
-		if c > p.max {
-			return fmt.Errorf("%w: meta counter %d exceeds %d", ErrState, c, p.max)
-		}
-	}
-	rest, err := restoreNested(data[len(p.counters):], p.a)
-	if err != nil {
-		return err
-	}
-	if rest, err = restoreNested(rest, p.b); err != nil {
-		return err
-	}
-	if len(rest) != 0 {
-		return fmt.Errorf("%w: %d trailing bytes after meta-hybrid state", ErrState, len(rest))
-	}
-	copy(p.counters, data)
-	return nil
-}
+func (p *MetaHybrid) RestoreState(data []byte) error { return restoreState(p, data) }
 
 // StateTables implements StateTabler.
 func (p *MetaHybrid) StateTables() []TableInfo {

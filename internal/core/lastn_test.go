@@ -126,11 +126,11 @@ func TestClassifiedStopsTrainingOtherComponents(t *testing.T) {
 		t.Fatalf("not assigned after window: %d", s.assigned)
 	}
 	// Further updates must not reach the unassigned component.
-	before := stride.table[pcIndex(0x40, 8)]
+	before := string(stride.AppendState(nil))
 	for i := 0; i < 10; i++ {
 		p.Update(0x40, 5)
 	}
-	if stride.table[pcIndex(0x40, 8)] != before && s.assigned != 1 {
+	if string(stride.AppendState(nil)) != before && s.assigned != 1 {
 		t.Error("unassigned component kept training")
 	}
 }

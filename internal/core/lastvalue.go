@@ -1,8 +1,8 @@
 package core
 
 import (
-	"encoding/binary"
 	"fmt"
+	"math"
 )
 
 // LastValue is the last value predictor (Lipasti): the next value
@@ -46,25 +46,14 @@ func lastValueStep(t []uint32, i int, v uint32) int32 {
 // Reset implements Resetter.
 func (p *LastValue) Reset() { clear(p.table) }
 
-// AppendState implements Snapshotter: the value table, 4 bytes per
-// entry.
-func (p *LastValue) AppendState(b []byte) []byte {
-	for _, v := range p.table {
-		b = binary.BigEndian.AppendUint32(b, v)
-	}
-	return b
-}
+// walkState lists the state: the value table.
+func (p *LastValue) walkState(w *stateWalk) { w.table(col32(p.table, math.MaxUint32)) }
+
+// AppendState implements Snapshotter.
+func (p *LastValue) AppendState(b []byte) []byte { return appendState(p, b) }
 
 // RestoreState implements Snapshotter.
-func (p *LastValue) RestoreState(data []byte) error {
-	if len(data) != 4*len(p.table) {
-		return stateSizeErr("last-value", 4*len(p.table), len(data))
-	}
-	for i := range p.table {
-		p.table[i] = binary.BigEndian.Uint32(data[4*i:])
-	}
-	return nil
-}
+func (p *LastValue) RestoreState(data []byte) error { return restoreState(p, data) }
 
 // StateTables implements StateTabler.
 func (p *LastValue) StateTables() []TableInfo {

@@ -4,6 +4,8 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
+	"math"
+	"slices"
 )
 
 // Durable predictor state
@@ -26,9 +28,13 @@ import (
 // confidence estimators) run in experiments and carry none of it.
 //
 // Layout discipline: all integers are big-endian (matching the VP1
-// wire protocol), tables are emitted in declaration order, and a
-// wrapped predictor's state is embedded as a length-prefixed nested
-// block so wrappers compose without knowing their children's sizes.
+// wire protocol), and a wrapped predictor's state is embedded as a
+// length-prefixed nested block so wrappers compose without knowing
+// their children's sizes. Each type states its layout once, in an
+// unexported walkState method that lists its stored tables in layout
+// order with the bound of every word; AppendState and RestoreState
+// are the two directions of that one walk, so they cannot drift
+// apart.
 
 // Snapshotter is implemented by predictors whose complete learned
 // state can be exported and re-imported. The contract mirrors
@@ -68,55 +74,220 @@ type StateTabler interface {
 // distinguish malformed state from other errors.
 var ErrState = errors.New("core: malformed predictor state")
 
-// stateSizeErr reports a state blob whose size does not match the
-// predictor's tables.
-func stateSizeErr(what string, want, got int) error {
-	return fmt.Errorf("%w: %s state is %d bytes, want %d", ErrState, what, got, want)
+// stateWalker is implemented by every Snapshotter in this package:
+// walkState lists the type's stored tables once, in layout order.
+type stateWalker interface {
+	Predictor
+	walkState(w *stateWalk)
 }
 
-// mustSnapshotter returns p as a Snapshotter and panics if it is not
-// one — a wrapper's snapshot is only meaningful when it reaches every
-// table underneath it (the same contract as mustReset).
-func mustSnapshotter(p Predictor) Snapshotter {
-	s, ok := p.(Snapshotter)
-	if !ok {
-		panic("core: " + p.Name() + " does not implement Snapshotter")
-	}
-	return s
+// appendState appends p's state to b.
+func appendState(p stateWalker, b []byte) []byte {
+	w := stateWalk{buf: b}
+	p.walkState(&w)
+	return w.buf
 }
 
-// appendNested appends a length-prefixed child state block.
-func appendNested(b []byte, p Predictor) []byte {
-	off := len(b)
-	b = append(b, 0, 0, 0, 0)
-	b = mustSnapshotter(p).AppendState(b)
-	binary.BigEndian.PutUint32(b[off:], uint32(len(b)-off-4))
-	return b
+// restoreState restores p's state from data, which must be exactly
+// one walk long.
+func restoreState(p stateWalker, data []byte) error {
+	w := stateWalk{buf: data, restore: true}
+	p.walkState(&w)
+	if err := w.done(); err != nil {
+		return fmt.Errorf("%w: %s: %v", ErrState, p.Name(), err)
+	}
+	return nil
 }
 
-// splitNested splits one length-prefixed child block off the front of
-// data, length-checking before any use of the claimed size.
-func splitNested(data []byte) (child, rest []byte, err error) {
-	if len(data) < 4 {
-		return nil, nil, fmt.Errorf("%w: truncated nested state header", ErrState)
-	}
-	n := binary.BigEndian.Uint32(data)
-	if uint64(len(data)-4) < uint64(n) {
-		return nil, nil, fmt.Errorf("%w: nested state claims %d bytes, %d remain", ErrState, n, len(data)-4)
-	}
-	return data[4 : 4+n], data[4+n:], nil
+// stateWalk is one pass over a predictor's state. Appending, buf is
+// the output and grows; restoring, buf is the input and off the next
+// byte to read. The first error stops the walk: every later step is a
+// no-op, so a walk needs no error checks between its steps.
+type stateWalk struct {
+	buf     []byte
+	off     int
+	restore bool
+	err     error
 }
 
-// restoreNested splits one child block and restores it into p.
-func restoreNested(data []byte, p Predictor) (rest []byte, err error) {
-	child, rest, err := splitNested(data)
-	if err != nil {
-		return nil, err
+// column is one column of a state table: exactly one of the slices is
+// set, and restore rejects any word above max.
+type column struct {
+	u8  []uint8
+	u32 []uint32
+	u64 []uint64
+	max uint64
+}
+
+func col8(s []uint8, max uint8) column    { return column{u8: s, max: uint64(max)} }
+func col32(s []uint32, max uint32) column { return column{u32: s, max: uint64(max)} }
+func col64(s []uint64, max uint64) column { return column{u64: s, max: max} }
+
+// rows returns the column's length and its width in bytes.
+func (c column) rows() (n, size int) {
+	switch {
+	case c.u32 != nil:
+		return len(c.u32), 4
+	case c.u64 != nil:
+		return len(c.u64), 8
 	}
-	if err := mustSnapshotter(p).RestoreState(child); err != nil {
-		return nil, err
+	return len(c.u8), 1
+}
+
+// table walks equal-length columns stored row-interleaved: row i is
+// the i-th word of every column, in argument order. A single column is
+// a flat table. Each column is one loop, and an append sizes the whole
+// table once.
+func (w *stateWalk) table(cols ...column) {
+	if w.err != nil {
+		return
 	}
-	return rest, nil
+	n, row := cols[0].rows()
+	for _, c := range cols[1:] {
+		m, size := c.rows()
+		if m != n {
+			panic("core: state table columns differ in length")
+		}
+		row += size
+	}
+	at := len(w.buf)
+	if w.restore {
+		if !w.need(uint64(n) * uint64(row)) {
+			return
+		}
+		at = w.off
+		w.off += n * row
+	} else {
+		w.buf = slices.Grow(w.buf, n*row)[:at+n*row]
+	}
+	for _, c := range cols {
+		if !w.restore {
+			c.append(w.buf[at:], row)
+		} else if i := c.restore(w.buf[at:], row); i >= 0 {
+			w.err = fmt.Errorf("word at byte %d exceeds %d", at+i*row, c.max)
+			return
+		}
+		_, size := c.rows()
+		at += size
+	}
+}
+
+// append writes the column into b, one word every row bytes.
+func (c column) append(b []byte, row int) {
+	switch {
+	case c.u32 != nil:
+		for i, v := range c.u32 {
+			binary.BigEndian.PutUint32(b[i*row:], v)
+		}
+	case c.u64 != nil:
+		for i, v := range c.u64 {
+			binary.BigEndian.PutUint64(b[i*row:], v)
+		}
+	default:
+		for i, v := range c.u8 {
+			b[i*row] = v
+		}
+	}
+}
+
+// restore reads the column from b, one word every row bytes. It stops
+// at the first word above max, stores none such, and returns its row;
+// it returns -1 when every word is in bounds.
+func (c column) restore(b []byte, row int) int {
+	switch {
+	case c.u32 != nil:
+		max := uint32(c.max)
+		for i := range c.u32 {
+			v := binary.BigEndian.Uint32(b[i*row:])
+			if v > max {
+				return i
+			}
+			c.u32[i] = v
+		}
+	case c.u64 != nil:
+		for i := range c.u64 {
+			v := binary.BigEndian.Uint64(b[i*row:])
+			if v > c.max {
+				return i
+			}
+			c.u64[i] = v
+		}
+	default:
+		max := uint8(c.max)
+		for i := range c.u8 {
+			v := b[i*row]
+			if v > max {
+				return i
+			}
+			c.u8[i] = v
+		}
+	}
+	return -1
+}
+
+// u32 walks one header word; restore rejects a word above max.
+func (w *stateWalk) u32(v *uint32, max uint32) {
+	one := [1]uint32{*v}
+	w.table(col32(one[:], max))
+	if w.restore {
+		*v = one[0]
+	}
+}
+
+// u64 walks one header word; restore rejects a word above max.
+func (w *stateWalk) u64(v *uint64, max uint64) {
+	one := [1]uint64{*v}
+	w.table(col64(one[:], max))
+	if w.restore {
+		*v = one[0]
+	}
+}
+
+// nested walks p's state as a block prefixed with its byte length, so
+// a wrapper need not know its component's size. Restore walks the
+// block on its own and requires p to consume all of it.
+func (w *stateWalk) nested(p Predictor) {
+	sw := p.(stateWalker)
+	if !w.restore {
+		off := len(w.buf)
+		w.buf = append(w.buf, 0, 0, 0, 0)
+		sw.walkState(w)
+		binary.BigEndian.PutUint32(w.buf[off:], uint32(len(w.buf)-off-4))
+		return
+	}
+	var n uint32
+	w.u32(&n, math.MaxUint32)
+	if !w.need(uint64(n)) {
+		return
+	}
+	inner := stateWalk{buf: w.buf[w.off : w.off+int(n)], restore: true}
+	w.off += int(n)
+	sw.walkState(&inner)
+	if err := inner.done(); err != nil {
+		w.err = fmt.Errorf("%s: %w", p.Name(), err)
+	}
+}
+
+// done ends a restore: it returns the walk's error, or a trailing-bytes
+// error when the walk did not consume all of its input.
+func (w *stateWalk) done() error {
+	if w.err == nil && w.off != len(w.buf) {
+		return fmt.Errorf("%d trailing bytes", len(w.buf)-w.off)
+	}
+	return w.err
+}
+
+// need reports whether the walk is error-free and, restoring, has n
+// more input bytes; otherwise it records a truncation error.
+func (w *stateWalk) need(n uint64) bool {
+	if w.err != nil {
+		return false
+	}
+	if left := uint64(len(w.buf) - w.off); w.restore && n > left {
+		w.err = fmt.Errorf("truncated: %d bytes needed at byte %d, %d remain", n, w.off, left)
+		return false
+	}
+	return true
 }
 
 // prefixTables returns ts with every table name prefixed, for wrappers

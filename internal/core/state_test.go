@@ -1,8 +1,12 @@
 package core
 
 import (
+	"bytes"
+	"crypto/sha256"
 	"encoding/binary"
+	"encoding/hex"
 	"errors"
+	"fmt"
 	"testing"
 
 	"repro/internal/trace"
@@ -78,7 +82,9 @@ func TestSnapshotStateRoundTripStable(t *testing.T) {
 
 // TestRestoreStateRejectsMalformed: truncated, padded and corrupted
 // state blobs must error (wrapping ErrState), never panic — the bytes
-// may arrive from disk or the network.
+// may arrive from disk or the network. Every proper prefix of a valid
+// state is a truncation, so each one is tried: a cut inside any table,
+// header word or nested block.
 func TestRestoreStateRejectsMalformed(t *testing.T) {
 	events := trainEvents(1500)
 	for name, mk := range resettables() {
@@ -87,18 +93,20 @@ func TestRestoreStateRejectsMalformed(t *testing.T) {
 			Run(p, trace.NewReader(events))
 			state := p.AppendState(nil)
 
-			for _, tc := range []struct {
-				label string
-				data  []byte
-			}{
-				{"empty", nil},
-				{"truncated", state[:len(state)/2]},
-				{"padded", append(append([]byte{}, state...), 0xAA)},
-			} {
-				if err := mk().(Snapshotter).RestoreState(tc.data); err == nil {
-					t.Errorf("%s state accepted", tc.label)
+			type malformed struct {
+				desc string
+				data []byte
+			}
+			cases := []malformed{{"padded", append(append([]byte{}, state...), 0xAA)}}
+			for n := range len(state) {
+				cases = append(cases, malformed{fmt.Sprintf("%d-byte prefix", n), state[:n]})
+			}
+			q := mk().(Snapshotter)
+			for _, tc := range cases {
+				if err := q.RestoreState(tc.data); err == nil {
+					t.Fatalf("%s of %d-byte state accepted", tc.desc, len(state))
 				} else if !errors.Is(err, ErrState) {
-					t.Errorf("%s state error %v does not wrap ErrState", tc.label, err)
+					t.Fatalf("%s state error %v does not wrap ErrState", tc.desc, err)
 				}
 			}
 		})
@@ -131,28 +139,121 @@ func TestRestoreStateRejectsMalformed(t *testing.T) {
 
 // TestRestoreStateRejectsHostileIndices: a state blob carrying a
 // level-2 index past the table end must be rejected at restore time,
-// not dereferenced at the next Predict.
+// not dereferenced at the next Predict, and every counter must stay
+// within its saturation bound. Each case sets one byte of a fresh
+// predictor's state; the in-bounds cases pin the exact bound.
 func TestRestoreStateRejectsHostileIndices(t *testing.T) {
-	fcm := NewFCM(4, 6)
-	state := fcm.AppendState(nil)
-	state[0] = 0xFF // first l1 history: huge big-endian value
-	if err := NewFCM(4, 6).RestoreState(state); err == nil {
-		t.Error("FCM accepted an out-of-range level-2 index")
+	cases := []struct {
+		desc string
+		mk   func() Snapshotter
+		at   int // byte index into the state
+		b    byte
+		ok   bool
+	}{
+		// at 0: the top byte of the first big-endian l1 history.
+		{"fcm out-of-range level-2 index", func() Snapshotter { return NewFCM(4, 6) }, 0, 0xFF, false},
+		// at 4: the first l1 hist, after its row's 4-byte last value.
+		{"dfcm out-of-range level-2 index", func() Snapshotter { return NewDFCM(4, 6) }, 4, 0xFF, false},
+		// at -1: the last l2 stride's low byte.
+		{"dfcm stride wider than 4 bits", func() Snapshotter { return NewDFCMWidth(4, 8, 4) }, -1, 0xFF, false},
+		{"dfcm stride of 4 bits", func() Snapshotter { return NewDFCMWidth(4, 8, 4) }, -1, 0x0F, true},
+		// at 8: the first row's conf, after last and stride.
+		{"stride conf 8", func() Snapshotter { return NewStride(4) }, 8, 8, false},
+		{"stride conf 7", func() Snapshotter { return NewStride(4) }, 8, 7, true},
+		// at 0: the first 2-bit selection counter.
+		{"meta counter 4", func() Snapshotter { return NewMetaHybrid(NewStride(4), NewFCM(4, 6), 4) }, 0, 4, false},
+		{"meta counter 3", func() Snapshotter { return NewMetaHybrid(NewStride(4), NewFCM(4, 6), 4) }, 0, 3, true},
 	}
+	for _, tc := range cases {
+		state := tc.mk().AppendState(nil)
+		if tc.at < 0 {
+			tc.at += len(state)
+		}
+		state[tc.at] = tc.b
+		err := tc.mk().RestoreState(state)
+		switch {
+		case tc.ok && err != nil:
+			t.Errorf("%s: rejected: %v", tc.desc, err)
+		case !tc.ok && err == nil:
+			t.Errorf("%s: accepted", tc.desc)
+		case !tc.ok && !errors.Is(err, ErrState):
+			t.Errorf("%s: error %v does not wrap ErrState", tc.desc, err)
+		}
+	}
+}
 
-	dfcm := NewDFCM(4, 6)
-	dstate := dfcm.AppendState(nil)
-	dstate[4] = 0xFF // first l1 hist (after the 4-byte last value)
-	if err := NewDFCM(4, 6).RestoreState(dstate); err == nil {
-		t.Error("DFCM accepted an out-of-range level-2 index")
-	}
+// stateShapes are small-geometry specs of every kind, with width,
+// delay and tage variants, paired with the sha256 of their state after
+// stateTrace. The digests were recorded before Stride and TwoDelta
+// moved to structure-of-arrays tables and the layouts became walks:
+// they pin the serialized layout of every kind, so a checkpoint taken
+// by an older build still restores.
+var stateShapes = []struct {
+	spec   Spec
+	digest string
+}{
+	{Spec{Kind: "lvp", L1: 6}, "0991dddff0718509ea57c2cadb8d7f8a67badc720ada7c55b61d063f575877f8"},
+	{Spec{Kind: "stride", L1: 6}, "96751a08aec053c6386bb47db2af997ebd1ec213416a4ee28daadf96ae529a21"},
+	{Spec{Kind: "2delta", L1: 6}, "9475e3fc8cac5a612e61afc91d6568e3dc5cfa9008e6f13f7186e57f49cdf4c5"},
+	{Spec{Kind: "fcm", L1: 6, L2: 8}, "caf699d61b5a22d349a7b84c23ad652489d34ea127c557f36c384c6a1827460a"},
+	{Spec{Kind: "dfcm", L1: 6, L2: 8}, "d178ce051bab1be9f51c43a3e65fd0180389fc34038f23919e4389df2eb4edf4"},
+	{Spec{Kind: "dfcm", L1: 6, L2: 8, Width: 8}, "a318591146c42199f741b3922739fe6adea5b660ed93257658b2589084e3ee8f"},
+	{Spec{Kind: "hybrid", L1: 6, L2: 8}, "5d3f683156e81f2ed3d602fc7d8eda0da0b87176585423b6d2958abf34b03d96"},
+	{Spec{Kind: "tage", L1: 6, L2: 5}, "ef9cb1eab2e4fe24126086fad0ceac0493a3a1f945a988053ce904451726859e"},
+	{Spec{Kind: "tage", L1: 5, L2: 4, Width: 8, Tables: 3, Tag: 10, HistMin: 2, HistMax: 32}, "d1700ce84231dbb686f575e8a17919f7ffac3aff98bdaa1c480f0eb5320b2d16"},
+	{Spec{Kind: "stride", L1: 6, Delay: 4}, "7bfff65f19be03ced2b20132bf77f1088b680ad61e345d812f9efbca3d98f4cc"},
+	{Spec{Kind: "dfcm", L1: 6, L2: 8, Delay: 6}, "b5c5d16abc016b18d7c7ddcc06587f1c0d44522884134e07422952c64dc5d290"},
+	{Spec{Kind: "hybrid", L1: 6, L2: 8, Delay: 3}, "0c1a26b24a1b8fafddcea9720c8d2bd2e9a38174d988a3f5ed8eeedf7761df44"},
+	{Spec{Kind: "tage", L1: 5, L2: 4, Delay: 3}, "dad261a57796bc0a82cfa5d3c63d900256a1f4f07857d83ced8242d08d1097f2"},
+}
 
-	narrow := NewDFCMWidth(4, 8, 4)
-	wstate := narrow.AppendState(nil)
-	wstate[len(wstate)-1] = 0xFF // last l2 stride: wider than 4 bits
-	if err := NewDFCMWidth(4, 8, 4).RestoreState(wstate); err == nil {
-		t.Error("DFCM accepted a stride wider than its configured width")
+// stateTrace is the training run behind the stateShapes digests.
+func stateTrace() trace.Trace { return trainEvents(5000) }
+
+// TestStateLayoutDigests pins the state bytes of every stateShapes
+// spec after stateTrace.
+func TestStateLayoutDigests(t *testing.T) {
+	events := stateTrace()
+	for _, sh := range stateShapes {
+		p, err := sh.spec.New()
+		if err != nil {
+			t.Fatal(err)
+		}
+		Run(p, trace.NewReader(events))
+		sum := sha256.Sum256(p.(Snapshotter).AppendState(nil))
+		if got := hex.EncodeToString(sum[:]); got != sh.digest {
+			t.Errorf("%s: state sha256 %s, want %s", p.Name(), got, sh.digest)
+		}
 	}
+}
+
+// FuzzRestoreState feeds RestoreState arbitrary state. The first byte
+// picks a stateShapes spec; the rest is the state. Restore must never
+// panic and must reject only with ErrState; an accepted state must
+// re-export byte-identical (AppendState∘RestoreState is the identity)
+// and leave a predictor that runs without a panic, so no restored
+// index can point outside its table.
+func FuzzRestoreState(f *testing.F) {
+	f.Fuzz(func(t *testing.T, data []byte) {
+		if len(data) == 0 {
+			return
+		}
+		p, err := stateShapes[int(data[0])%len(stateShapes)].spec.New()
+		if err != nil {
+			t.Fatal(err)
+		}
+		state := data[1:]
+		if err := p.(Snapshotter).RestoreState(state); err != nil {
+			if !errors.Is(err, ErrState) {
+				t.Fatalf("%s: error %v does not wrap ErrState", p.Name(), err)
+			}
+			return
+		}
+		if again := p.(Snapshotter).AppendState(nil); !bytes.Equal(again, state) {
+			t.Fatalf("%s: accepted %d-byte state re-exports as %d different bytes", p.Name(), len(state), len(again))
+		}
+		Run(p, trace.NewReader(trainEvents(64)))
+	})
 }
 
 // TestStateTablesLiveCounts: live counts start at zero, grow under

@@ -1,16 +1,9 @@
 package core
 
 import (
-	"encoding/binary"
 	"fmt"
+	"math"
 )
-
-// strideEntry is one row of the stride predictor table.
-type strideEntry struct {
-	last   uint32
-	stride uint32
-	conf   uint8 // 3-bit saturating confidence counter, 0..7
-}
 
 // Stride is the stride predictor variant used throughout the paper:
 // a single stride per entry guarded by a 3-bit saturating confidence
@@ -19,9 +12,15 @@ type strideEntry struct {
 // while the counter is below its maximum (7). This gives two-delta-like
 // robustness (a loop-control reset costs one misprediction, not two)
 // without storing a second stride.
+//
+// The table is stored structure-of-arrays (last values, strides and
+// counters in separate flat slices), as DFCM's level-1 is; the
+// serialized rows stay interleaved (last, stride, conf).
 type Stride struct {
-	bits  uint
-	table []strideEntry
+	bits   uint
+	last   []uint32
+	stride []uint32
+	conf   []uint8 // 3-bit saturating confidence counter, 0..7
 }
 
 // Confidence counter parameters (paper section 4, "The confidence
@@ -40,105 +39,83 @@ const (
 // 3-bit confidence counter) = 2^bits × 67 bits.
 func NewStride(bits uint) *Stride {
 	checkBits("stride", bits, 30)
-	return &Stride{bits: bits, table: make([]strideEntry, 1<<bits)}
+	n := 1 << bits
+	return &Stride{bits: bits, last: make([]uint32, n), stride: make([]uint32, n), conf: make([]uint8, n)}
 }
 
 // Predict returns last value + stride for the entry at pc.
 func (p *Stride) Predict(pc uint32) uint32 {
-	e := &p.table[pcIndex(pc, p.bits)]
-	return e.last + e.stride
+	i := pcIndex(pc, p.bits)
+	return p.last[i] + p.stride[i]
 }
 
 // Update trains the entry at pc with the produced value.
 func (p *Stride) Update(pc, value uint32) {
-	strideStep(&p.table[pcIndex(pc, p.bits)], value)
+	strideStep(p.last, p.stride, p.conf, int(pcIndex(pc, p.bits)), value)
 }
 
-// strideStep is the stride update rule for entry e and produced value
-// v, shared by Update and RunBatch; it reports 1 if e predicted v, 0
-// otherwise. The replacement gate reads the counter *before* this
-// outcome is folded in: a fully confident entry keeps its stride
-// across a single disruption (e.g. a loop-control reset costs exactly
-// one misprediction, matching the two-delta method the paper calls
-// "comparable").
-func strideStep(e *strideEntry, v uint32) int32 {
-	hit := hit01(e.last+e.stride, v)
-	if e.conf < strideConfMax {
-		e.stride = v - e.last
+// strideStep is the stride update rule at entry i for produced value
+// v, shared by Update and RunBatch; it reports 1 if the entry predicted
+// v, 0 otherwise. It takes the tables as arguments so RunBatch can
+// hoist the slices out of its loop. The replacement gate reads the
+// counter *before* this outcome is folded in: a fully confident entry
+// keeps its stride across a single disruption (e.g. a loop-control
+// reset costs exactly one misprediction, matching the two-delta method
+// the paper calls "comparable").
+func strideStep(last, stride []uint32, conf []uint8, i int, v uint32) int32 {
+	lv, c := last[i], conf[i]
+	hit := hit01(lv+stride[i], v)
+	if c < strideConfMax {
+		stride[i] = v - lv
 	}
 	if hit != 0 {
-		if e.conf < strideConfMax {
-			e.conf += strideConfIncrement
+		if c < strideConfMax {
+			c += strideConfIncrement
 		}
-	} else if e.conf >= strideConfDecrement {
-		e.conf -= strideConfDecrement
+	} else if c >= strideConfDecrement {
+		c -= strideConfDecrement
 	} else {
-		e.conf = 0
+		c = 0
 	}
-	e.last = v
+	conf[i] = c
+	last[i] = v
 	return hit
 }
 
 // Reset implements Resetter.
-func (p *Stride) Reset() { clear(p.table) }
+func (p *Stride) Reset() {
+	clear(p.last)
+	clear(p.stride)
+	clear(p.conf)
+}
 
-// strideEntryBytes is one serialized strideEntry: last, stride, conf.
-const strideEntryBytes = 4 + 4 + 1
+// walkState lists the state: rows of (last, stride, conf).
+func (p *Stride) walkState(w *stateWalk) {
+	w.table(col32(p.last, math.MaxUint32), col32(p.stride, math.MaxUint32), col8(p.conf, strideConfMax))
+}
 
 // AppendState implements Snapshotter.
-func (p *Stride) AppendState(b []byte) []byte {
-	for i := range p.table {
-		e := &p.table[i]
-		b = binary.BigEndian.AppendUint32(b, e.last)
-		b = binary.BigEndian.AppendUint32(b, e.stride)
-		b = append(b, e.conf)
-	}
-	return b
-}
+func (p *Stride) AppendState(b []byte) []byte { return appendState(p, b) }
 
 // RestoreState implements Snapshotter.
-func (p *Stride) RestoreState(data []byte) error {
-	if len(data) != strideEntryBytes*len(p.table) {
-		return stateSizeErr("stride", strideEntryBytes*len(p.table), len(data))
-	}
-	for i := range p.table {
-		row := data[strideEntryBytes*i:]
-		conf := row[8]
-		if conf > strideConfMax {
-			return fmt.Errorf("%w: stride confidence %d exceeds %d", ErrState, conf, strideConfMax)
-		}
-		p.table[i] = strideEntry{
-			last:   binary.BigEndian.Uint32(row),
-			stride: binary.BigEndian.Uint32(row[4:]),
-			conf:   conf,
-		}
-	}
-	return nil
-}
+func (p *Stride) RestoreState(data []byte) error { return restoreState(p, data) }
 
 // StateTables implements StateTabler.
 func (p *Stride) StateTables() []TableInfo {
 	live := 0
-	for i := range p.table {
-		if p.table[i] != (strideEntry{}) {
+	for i := range p.last {
+		if p.last[i] != 0 || p.stride[i] != 0 || p.conf[i] != 0 {
 			live++
 		}
 	}
-	return []TableInfo{{Name: "entries", Entries: len(p.table), Live: live}}
+	return []TableInfo{{Name: "entries", Entries: len(p.last), Live: live}}
 }
 
 // Name implements Predictor.
 func (p *Stride) Name() string { return fmt.Sprintf("stride-2^%d", p.bits) }
 
 // SizeBits implements Predictor.
-func (p *Stride) SizeBits() int64 { return int64(len(p.table)) * (32 + 32 + 3) }
-
-// twoDeltaEntry is one row of the two-delta predictor table.
-type twoDeltaEntry struct {
-	last uint32
-	s1   uint32 // predicting stride
-	s2   uint32 // most recent stride
-}
+func (p *Stride) SizeBits() int64 { return int64(len(p.last)) * (32 + 32 + 3) }
 
 // TwoDelta is the two-delta stride predictor of Eickemeyer and
 // Vassiliadis, described in the paper's section 2.2: the predicting
@@ -146,9 +123,14 @@ type twoDeltaEntry struct {
 // twice in a row (tracked through s2). Included as an additional
 // baseline; the paper's own experiments use the confidence-gated
 // Stride predictor instead.
+//
+// Like Stride, the table is stored structure-of-arrays and serialized
+// as interleaved (last, s1, s2) rows.
 type TwoDelta struct {
-	bits  uint
-	table []twoDeltaEntry
+	bits uint
+	last []uint32
+	s1   []uint32 // predicting stride
+	s2   []uint32 // most recent stride
 }
 
 // NewTwoDelta returns a two-delta stride predictor with 2^bits entries.
@@ -157,78 +139,68 @@ type TwoDelta struct {
 // = 2^bits × 96 bits.
 func NewTwoDelta(bits uint) *TwoDelta {
 	checkBits("two-delta", bits, 30)
-	return &TwoDelta{bits: bits, table: make([]twoDeltaEntry, 1<<bits)}
+	n := 1 << bits
+	return &TwoDelta{bits: bits, last: make([]uint32, n), s1: make([]uint32, n), s2: make([]uint32, n)}
 }
 
 // Predict returns last value + s1 for the entry at pc.
 func (p *TwoDelta) Predict(pc uint32) uint32 {
-	e := &p.table[pcIndex(pc, p.bits)]
-	return e.last + e.s1
+	i := pcIndex(pc, p.bits)
+	return p.last[i] + p.s1[i]
 }
 
 // Update trains the entry at pc with the produced value.
 func (p *TwoDelta) Update(pc, value uint32) {
-	twoDeltaStep(&p.table[pcIndex(pc, p.bits)], value)
+	twoDeltaStep(p.last, p.s1, p.s2, int(pcIndex(pc, p.bits)), value)
 }
 
-// twoDeltaStep is the two-delta update rule for entry e and produced
-// value v, shared by Update and RunBatch; it reports 1 if e predicted
-// v, 0 otherwise. s1 takes the new stride only when it repeats (s2
-// match).
-func twoDeltaStep(e *twoDeltaEntry, v uint32) int32 {
-	hit := hit01(e.last+e.s1, v)
-	stride := v - e.last
-	if stride == e.s2 {
-		e.s1 = stride
+// twoDeltaStep is the two-delta update rule at entry i for produced
+// value v, shared by Update and RunBatch; it reports 1 if the entry
+// predicted v, 0 otherwise. s1 takes the new stride only when it
+// repeats (s2 match).
+func twoDeltaStep(last, s1, s2 []uint32, i int, v uint32) int32 {
+	lv := last[i]
+	hit := hit01(lv+s1[i], v)
+	stride := v - lv
+	if stride == s2[i] {
+		s1[i] = stride
 	}
-	e.s2 = stride
-	e.last = v
+	s2[i] = stride
+	last[i] = v
 	return hit
 }
 
 // Reset implements Resetter.
-func (p *TwoDelta) Reset() { clear(p.table) }
-
-// AppendState implements Snapshotter: last, s1, s2 per entry.
-func (p *TwoDelta) AppendState(b []byte) []byte {
-	for i := range p.table {
-		e := &p.table[i]
-		b = binary.BigEndian.AppendUint32(b, e.last)
-		b = binary.BigEndian.AppendUint32(b, e.s1)
-		b = binary.BigEndian.AppendUint32(b, e.s2)
-	}
-	return b
+func (p *TwoDelta) Reset() {
+	clear(p.last)
+	clear(p.s1)
+	clear(p.s2)
 }
+
+// walkState lists the state: rows of (last, s1, s2).
+func (p *TwoDelta) walkState(w *stateWalk) {
+	w.table(col32(p.last, math.MaxUint32), col32(p.s1, math.MaxUint32), col32(p.s2, math.MaxUint32))
+}
+
+// AppendState implements Snapshotter.
+func (p *TwoDelta) AppendState(b []byte) []byte { return appendState(p, b) }
 
 // RestoreState implements Snapshotter.
-func (p *TwoDelta) RestoreState(data []byte) error {
-	if len(data) != 12*len(p.table) {
-		return stateSizeErr("two-delta", 12*len(p.table), len(data))
-	}
-	for i := range p.table {
-		row := data[12*i:]
-		p.table[i] = twoDeltaEntry{
-			last: binary.BigEndian.Uint32(row),
-			s1:   binary.BigEndian.Uint32(row[4:]),
-			s2:   binary.BigEndian.Uint32(row[8:]),
-		}
-	}
-	return nil
-}
+func (p *TwoDelta) RestoreState(data []byte) error { return restoreState(p, data) }
 
 // StateTables implements StateTabler.
 func (p *TwoDelta) StateTables() []TableInfo {
 	live := 0
-	for i := range p.table {
-		if p.table[i] != (twoDeltaEntry{}) {
+	for i := range p.last {
+		if p.last[i] != 0 || p.s1[i] != 0 || p.s2[i] != 0 {
 			live++
 		}
 	}
-	return []TableInfo{{Name: "entries", Entries: len(p.table), Live: live}}
+	return []TableInfo{{Name: "entries", Entries: len(p.last), Live: live}}
 }
 
 // Name implements Predictor.
 func (p *TwoDelta) Name() string { return fmt.Sprintf("2delta-2^%d", p.bits) }
 
 // SizeBits implements Predictor.
-func (p *TwoDelta) SizeBits() int64 { return int64(len(p.table)) * (32 + 32 + 32) }
+func (p *TwoDelta) SizeBits() int64 { return int64(len(p.last)) * (32 + 32 + 32) }

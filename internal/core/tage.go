@@ -1,7 +1,6 @@
 package core
 
 import (
-	"encoding/binary"
 	"fmt"
 	"math"
 
@@ -495,92 +494,31 @@ func (p *TAGE) Reset() {
 	p.pos = 0
 }
 
-// AppendState implements Snapshotter: base rows, then the tagged SoA
-// slices in declaration order, then the history ring (one byte per
-// bit) and the update count. The folded registers and write position
-// are derived from (ring, tick) and rebuilt on restore.
-func (p *TAGE) AppendState(b []byte) []byte {
-	for i := range p.last {
-		b = binary.BigEndian.AppendUint32(b, p.last[i])
+// walkState lists the state: the base columns, the tagged SoA slices
+// in declaration order, the history ring (one byte per bit) and the
+// update count. Every restored word must fit its configured width —
+// strides and tags their widths, counters their two bits, ring bytes
+// one bit. The folded registers and write position are derived from
+// (ring, tick): restore rebuilds them instead of trusting the wire.
+func (p *TAGE) walkState(w *stateWalk) {
+	w.table(col32(p.last, math.MaxUint32))
+	w.table(col32(p.bstride, p.strideMask))
+	w.table(col32(p.tags, p.tagMask))
+	w.table(col32(p.strides, p.strideMask))
+	w.table(col8(p.conf, tageConfMax))
+	w.table(col8(p.ubits, tageUMax))
+	w.table(col8(p.ring, 1))
+	w.u64(&p.tick, math.MaxUint64)
+	if w.restore && w.err == nil {
+		p.rebuildFolds()
 	}
-	for _, v := range p.bstride {
-		b = binary.BigEndian.AppendUint32(b, v)
-	}
-	for _, v := range p.tags {
-		b = binary.BigEndian.AppendUint32(b, v)
-	}
-	for _, v := range p.strides {
-		b = binary.BigEndian.AppendUint32(b, v)
-	}
-	b = append(b, p.conf...)
-	b = append(b, p.ubits...)
-	b = append(b, p.ring...)
-	return binary.BigEndian.AppendUint64(b, p.tick)
 }
 
-// RestoreState implements Snapshotter. Every stored field is
-// range-checked against the configured geometry — strides and tags
-// must fit their widths, counters their two bits, ring bytes must be
-// single bits — and the derived folded registers are recomputed from
-// the restored window instead of being trusted from the wire.
-func (p *TAGE) RestoreState(data []byte) error {
-	want := 4*len(p.last) + 4*len(p.bstride) + 4*len(p.tags) + 4*len(p.strides) +
-		len(p.conf) + len(p.ubits) + len(p.ring) + 8
-	if len(data) != want {
-		return stateSizeErr("tage", want, len(data))
-	}
-	for i := range p.last {
-		p.last[i] = binary.BigEndian.Uint32(data[4*i:])
-	}
-	data = data[4*len(p.last):]
-	for i := range p.bstride {
-		v := binary.BigEndian.Uint32(data[4*i:])
-		if v&p.strideMask != v {
-			return fmt.Errorf("%w: tage base stride %#x wider than %d bits", ErrState, v, p.strideBits)
-		}
-		p.bstride[i] = v
-	}
-	data = data[4*len(p.bstride):]
-	for i := range p.tags {
-		v := binary.BigEndian.Uint32(data[4*i:])
-		if v&p.tagMask != v {
-			return fmt.Errorf("%w: tage tag %#x wider than %d bits", ErrState, v, p.tagBits)
-		}
-		p.tags[i] = v
-	}
-	data = data[4*len(p.tags):]
-	for i := range p.strides {
-		v := binary.BigEndian.Uint32(data[4*i:])
-		if v&p.strideMask != v {
-			return fmt.Errorf("%w: tage stride %#x wider than %d bits", ErrState, v, p.strideBits)
-		}
-		p.strides[i] = v
-	}
-	data = data[4*len(p.strides):]
-	for i := range p.conf {
-		if data[i] > tageConfMax {
-			return fmt.Errorf("%w: tage confidence %d exceeds %d", ErrState, data[i], tageConfMax)
-		}
-		p.conf[i] = data[i]
-	}
-	data = data[len(p.conf):]
-	for i := range p.ubits {
-		if data[i] > tageUMax {
-			return fmt.Errorf("%w: tage usefulness %d exceeds %d", ErrState, data[i], tageUMax)
-		}
-		p.ubits[i] = data[i]
-	}
-	data = data[len(p.ubits):]
-	for i := range p.ring {
-		if data[i] > 1 {
-			return fmt.Errorf("%w: tage history byte %#x is not a bit", ErrState, data[i])
-		}
-		p.ring[i] = data[i]
-	}
-	p.tick = binary.BigEndian.Uint64(data[len(p.ring):])
-	p.rebuildFolds()
-	return nil
-}
+// AppendState implements Snapshotter.
+func (p *TAGE) AppendState(b []byte) []byte { return appendState(p, b) }
+
+// RestoreState implements Snapshotter.
+func (p *TAGE) RestoreState(data []byte) error { return restoreState(p, data) }
 
 // StateTables implements StateTabler: the base table, one entry per
 // tagged table, and the history ring.
