@@ -2,15 +2,16 @@
 # change: gofmt drift, the tier-1 build+test pass (ROADMAP.md), go vet, the race
 # detector over the concurrent packages (internal/serve is the first
 # concurrent code in the repo; its tests — and the cmd tests that
-# drive a live server — must stay race-clean), and the project's own
+# drive a live server — must stay race-clean), the project's own
 # static-analysis suite (cmd/vplint, see DESIGN.md §"Statically
-# enforced invariants").
+# enforced invariants"), and a build and vet of the nested vpbench
+# module.
 
 GO ?= go
 
-.PHONY: verify fmt build test vet lint race bench allocgate serve-bench fuzz loc
+.PHONY: verify fmt build test vet lint race vpbench-build bench allocgate serve-bench fuzz loc
 
-verify: fmt vet build test race lint
+verify: fmt vet build test race lint vpbench-build
 
 # Fails if gofmt would rewrite any Go file outside testdata (fixtures
 # there are analyzer inputs, kept as written).
@@ -40,6 +41,13 @@ lint:
 
 race:
 	$(GO) test -race ./internal/serve/... ./internal/cluster/... ./internal/autotune/... ./internal/core/... ./internal/engine/... ./internal/snapshot/... ./cmd/vpserve/... ./cmd/vprouter/... ./cmd/vploadgen/... ./cmd/vpstate/... ./cmd/dfcmsim/...
+
+# vpbench is its own module (it replaces repro with ../), so
+# `go build ./...` above skips it: build and vet it here, so a change to
+# an exported signature it uses cannot break the benchmark unseen. The
+# binary goes to /dev/null: vpbench/run.py builds its own.
+vpbench-build:
+	cd vpbench && $(GO) build -o /dev/null ./... && $(GO) vet ./...
 
 # Short fuzz smoke over the attacker-facing decoders, predictor state
 # restore and the history hashes. CI-friendly: a few seconds per target; crank -fuzztime for

@@ -171,7 +171,7 @@ func warmedDFCMSnapshot(b *testing.B) (core.Spec, core.Predictor, []byte) {
 		b.Fatal(err)
 	}
 	body := workload.LoopBody(0x1000, 2, 6, 4, 2)
-	core.Run(p, trace.NewReader(trace.Collect(workload.Interleave(body, 4096), 0)))
+	core.Run(p, trace.Collect(workload.Interleave(body, 4096), 0))
 	snap, err := snapshot.Capture(spec, p, snapshot.Meta{Session: 1})
 	if err != nil {
 		b.Fatal(err)

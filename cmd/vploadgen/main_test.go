@@ -70,7 +70,7 @@ func TestEndToEndEquivalence(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	want := core.Run(offline, trace.NewReader(events))
+	want := core.Run(offline, events)
 
 	addr := startServer(t, spec)
 	rep, err := runLoad(&loadConfig{
@@ -107,7 +107,7 @@ func TestSplitModeMultiConn(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	want := core.Run(offline, trace.NewReader(events)).Correct
+	want := core.Run(offline, events).Correct
 
 	addr := startServer(t, spec)
 	const conns = 3
@@ -237,7 +237,7 @@ func TestClusterSmokeMigration(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	want := core.Run(offline, trace.NewReader(events)).Correct
+	want := core.Run(offline, events).Correct
 
 	before, err := fetchRouterStats(adminURL)
 	if err != nil {

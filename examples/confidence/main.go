@@ -13,7 +13,6 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/progs"
-	"repro/internal/trace"
 )
 
 func main() {
@@ -40,7 +39,7 @@ func main() {
 	fmt.Println("DFCM 2^16/2^12 on benchmark li:")
 	fmt.Printf("%-14s %10s %16s %10s\n", "estimator", "coverage", "confident acc", "raw acc")
 	for _, s := range schemes {
-		r := core.RunConfident(s.mk(), trace.NewReader(tr))
+		r := core.RunConfident(s.mk(), tr)
 		fmt.Printf("%-14s %10.4f %16.4f %10.4f\n",
 			s.name, r.Coverage(), r.Confident.Accuracy(), r.All.Accuracy())
 	}

@@ -11,6 +11,7 @@ import (
 	"fmt"
 
 	"repro/internal/core"
+	"repro/internal/trace"
 	"repro/internal/workload"
 )
 
@@ -23,13 +24,13 @@ func main() {
 
 	fmt.Printf("%-8s %18s %18s\n", "delay", "tight loop (8 ins)", "wide loop (80 ins)")
 	for _, delay := range []int{0, 16, 32, 64, 128, 256, 512} {
-		accT := core.Run(
+		accT := core.RunBatch(
 			core.NewDelayed(core.NewDFCM(12, 12), delay),
-			workload.Interleave(tight, 20_000),
+			trace.Collect(workload.Interleave(tight, 20_000), 0),
 		).Accuracy()
-		accW := core.Run(
+		accW := core.RunBatch(
 			core.NewDelayed(core.NewDFCM(12, 12), delay),
-			workload.Interleave(wide, 2_000),
+			trace.Collect(workload.Interleave(wide, 2_000), 0),
 		).Accuracy()
 		fmt.Printf("%-8d %18.4f %18.4f\n", delay, accT, accW)
 	}

@@ -49,7 +49,7 @@ func main() {
 
 	fmt.Printf("%-26s %12s %10s\n", "predictor", "size(Kbit)", "accuracy")
 	for _, p := range predictors {
-		res := valuepred.Run(p, valuepred.NewReader(tr))
+		res := valuepred.Run(p, tr)
 		fmt.Printf("%-26s %12.1f %10.4f\n",
 			p.Name(), float64(p.SizeBits())/1024, res.Accuracy())
 	}

@@ -16,15 +16,16 @@ import (
 //
 //   - internal/core: bodies of the per-event methods Predict,
 //     PredictConfident, Update, L2Index and RunBatch, the top-level
-//     replay loops Run, RunBatch, Hits and runEach (the generic
-//     per-event loop behind every predictor without a concrete batch
-//     loop, served ones included), the mask readers Hit and
-//     UnionHits, the top-level step helpers (lastValueStep,
+//     replay loops RunBatch, Hits, runEach (the generic per-event
+//     loop behind every predictor without a concrete batch loop,
+//     served ones included) and Run (runEach over a whole trace, the
+//     per-event reference the tests compare against), the mask
+//     readers Hit and UnionHits, the top-level step helpers (lastValueStep,
 //     strideStep, twoDeltaStep, fcmStep, dfcmStep) that Update and
 //     RunBatch share, and the delayed-update kernel's helpers
 //     (delayedSteps, drop, pushAll) that Delayed.RunBatch runs once
 //     per chunk;
-//   - internal/hash: every Update method, Shifts32, and the Fold,
+//   - internal/hash: FSR's Update and Shifts32 methods, and the Fold,
 //     Fold32 and Mask helpers (they run once per event, or once per
 //     chunk, inside FCM/DFCM updates);
 //   - internal/engine: every top-level function named replay* — the

@@ -32,7 +32,7 @@ func offlineHits(tb testing.TB, events trace.Trace) uint64 {
 	if err != nil {
 		tb.Fatal(err)
 	}
-	return core.Run(p, trace.NewReader(events)).Correct
+	return core.Run(p, events).Correct
 }
 
 // startBackend runs one vpserve (engine + server) on a loopback

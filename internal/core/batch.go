@@ -72,7 +72,7 @@ func (p *TwoDelta) RunBatch(batch []trace.Event) Result {
 	return res
 }
 
-// RunBatch implements BatchRunner. The FSR choice is hoisted out of
+// RunBatch implements BatchRunner. The fold choice is hoisted out of
 // the loop: one flag check and one copy of the shift counts per chunk,
 // then the inlined Fold32 per event.
 func (p *FCM) RunBatch(batch []trace.Event) Result {

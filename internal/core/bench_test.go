@@ -72,7 +72,7 @@ func BenchmarkHybrid_PredictUpdate(b *testing.B) {
 
 func BenchmarkReset(b *testing.B) {
 	p := NewDFCM(14, 12)
-	Run(p, trace.NewReader(benchTrace(4096)))
+	Run(p, benchTrace(4096))
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {

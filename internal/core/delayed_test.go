@@ -17,8 +17,8 @@ func TestDelayedZeroEquivalent(t *testing.T) {
 		func() Predictor { return NewFCM(8, 10) },
 		func() Predictor { return NewDFCM(8, 10) },
 	} {
-		plain := Run(mk(), trace.NewReader(tr))
-		delayed := Run(NewDelayed(mk(), 0), trace.NewReader(tr))
+		plain := Run(mk(), tr)
+		delayed := Run(NewDelayed(mk(), 0), tr)
 		if plain != delayed {
 			t.Errorf("%s: delay-0 result %+v != plain %+v", mk().Name(), delayed, plain)
 		}
@@ -64,8 +64,8 @@ func TestDelayedDoesNotAffectDistantRecurrence(t *testing.T) {
 			tr = append(tr, trace.Event{PC: uint32(0x1000 + 4*k), Value: uint32(k)})
 		}
 	}
-	plain := Run(NewLastValue(10), trace.NewReader(tr))
-	delayed := Run(NewDelayed(NewLastValue(10), 16), trace.NewReader(tr))
+	plain := Run(NewLastValue(10), tr)
+	delayed := Run(NewDelayed(NewLastValue(10), 16), tr)
 	if plain != delayed {
 		t.Errorf("delay < recurrence distance changed result: %+v vs %+v", delayed, plain)
 	}
@@ -94,7 +94,7 @@ func TestDelayedMonotoneDegradation(t *testing.T) {
 	}
 	prev := 1.1
 	for _, delay := range []int{0, 16, 64, 256} {
-		acc := Run(NewDelayed(NewDFCM(8, 12), delay), trace.NewReader(tr)).Accuracy()
+		acc := Run(NewDelayed(NewDFCM(8, 12), delay), tr).Accuracy()
 		if acc > prev+0.02 {
 			t.Errorf("accuracy increased with delay %d: %.3f > %.3f", delay, acc, prev)
 		}

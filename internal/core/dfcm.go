@@ -31,9 +31,9 @@ type DFCM struct {
 	l1bits     uint
 	l2bits     uint
 	strideBits uint // width of strides stored in level-2 (section 4.4)
-	h          hash.Func
+	h          *hash.FSR
 	fold       hash.Shifts // h as Fold32 takes it, when fast
-	fast       bool        // h is an FSR that Fold32 computes: the inlined fast path
+	fast       bool        // Fold32 with fold equals h.Update: the inlined fast path
 	l1mask     uint32      // 2^l1bits − 1, applied to pc>>2
 	strideMask uint32      // low strideBits set: truncate is one AND
 	extShift   uint        // 32 − strideBits: sign-extension shift pair (0 = identity)
@@ -45,8 +45,8 @@ type DFCM struct {
 // NewDFCM returns a DFCM with 2^l1bits level-1 entries and 2^l2bits
 // level-2 entries, full 32-bit stored strides, and the paper's FS R-5
 // history hash. Use NewDFCMWidth to shrink the stored stride width
-// (the paper's section 4.4 experiment) and NewDFCMHash for a custom
-// hash.
+// (the paper's section 4.4 experiment) and NewDFCMHash for another
+// FS R-k function.
 //
 // Size accounting: level-1 stores the hashed history plus the 32-bit
 // last value (the paper's stated extra cost of DFCM); level-2 stores
@@ -65,10 +65,10 @@ func NewDFCMWidth(l1bits, l2bits, strideBits uint) *DFCM {
 	return NewDFCMHash(l1bits, l2bits, strideBits, hash.NewFSR5(l2bits))
 }
 
-// NewDFCMHash is the fully explicit constructor. The hash must produce
-// l2bits-wide indices; NewDFCMHash panics otherwise, or if strideBits
-// is outside 1..32.
-func NewDFCMHash(l1bits, l2bits, strideBits uint, h hash.Func) *DFCM {
+// NewDFCMHash is the fully explicit constructor, with an FS R-k
+// history hash. The hash must produce l2bits-wide indices;
+// NewDFCMHash panics otherwise, or if strideBits is outside 1..32.
+func NewDFCMHash(l1bits, l2bits, strideBits uint, h *hash.FSR) *DFCM {
 	checkBits("DFCM level-1", l1bits, 30)
 	checkBits("DFCM level-2", l2bits, 30)
 	if strideBits == 0 || strideBits > 32 {
@@ -78,11 +78,7 @@ func NewDFCMHash(l1bits, l2bits, strideBits uint, h hash.Func) *DFCM {
 		panic(fmt.Sprintf("core: hash produces %d-bit indices, level-2 needs %d",
 			h.IndexBits(), l2bits))
 	}
-	var fold hash.Shifts
-	var fast bool
-	if fsr, ok := h.(*hash.FSR); ok {
-		fold, fast = fsr.Shifts32()
-	}
+	fold, fast := h.Shifts32()
 	return &DFCM{
 		l1bits:     l1bits,
 		l2bits:     l2bits,
@@ -118,9 +114,9 @@ func (p *DFCM) Predict(pc uint32) uint32 {
 
 // Update computes the new stride (value − last), stores it in the
 // level-2 entry the prediction came from, folds it into the history,
-// and records value as the new last value. On the FSR fast path the
-// history fold is the inlined hash.Fold32 instead of a call through
-// hash.Func.
+// and records value as the new last value. On the fast path the
+// history fold is the inlined hash.Fold32 instead of a call to
+// FSR.Update.
 func (p *DFCM) Update(pc, value uint32) {
 	i := int((pc >> 2) & p.l1mask)
 	h, stride, _ := dfcmStep(p.last, p.hist, p.l2, i, value, p.strideMask, p.extShift)

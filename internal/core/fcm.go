@@ -15,9 +15,9 @@ import (
 type FCM struct {
 	l1bits uint
 	l2bits uint
-	h      hash.Func
+	h      *hash.FSR
 	fold   hash.Shifts // h as Fold32 takes it, when fast
-	fast   bool        // h is an FSR that Fold32 computes: the inlined fast path
+	fast   bool        // Fold32 with fold equals h.Update: the inlined fast path
 	l1mask uint32      // 2^l1bits − 1, applied to pc>>2
 	l1     []uint64    // hashed value history per static instruction
 	l2     []uint32    // predicted next value per context
@@ -25,7 +25,7 @@ type FCM struct {
 
 // NewFCM returns an FCM with 2^l1bits level-1 entries and 2^l2bits
 // level-2 entries, hashing histories with the paper's FS R-5 function.
-// Use NewFCMHash to supply a different hash.
+// Use NewFCMHash to supply a different FS R-k function.
 //
 // Size accounting: level-1 stores only the hashed history (l2bits bits
 // per entry — the full history need not be stored since the hash
@@ -35,20 +35,16 @@ func NewFCM(l1bits, l2bits uint) *FCM {
 	return NewFCMHash(l1bits, l2bits, hash.NewFSR5(l2bits))
 }
 
-// NewFCMHash is NewFCM with an explicit history hash function. The
-// hash must produce l2bits-wide indices; NewFCMHash panics otherwise.
-func NewFCMHash(l1bits, l2bits uint, h hash.Func) *FCM {
+// NewFCMHash is NewFCM with an explicit FS R-k history hash. The hash
+// must produce l2bits-wide indices; NewFCMHash panics otherwise.
+func NewFCMHash(l1bits, l2bits uint, h *hash.FSR) *FCM {
 	checkBits("FCM level-1", l1bits, 30)
 	checkBits("FCM level-2", l2bits, 30)
 	if h.IndexBits() != l2bits {
 		panic(fmt.Sprintf("core: hash produces %d-bit indices, level-2 needs %d",
 			h.IndexBits(), l2bits))
 	}
-	var fold hash.Shifts
-	var fast bool
-	if fsr, ok := h.(*hash.FSR); ok {
-		fold, fast = fsr.Shifts32()
-	}
+	fold, fast := h.Shifts32()
 	return &FCM{
 		l1bits: l1bits,
 		l2bits: l2bits,
@@ -69,8 +65,8 @@ func (p *FCM) Predict(pc uint32) uint32 {
 
 // Update writes the produced value into the level-2 entry the
 // prediction came from and appends the value to the level-1 history.
-// On the FSR fast path the history fold is the inlined hash.Fold32
-// instead of a call through hash.Func.
+// On the fast path the history fold is the inlined hash.Fold32
+// instead of a call to FSR.Update.
 func (p *FCM) Update(pc, value uint32) {
 	i := int((pc >> 2) & p.l1mask)
 	h, _ := fcmStep(p.l1, p.l2, i, value)

@@ -311,22 +311,5 @@ func TestHashMismatchPanics(t *testing.T) {
 			t.Error("no panic for hash/l2 width mismatch")
 		}
 	}()
-	NewFCMHash(4, 12, hashWithBits(10))
+	NewFCMHash(4, 12, hash.NewFSR5(10))
 }
-
-// hashWithBits builds a throwaway hash of the given width.
-func hashWithBits(n uint) interface {
-	Update(uint64, uint64) uint64
-	IndexBits() uint
-	Order() int
-	Name() string
-} {
-	return fsrStub{n: n}
-}
-
-type fsrStub struct{ n uint }
-
-func (s fsrStub) Update(h, v uint64) uint64 { return 0 }
-func (s fsrStub) IndexBits() uint           { return s.n }
-func (s fsrStub) Order() int                { return 1 }
-func (s fsrStub) Name() string              { return "stub" }

@@ -37,8 +37,8 @@ func perfectAccuracy(tr trace.Trace, comps ...Predictor) float64 {
 
 func TestPerfectHybridAtLeastAsGoodAsComponents(t *testing.T) {
 	tr := mixedTrace(2000, 1)
-	stride := Run(NewStride(8), trace.NewReader(tr)).Accuracy()
-	fcm := Run(NewFCM(8, 12), trace.NewReader(tr)).Accuracy()
+	stride := Run(NewStride(8), tr).Accuracy()
+	fcm := Run(NewFCM(8, 12), tr).Accuracy()
 	hybrid := perfectAccuracy(tr, NewStride(8), NewFCM(8, 12))
 	if hybrid < stride || hybrid < fcm {
 		t.Errorf("perfect hybrid %.3f below components (stride %.3f, fcm %.3f)",
@@ -63,7 +63,7 @@ func TestDFCMBeatsPerfectStrideFCMHybridUnderPressure(t *testing.T) {
 			tr = append(tr, trace.Event{PC: uint32(0x1000 + (64+k)*4), Value: pattern[(i+k)%len(pattern)]})
 		}
 	}
-	dfcm := Run(NewDFCM(10, 8), trace.NewReader(tr)).Accuracy()
+	dfcm := Run(NewDFCM(10, 8), tr).Accuracy()
 	hybrid := perfectAccuracy(tr, NewStride(10), NewFCM(10, 8))
 	if dfcm <= hybrid-0.02 {
 		t.Errorf("DFCM %.3f should be competitive with perfect STRIDE+FCM %.3f under L2 pressure",
@@ -75,7 +75,7 @@ func TestMetaHybridTracksBetterComponent(t *testing.T) {
 	// On a pure stride workload the meta predictor must converge to
 	// the stride component.
 	h := NewMetaHybrid(NewStride(8), NewLastValue(8), 8)
-	res := Run(h, seqSource(0x40, strideSeq(0, 3, 500)))
+	res := Run(h, seqTrace(0x40, strideSeq(0, 3, 500)))
 	if res.Accuracy() < 0.95 {
 		t.Errorf("meta hybrid accuracy = %.3f, want >= 0.95 on stride workload", res.Accuracy())
 	}
@@ -83,9 +83,9 @@ func TestMetaHybridTracksBetterComponent(t *testing.T) {
 
 func TestMetaHybridBetweenComponentsOnMixedTrace(t *testing.T) {
 	tr := mixedTrace(3000, 7)
-	a := Run(NewStride(8), trace.NewReader(tr)).Accuracy()
-	b := Run(NewLastValue(8), trace.NewReader(tr)).Accuracy()
-	m := Run(NewMetaHybrid(NewStride(8), NewLastValue(8), 8), trace.NewReader(tr)).Accuracy()
+	a := Run(NewStride(8), tr).Accuracy()
+	b := Run(NewLastValue(8), tr).Accuracy()
+	m := Run(NewMetaHybrid(NewStride(8), NewLastValue(8), 8), tr).Accuracy()
 	lo := min(a, b)
 	if m < lo-0.05 {
 		t.Errorf("meta hybrid %.3f far below both components (%.3f, %.3f)", m, a, b)

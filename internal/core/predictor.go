@@ -8,7 +8,7 @@
 // its hits are the union of its components' per-event hit masks
 // (Hits, UnionHits).
 //
-// All predictors consume the same trace interface: a stream of
+// All predictors consume the same trace form: a slice of
 // (pc, value) events where pc is the program counter of a static
 // instruction and value is the 32-bit integer register value it
 // produced. Accuracy is the fraction of events whose value was
@@ -117,30 +117,20 @@ func (r *Result) Add(other Result) {
 	r.Correct += other.Correct
 }
 
-// Run drives p over all events of src and returns the accumulated
-// result: each event is processed as Predict, compare, Update.
-func Run(p Predictor, src trace.Source) Result {
-	var res Result
-	for {
-		e, more := src.Next()
-		if !more {
-			return res
-		}
-		res.Predictions++
-		if p.Predict(e.PC) == e.Value {
-			res.Correct++
-		}
-		p.Update(e.PC, e.Value)
-	}
-}
+// Run drives p over every event of t, Predict then compare then
+// Update, through the Predictor interface, and returns the accumulated
+// result. It is the per-event reference that tests compare RunBatch,
+// the sweep engine and the served paths against; production replays
+// call RunBatch, which returns the same Result.
+func Run(p Predictor, t trace.Trace) Result { return runEach(p, t, nil) }
 
 // RunBatch drives p over one in-memory slice of events and returns
-// the result of exactly that slice. It is the in-memory counterpart
-// of Run: callers that already hold a materialized trace avoid the
-// per-event Source.Next interface dispatch. Feeding consecutive
-// slices of a trace through RunBatch and summing the results is
-// exactly equivalent to one Run over the whole trace: predictor state
-// carries across calls and Result is a plain event count.
+// the result of exactly that slice, through p's concrete batch loop
+// when it has one (BatchRunner) and the generic per-event loop
+// otherwise. Feeding consecutive slices of a trace through RunBatch
+// and summing the results is exactly equivalent to one Run over the
+// whole trace: predictor state carries across calls and Result is a
+// plain event count.
 func RunBatch(p Predictor, batch []trace.Event) Result {
 	if b, ok := p.(BatchRunner); ok {
 		return b.RunBatch(batch)

@@ -41,7 +41,7 @@ func TestRunBatchChunksEqualRun(t *testing.T) {
 		"tage":    func() Predictor { return NewTAGE(8, 6, 32, 4, 8, 4, 64) },
 	}
 	for name, mk := range mks {
-		want := Run(mk(), trace.NewReader(tr))
+		want := Run(mk(), tr)
 		for _, chunk := range []int{1, 13, 512, len(tr), len(tr) + 1} {
 			p := mk()
 			var got Result
@@ -77,7 +77,7 @@ func TestHitsMatchesRun(t *testing.T) {
 		"delayed-tage": func() Predictor { return NewDelayed(NewTAGE(8, 6, 32, 4, 8, 4, 64), 16) },
 	}
 	for name, mk := range mks {
-		want := Run(mk(), trace.NewReader(tr))
+		want := Run(mk(), tr)
 		for _, chunk := range []int{1, 63, 64, 65, len(tr)} {
 			p, ref := mk(), mk()
 			buf := make([]uint64, (chunk+63)/64+1)
@@ -159,8 +159,8 @@ func TestRunBatchConcreteMatchesGeneric(t *testing.T) {
 		"fcm":      func() Predictor { return NewFCM(8, 10) },
 		"dfcm":     func() Predictor { return NewDFCM(8, 10) },
 		"dfcm-w8":  func() Predictor { return NewDFCMWidth(8, 10, 8) },
-		// Narrow level-2 disables the FSR Fold32 fast path, covering
-		// the interface-hash loop variant.
+		// Narrow level-2 disables the Fold32 fast path, covering the
+		// FSR.Update loop variant.
 		"dfcm-small-l2": func() Predictor { return NewDFCMWidth(8, 6, 32) },
 		"fcm-small-l2":  func() Predictor { return NewFCMHash(8, 6, hash.NewFSR5(6)) },
 		// Inners without a fused delayed kernel take the generic

@@ -74,25 +74,21 @@ type StateTabler interface {
 // distinguish malformed state from other errors.
 var ErrState = errors.New("core: malformed predictor state")
 
-// stateWalker is implemented by every Snapshotter in this package:
-// walkState lists the type's stored tables once, in layout order.
-type stateWalker interface {
-	Predictor
-	walkState(w *stateWalk)
-}
-
-// appendState appends p's state to b.
-func appendState(p stateWalker, b []byte) []byte {
-	w := stateWalk{buf: b}
-	p.walkState(&w)
+// appendState appends p's state to b. A size-only walk first sums
+// the state's length, so b grows at most once.
+func appendState(p Predictor, b []byte) []byte {
+	size := stateWalk{sizing: true}
+	walkPredictor(&size, p)
+	w := stateWalk{buf: slices.Grow(b, size.off)}
+	walkPredictor(&w, p)
 	return w.buf
 }
 
 // restoreState restores p's state from data, which must be exactly
 // one walk long.
-func restoreState(p stateWalker, data []byte) error {
+func restoreState(p Predictor, data []byte) error {
 	w := stateWalk{buf: data, restore: true}
-	p.walkState(&w)
+	walkPredictor(&w, p)
 	if err := w.done(); err != nil {
 		return fmt.Errorf("%w: %s: %v", ErrState, p.Name(), err)
 	}
@@ -101,12 +97,14 @@ func restoreState(p stateWalker, data []byte) error {
 
 // stateWalk is one pass over a predictor's state. Appending, buf is
 // the output and grows; restoring, buf is the input and off the next
-// byte to read. The first error stops the walk: every later step is a
-// no-op, so a walk needs no error checks between its steps.
+// byte to read; sizing, off counts the bytes an append would write.
+// The first error stops the walk: every later step is a no-op, so a
+// walk needs no error checks between its steps.
 type stateWalk struct {
 	buf     []byte
 	off     int
 	restore bool
+	sizing  bool
 	err     error
 }
 
@@ -149,6 +147,10 @@ func (w *stateWalk) table(cols ...column) {
 			panic("core: state table columns differ in length")
 		}
 		row += size
+	}
+	if w.sizing {
+		w.off += n * row
+		return
 	}
 	at := len(w.buf)
 	if w.restore {
@@ -247,11 +249,15 @@ func (w *stateWalk) u64(v *uint64, max uint64) {
 // a wrapper need not know its component's size. Restore walks the
 // block on its own and requires p to consume all of it.
 func (w *stateWalk) nested(p Predictor) {
-	sw := p.(stateWalker)
-	if !w.restore {
+	switch {
+	case w.sizing:
+		w.off += 4
+		walkPredictor(w, p)
+		return
+	case !w.restore:
 		off := len(w.buf)
 		w.buf = append(w.buf, 0, 0, 0, 0)
-		sw.walkState(w)
+		walkPredictor(w, p)
 		binary.BigEndian.PutUint32(w.buf[off:], uint32(len(w.buf)-off-4))
 		return
 	}
@@ -262,9 +268,37 @@ func (w *stateWalk) nested(p Predictor) {
 	}
 	inner := stateWalk{buf: w.buf[w.off : w.off+int(n)], restore: true}
 	w.off += int(n)
-	sw.walkState(&inner)
+	walkPredictor(&inner, p)
 	if err := inner.done(); err != nil {
 		w.err = fmt.Errorf("%s: %w", p.Name(), err)
+	}
+}
+
+// walkPredictor walks p's state through its walkState method. The
+// switch names every type that has one, so a walk stays on its
+// caller's stack: the same call through an interface would move every
+// walk to the heap, since a wrapper's walk recurses into its
+// components.
+func walkPredictor(w *stateWalk, p Predictor) {
+	switch c := p.(type) {
+	case *LastValue:
+		c.walkState(w)
+	case *Stride:
+		c.walkState(w)
+	case *TwoDelta:
+		c.walkState(w)
+	case *FCM:
+		c.walkState(w)
+	case *DFCM:
+		c.walkState(w)
+	case *TAGE:
+		c.walkState(w)
+	case *MetaHybrid:
+		c.walkState(w)
+	case *Delayed:
+		c.walkState(w)
+	default:
+		panic("core: " + p.Name() + " has no state walk")
 	}
 }
 

@@ -9,6 +9,7 @@ import (
 	"fmt"
 	"testing"
 
+	"repro/internal/leakcheck"
 	"repro/internal/trace"
 )
 
@@ -30,7 +31,7 @@ func TestSnapshotResumeMatchesUninterrupted(t *testing.T) {
 			if !ok {
 				t.Fatalf("%s does not implement Snapshotter", p.Name())
 			}
-			Run(p, trace.NewReader(events[:cut]))
+			Run(p, events[:cut])
 
 			state := s.AppendState(nil)
 			restored := mk()
@@ -60,7 +61,7 @@ func TestSnapshotStateRoundTripStable(t *testing.T) {
 	for name, mk := range resettables() {
 		t.Run(name, func(t *testing.T) {
 			p := mk().(Snapshotter)
-			Run(p, trace.NewReader(events))
+			Run(p, events)
 			state := p.AppendState(nil)
 
 			restored := mk().(Snapshotter)
@@ -90,7 +91,7 @@ func TestRestoreStateRejectsMalformed(t *testing.T) {
 	for name, mk := range resettables() {
 		t.Run(name, func(t *testing.T) {
 			p := mk().(Snapshotter)
-			Run(p, trace.NewReader(events))
+			Run(p, events)
 			state := p.AppendState(nil)
 
 			type malformed struct {
@@ -219,10 +220,31 @@ func TestStateLayoutDigests(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		Run(p, trace.NewReader(events))
+		Run(p, events)
 		sum := sha256.Sum256(p.(Snapshotter).AppendState(nil))
 		if got := hex.EncodeToString(sum[:]); got != sh.digest {
 			t.Errorf("%s: state sha256 %s, want %s", p.Name(), got, sh.digest)
+		}
+	}
+}
+
+// TestAppendStateAllocatesOnce: AppendState(nil) sizes its output
+// before it writes, so every shape costs exactly one allocation, the
+// state buffer itself, however many tables and nested blocks it has.
+func TestAppendStateAllocatesOnce(t *testing.T) {
+	if leakcheck.RaceEnabled {
+		t.Skip("race detector instrumentation allocates; the budget holds in pure builds only")
+	}
+	events := stateTrace()
+	for _, sh := range stateShapes {
+		p, err := sh.spec.New()
+		if err != nil {
+			t.Fatal(err)
+		}
+		Run(p, events)
+		s := p.(Snapshotter)
+		if n := testing.AllocsPerRun(10, func() { s.AppendState(nil) }); n != 1 {
+			t.Errorf("%s: AppendState(nil) made %v allocations, want 1", p.Name(), n)
 		}
 	}
 }
@@ -252,7 +274,7 @@ func FuzzRestoreState(f *testing.F) {
 		if again := p.(Snapshotter).AppendState(nil); !bytes.Equal(again, state) {
 			t.Fatalf("%s: accepted %d-byte state re-exports as %d different bytes", p.Name(), len(state), len(again))
 		}
-		Run(p, trace.NewReader(trainEvents(64)))
+		Run(p, trainEvents(64))
 	})
 }
 
@@ -272,7 +294,7 @@ func TestStateTablesLiveCounts(t *testing.T) {
 					t.Fatalf("fresh table %s reports %d live entries", ti.Name, ti.Live)
 				}
 			}
-			Run(p, trace.NewReader(events))
+			Run(p, events)
 			totalLive := 0
 			for _, ti := range st.StateTables() {
 				if ti.Live > ti.Entries {

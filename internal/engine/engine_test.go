@@ -58,7 +58,7 @@ func TestSweepMatchesPerEventRun(t *testing.T) {
 	tr := synthTrace(10_000)
 	want := make([]core.Result, len(configs()))
 	for ji, mk := range configs() {
-		want[ji] = core.Run(mk(), trace.NewReader(tr))
+		want[ji] = core.Run(mk(), tr)
 	}
 
 	benches := []string{"a", "b"}
@@ -144,7 +144,7 @@ func TestSweepUnion(t *testing.T) {
 	for bi, bench := range benches {
 		tr := trs[bench]
 		for ji, mk := range mks {
-			if got, want := jobs[ji].PerBench()[bi].Result, core.Run(mk(), trace.NewReader(tr)); got != want {
+			if got, want := jobs[ji].PerBench()[bi].Result, core.Run(mk(), tr); got != want {
 				t.Errorf("%s: component %d = %+v, want %+v", bench, ji, got, want)
 			}
 		}

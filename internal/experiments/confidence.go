@@ -67,7 +67,7 @@ func runExtConfidence(cfg Config) (*Result, error) {
 		si, sc := si, sc
 		perBench[si] = make([]core.ConfidenceResult, len(cfg.benchmarks()))
 		s.AddScan(func(i int, bench string, tr trace.Trace) error {
-			perBench[si][i] = core.RunConfident(sc.mk(), trace.NewReader(tr))
+			perBench[si][i] = core.RunConfident(sc.mk(), tr)
 			return nil
 		})
 	}

@@ -7,7 +7,6 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/metrics"
-	"repro/internal/trace"
 )
 
 // testCfg keeps test runtime modest while staying statistically
@@ -164,7 +163,7 @@ func strideHistFor(cfg Config, bench string, differential bool) (metrics.Histogr
 		p = core.NewFCM(16, 12)
 	}
 	h := metrics.NewStrideHist(4096, 16)
-	return h.Run(p, trace.NewReader(tr)), nil
+	return h.Run(p, tr), nil
 }
 
 func TestFig9DFCMConcentratesStrides(t *testing.T) {

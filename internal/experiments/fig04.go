@@ -67,7 +67,7 @@ func runFig4(cfg Config) (*Result, error) {
 			tr = append(tr, trace.Event{PC: 0x40, Value: v})
 		}
 	}
-	acc := core.Run(core.NewFCM(4, 12), trace.NewReader(tr)).Accuracy()
+	acc := core.RunBatch(core.NewFCM(4, 12), tr).Accuracy()
 	res.addNote("FCM accuracy on the repeated pattern: %.3f (learns it, but only after repetition)", acc)
 	return res, nil
 }

@@ -4,7 +4,6 @@ import (
 	"testing"
 
 	"repro/internal/core"
-	"repro/internal/trace"
 )
 
 // TestGoldenEndToEnd locks the entire pipeline — assembler, simulator,
@@ -40,13 +39,13 @@ func TestGoldenEndToEnd(t *testing.T) {
 			t.Errorf("%s: %d events, golden %d", g.bench, len(tr), g.events)
 			continue
 		}
-		if got := core.Run(core.NewStride(14), trace.NewReader(tr)).Correct; got != g.stride {
+		if got := core.Run(core.NewStride(14), tr).Correct; got != g.stride {
 			t.Errorf("%s: stride correct = %d, golden %d", g.bench, got, g.stride)
 		}
-		if got := core.Run(core.NewFCM(16, 12), trace.NewReader(tr)).Correct; got != g.fcm {
+		if got := core.Run(core.NewFCM(16, 12), tr).Correct; got != g.fcm {
 			t.Errorf("%s: fcm correct = %d, golden %d", g.bench, got, g.fcm)
 		}
-		if got := core.Run(core.NewDFCM(16, 12), trace.NewReader(tr)).Correct; got != g.dfcm {
+		if got := core.Run(core.NewDFCM(16, 12), tr).Correct; got != g.dfcm {
 			t.Errorf("%s: dfcm correct = %d, golden %d", g.bench, got, g.dfcm)
 		}
 	}

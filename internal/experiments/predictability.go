@@ -30,9 +30,9 @@ func runExtPredictability(cfg Config) (*Result, error) {
 	s := newSweep(cfg)
 	s.AddScan(func(i int, bench string, tr trace.Trace) error {
 		cells[i] = cell{
-			p:    metrics.MeasurePredictability(trace.NewReader(tr), 3),
-			fcm:  core.Run(core.NewFCM(16, 12), trace.NewReader(tr)).Accuracy(),
-			dfcm: core.Run(core.NewDFCM(16, 12), trace.NewReader(tr)).Accuracy(),
+			p:    metrics.MeasurePredictability(tr, 3),
+			fcm:  core.RunBatch(core.NewFCM(16, 12), tr).Accuracy(),
+			dfcm: core.RunBatch(core.NewDFCM(16, 12), tr).Accuracy(),
 		}
 		return nil
 	})

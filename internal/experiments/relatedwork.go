@@ -47,7 +47,7 @@ func runExtRelatedWork(cfg Config) (*Result, error) {
 	s.AddScan(func(i int, bench string, tr trace.Trace) error {
 		cl := core.NewClassified(14, 16, 8,
 			core.NewLastValue(12), core.NewStride(12), core.NewFCM(12, 11))
-		core.Run(cl, trace.NewReader(tr))
+		core.RunBatch(cl, tr)
 		unFracs[i] = cl.Unpredictable()
 		return nil
 	})

@@ -84,8 +84,5 @@ func (f *FSR) IndexBits() uint { return f.n }
 // Order returns ceil(n/k), the number of values retained by the hash.
 func (f *FSR) Order() int { return int((f.n + f.k - 1) / f.k) }
 
-// Shift returns k.
-func (f *FSR) Shift() uint { return f.k }
-
 // Name returns e.g. "FS R-5 (n=12)".
 func (f *FSR) Name() string { return fmt.Sprintf("FS R-%d (n=%d)", f.k, f.n) }

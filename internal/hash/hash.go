@@ -8,29 +8,10 @@
 // accuracy. Sazeides and Smith ("Implementations of Context Based Value
 // Predictors", TR ECE97-8) survey such functions; the DFCM paper (Goeman,
 // Vandierendonck, De Bosschere, HPCA 2001) adopts their FS R-5 function,
-// which this package implements along with the rest of the FS R-k family
-// and a concatenation hash used for worked examples.
+// which this package implements along with the rest of the FS R-k
+// family. FSR is the one history hash: the predictors hold a *FSR and
+// fold each value with the inlined Fold32 wherever it is exact.
 package hash
-
-// Func is an incrementally updatable history hash.
-//
-// A Func owns a fixed index width n (bits); histories are values in
-// [0, 2^n). Update folds one more value into an existing history,
-// ageing previous values. Implementations must be pure: the same
-// (history, value) pair always yields the same result, so that a
-// predictor's level-1 table may store hashed histories directly.
-type Func interface {
-	// Update returns the history that results from appending value to
-	// the history h. h must be < 2^IndexBits; the result is too.
-	Update(h uint64, value uint64) uint64
-	// IndexBits returns the width n of produced indices in bits.
-	IndexBits() uint
-	// Order returns the number of most recent values that still
-	// influence the produced index. Older values have aged out.
-	Order() int
-	// Name identifies the function in experiment output.
-	Name() string
-}
 
 // Fold compresses a 64-bit value into n bits by XOR-ing together the
 // ceil(64/n) consecutive n-bit chunks of the value. Fold(v, n) < 2^n.

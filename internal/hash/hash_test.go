@@ -209,66 +209,6 @@ func TestFSRName(t *testing.T) {
 	}
 }
 
-func TestConcatMatchesPaperFigure4(t *testing.T) {
-	// Figure 4: pattern 0 1 2 3 4 5 6 repeated, order-3 concatenation.
-	// History after seeing 0,1,2 is the context "0 1 2"; the next value
-	// is 3. Verify contexts are distinct for each window.
-	c := NewConcat(12, 3)
-	pattern := []uint64{0, 1, 2, 3, 4, 5, 6}
-	var h uint64
-	contexts := make(map[uint64]bool)
-	// Warm: run through pattern once to fill the history window.
-	for _, v := range pattern {
-		h = c.Update(h, v)
-	}
-	for rep := 0; rep < 3; rep++ {
-		for _, v := range pattern {
-			contexts[h] = true
-			h = c.Update(h, v)
-		}
-	}
-	if len(contexts) != len(pattern) {
-		t.Errorf("got %d distinct contexts, want %d (stride pattern scatters over n entries)",
-			len(contexts), len(pattern))
-	}
-}
-
-func TestConcatFieldBits(t *testing.T) {
-	c := NewConcat(12, 3)
-	if c.FieldBits() != 4 {
-		t.Errorf("FieldBits() = %d, want 4", c.FieldBits())
-	}
-	if c.Order() != 3 {
-		t.Errorf("Order() = %d, want 3", c.Order())
-	}
-}
-
-func TestConcatUpdateRange(t *testing.T) {
-	c := NewConcat(9, 3)
-	prop := func(h, v uint64) bool { return c.Update(h, v) <= Mask(9) }
-	if err := quick.Check(prop, nil); err != nil {
-		t.Error(err)
-	}
-}
-
-func TestNewConcatPanics(t *testing.T) {
-	for _, c := range []struct{ n, order uint }{{0, 1}, {12, 0}, {12, 13}, {65, 3}} {
-		func() {
-			defer func() {
-				if recover() == nil {
-					t.Errorf("NewConcat(%d, %d) did not panic", c.n, c.order)
-				}
-			}()
-			NewConcat(c.n, c.order)
-		}()
-	}
-}
-
-func TestFuncInterfaceCompliance(t *testing.T) {
-	var _ Func = NewFSR5(12)
-	var _ Func = NewConcat(12, 3)
-}
-
 func BenchmarkFSR5Update(b *testing.B) {
 	f := NewFSR5(16)
 	var h uint64
@@ -287,15 +227,7 @@ func BenchmarkFold(b *testing.B) {
 }
 
 func TestAccessors(t *testing.T) {
-	f := NewFSR(12, 5)
-	if f.IndexBits() != 12 || f.Shift() != 5 {
-		t.Errorf("FSR accessors: bits %d shift %d", f.IndexBits(), f.Shift())
-	}
-	c := NewConcat(12, 3)
-	if c.IndexBits() != 12 {
-		t.Errorf("Concat.IndexBits = %d", c.IndexBits())
-	}
-	if c.Name() != "concat-3 (n=12)" {
-		t.Errorf("Concat.Name = %q", c.Name())
+	if f := NewFSR(12, 5); f.IndexBits() != 12 || f.Order() != 3 {
+		t.Errorf("FSR accessors: bits %d order %d", f.IndexBits(), f.Order())
 	}
 }

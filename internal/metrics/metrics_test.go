@@ -109,7 +109,7 @@ func TestStrideHistChargesStrideAccesses(t *testing.T) {
 		for i := 0; i < 4000; i++ {
 			tr = append(tr, trace.Event{PC: 0x40, Value: uint32(i%64) * 4})
 		}
-		return h.Run(p, trace.NewReader(tr))
+		return h.Run(p, tr)
 	}
 	fcm := mk(core.NewFCM(8, 10))
 	dfcm := mk(core.NewDFCM(8, 10))
@@ -137,13 +137,6 @@ func TestHistogramHelpers(t *testing.T) {
 	if g.Total() != 210 {
 		t.Errorf("Total = %d", g.Total())
 	}
-	s := g.Sample()
-	if len(s) == 0 || s[0][0] != 0 || s[0][1] != 100 {
-		t.Errorf("Sample = %v", s)
-	}
-	if last := s[len(s)-1]; last[0] != uint64(len(g)-1) {
-		t.Errorf("Sample should end at the last rank, got %v", last)
-	}
 }
 
 func TestStrideHistPanicsWithoutIndexer(t *testing.T) {
@@ -153,7 +146,7 @@ func TestStrideHistPanicsWithoutIndexer(t *testing.T) {
 		}
 	}()
 	h := NewStrideHist(16, 4)
-	h.Run(core.NewLastValue(4), trace.NewReader(trace.Trace{{PC: 0, Value: 0}}))
+	h.Run(core.NewLastValue(4), trace.Trace{{PC: 0, Value: 0}})
 }
 
 func TestTableMarkdown(t *testing.T) {

@@ -1,9 +1,6 @@
 package metrics
 
-import (
-	"repro/internal/core"
-	"repro/internal/trace"
-)
+import "repro/internal/trace"
 
 // Predictability computes the idealized predictability ceilings of a
 // value trace in the sense of Sazeides & Smith ("The Predictability
@@ -45,7 +42,7 @@ type predictState struct {
 
 // MeasurePredictability runs the four oracles at the given history
 // order (1..4) over the trace.
-func MeasurePredictability(src trace.Source, order int) Predictability {
+func MeasurePredictability(t trace.Trace, order int) Predictability {
 	if order < 1 || order > 4 {
 		panic("metrics: predictability order out of range [1,4]")
 	}
@@ -57,12 +54,8 @@ func MeasurePredictability(src trace.Source, order int) Predictability {
 		copy(k[:order], k[1:order])
 		k[order-1] = v
 	}
-	for {
-		e, more := src.Next()
-		if !more {
-			break
-		}
-		p.Events++
+	p.Events = uint64(len(t))
+	for _, e := range t {
 		s := per[e.PC]
 		if s == nil {
 			s = &predictState{
@@ -125,14 +118,4 @@ func (p Predictability) Ceiling() float64 {
 		}
 	}
 	return best
-}
-
-// Realized compares a concrete predictor's accuracy against the
-// trace's context ceiling: how much of the theoretically capturable
-// signal the finite tables deliver.
-func Realized(p core.Predictor, t trace.Trace, ceiling float64) float64 {
-	if ceiling == 0 {
-		return 0
-	}
-	return core.Run(p, trace.NewReader(t)).Accuracy() / ceiling
 }

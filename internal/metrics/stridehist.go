@@ -44,40 +44,17 @@ func (h *StrideHist) Observe(p core.L2Indexer, e trace.Event) {
 // Run drives predictor p over the whole trace with instrumentation
 // and returns the sorted histogram. p must implement core.Predictor
 // to be updated.
-func (h *StrideHist) Run(p core.Predictor, src trace.Source) Histogram {
+func (h *StrideHist) Run(p core.Predictor, t trace.Trace) Histogram {
 	idx, ok := p.(core.L2Indexer)
 	if !ok {
 		panic("metrics: predictor does not expose its level-2 index")
 	}
-	for {
-		e, more := src.Next()
-		if !more {
-			break
-		}
+	for _, e := range t {
 		h.Observe(idx, e)
 		p.Predict(e.PC) // keep prediction path exercised
 		p.Update(e.PC, e.Value)
 	}
 	return h.Histogram()
-}
-
-// StrideHists builds the stride-access histogram of several two-level
-// predictors from a single pass over tr, sharing one stride oracle.
-// It returns exactly what len(ps) separate StrideHist.Run calls over
-// the same trace would: the oracle's hit sequence depends only on the
-// trace, so one oracle serves every predictor, and the per-run
-// discarded Predict call is dropped outright — Predict is side-effect
-// free for the two-level predictors this instrumentation applies to
-// (vplint's predict-purity rule enforces it), so skipping it cannot
-// change any count. Predictors with update-bearing Predict (Delayed)
-// are not valid here; every p must implement core.L2Indexer.
-//
-// Halving the oracle work and the predict work per (trace, predictor
-// pair) is what makes the Figure 6/9 scans — the costliest
-// per-benchmark scans in the suite — go through the trace once
-// instead of once per predictor.
-func StrideHists(oracleBits uint, tr trace.Trace, ps ...core.Predictor) []Histogram {
-	return StrideHistsFromHits(StrideHits(oracleBits, tr), tr, ps...)
 }
 
 // StrideHits replays tr through a fresh 2^oracleBits-entry stride
@@ -93,8 +70,22 @@ func StrideHits(oracleBits uint, tr trace.Trace) []uint64 {
 	return out
 }
 
-// StrideHistsFromHits is StrideHists with the oracle outcomes
-// precomputed by StrideHits over the same trace.
+// StrideHistsFromHits builds the stride-access histogram of several
+// two-level predictors from a single pass over tr, given the stride
+// oracle's hit mask over tr (StrideHits). It returns exactly what
+// len(ps) separate StrideHist.Run calls over the same trace would:
+// the oracle's hit sequence depends only on the trace, so one mask
+// serves every predictor, and the per-run discarded Predict call is
+// dropped outright — Predict is side-effect free for the two-level
+// predictors this instrumentation applies to (vplint's predict-purity
+// rule enforces it), so skipping it cannot change any count.
+// Predictors with update-bearing Predict (Delayed) are not valid here;
+// every p must implement core.L2Indexer.
+//
+// Sharing the oracle work and dropping the predict work per (trace,
+// predictor pair) is what makes the Figure 6/9 scans — the costliest
+// per-benchmark scans in the suite — go through the trace once
+// instead of once per predictor.
 func StrideHistsFromHits(hits []uint64, tr trace.Trace, ps ...core.Predictor) []Histogram {
 	if len(hits) != core.HitWords(len(tr)) {
 		panic("metrics: oracle hit mask does not match trace length")
@@ -193,21 +184,4 @@ func (g Histogram) Total() uint64 {
 		s += c
 	}
 	return s
-}
-
-// Sample returns (index, count) pairs at logarithmically spaced ranks,
-// a compact representation of the sorted curve for reports.
-func (g Histogram) Sample() [][2]uint64 {
-	var out [][2]uint64
-	step := 1
-	for i := 0; i < len(g); i += step {
-		out = append(out, [2]uint64{uint64(i), g[i]})
-		if i >= 10*step {
-			step *= 10
-		}
-	}
-	if len(g) > 0 {
-		out = append(out, [2]uint64{uint64(len(g) - 1), g[len(g)-1]})
-	}
-	return out
 }

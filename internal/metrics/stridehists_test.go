@@ -24,31 +24,38 @@ func histTrace(n int) trace.Trace {
 
 // TestStrideHistsMatchPerRunHistograms: the single-pass shared-oracle
 // scan must reproduce, bit for bit, the histograms of one
-// StrideHist.Run per predictor over the same trace.
+// StrideHist.Run per predictor over the same trace, on each of its
+// loops: FCM alone, the FCM and DFCM pair, and the generic loop.
 func TestStrideHistsMatchPerRunHistograms(t *testing.T) {
 	tr := histTrace(4000)
 	const oracleBits, l2 = 10, 8
-
-	fref := NewStrideHist(1<<l2, oracleBits).Run(core.NewFCM(8, l2), trace.NewReader(tr))
-	dref := NewStrideHist(1<<l2, oracleBits).Run(core.NewDFCM(8, l2), trace.NewReader(tr))
-
-	got := StrideHists(oracleBits, tr, core.NewFCM(8, l2), core.NewDFCM(8, l2))
-	if len(got) != 2 {
-		t.Fatalf("got %d histograms", len(got))
-	}
-	for i, ref := range [][]uint64{fref, dref} {
-		if len(got[i]) != len(ref) {
-			t.Fatalf("hist %d: %d entries, want %d", i, len(got[i]), len(ref))
+	hits := StrideHits(oracleBits, tr)
+	fcm := func() core.Predictor { return core.NewFCM(8, l2) }
+	dfcm := func() core.Predictor { return core.NewDFCM(8, l2) }
+	for _, mks := range [][]func() core.Predictor{{fcm}, {fcm, dfcm}, {dfcm, fcm}} {
+		ps := make([]core.Predictor, len(mks))
+		for i, mk := range mks {
+			ps[i] = mk()
 		}
-		for j := range ref {
-			if got[i][j] != ref[j] {
-				t.Errorf("hist %d rank %d: %d, want %d", i, j, got[i][j], ref[j])
-				break
+		got := StrideHistsFromHits(hits, tr, ps...)
+		if len(got) != len(mks) {
+			t.Fatalf("got %d histograms, want %d", len(got), len(mks))
+		}
+		for i, mk := range mks {
+			ref := NewStrideHist(1<<l2, oracleBits).Run(mk(), tr)
+			if len(got[i]) != len(ref) {
+				t.Fatalf("%s: %d entries, want %d", ps[i].Name(), len(got[i]), len(ref))
+			}
+			for j := range ref {
+				if got[i][j] != ref[j] {
+					t.Errorf("%s rank %d: %d, want %d", ps[i].Name(), j, got[i][j], ref[j])
+					break
+				}
+			}
+			if ref.Total() == 0 {
+				t.Errorf("%s: no stride accesses recorded; trace not exercising the oracle", ps[i].Name())
 			}
 		}
-	}
-	if got[0].Total() == 0 {
-		t.Error("no stride accesses recorded; trace not exercising the oracle")
 	}
 }
 
@@ -59,5 +66,6 @@ func TestStrideHistsRejectsNonIndexer(t *testing.T) {
 			t.Error("no panic for predictor without L2Index")
 		}
 	}()
-	StrideHists(4, histTrace(1), core.NewLastValue(4))
+	tr := histTrace(1)
+	StrideHistsFromHits(StrideHits(4, tr), tr, core.NewLastValue(4))
 }

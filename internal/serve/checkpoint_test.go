@@ -93,7 +93,7 @@ func TestCheckpointDrainAndWarmStart(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	core.Run(p, trace.NewReader(events[:cut]))
+	core.Run(p, events[:cut])
 	for _, ev := range events[cut:] {
 		if p.Predict(ev.PC) == ev.Value {
 			wantHits++
@@ -152,7 +152,7 @@ func TestCheckpointWarmStartTAGE(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	core.Run(p, trace.NewReader(events[:cut]))
+	core.Run(p, events[:cut])
 	wantHits := uint32(0)
 	for _, ev := range events[cut:] {
 		if p.Predict(ev.PC) == ev.Value {
@@ -387,7 +387,7 @@ func TestSnapshotSessionOverWire(t *testing.T) {
 func oldHybridState(spec core.Spec, events trace.Trace) []byte {
 	var b []byte
 	for _, c := range []core.Snapshotter{core.NewStride(spec.L1), core.NewFCM(spec.L1, spec.L2)} {
-		core.Run(c, trace.NewReader(events))
+		core.Run(c, events)
 		st := c.AppendState(nil)
 		b = binary.BigEndian.AppendUint32(b, uint32(len(st)))
 		b = append(b, st...)

@@ -30,7 +30,7 @@ func offlineHits(t *testing.T, spec core.Spec, events trace.Trace) uint64 {
 	if err != nil {
 		t.Fatal(err)
 	}
-	return core.Run(p, trace.NewReader(events)).Correct
+	return core.Run(p, events).Correct
 }
 
 func newTestEngine(t *testing.T, cfg Config) *Engine {
@@ -251,7 +251,7 @@ func TestConcurrentSessions(t *testing.T) {
 				errs <- err.Error()
 				return
 			}
-			want := core.Run(p, trace.NewReader(events)).Correct
+			want := core.Run(p, events).Correct
 			var hits uint64
 			for start := 0; start < len(events); start += 100 {
 				for {

@@ -91,7 +91,7 @@ func TestServerConcurrentConnections(t *testing.T) {
 
 			events := testEvents(uint32(0x1000+0x1000*g), 3000)
 			p, _ := testSpec.New()
-			want := core.Run(p, trace.NewReader(events)).Correct
+			want := core.Run(p, events).Correct
 
 			// Interleave PredictBatch and UpdateBatch frames, scoring
 			// client-side. Batch size 1 keeps the split path

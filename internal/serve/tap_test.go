@@ -154,12 +154,12 @@ func TestSwapSession(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	core.Run(shadow, trace.NewReader(events[:cut]))
+	core.Run(shadow, events[:cut])
 	ref, err := swapSpec.New()
 	if err != nil {
 		t.Fatal(err)
 	}
-	refPrefix := core.Run(ref, trace.NewReader(events[:cut]))
+	refPrefix := core.Run(ref, events[:cut])
 
 	if st := e.SwapSession(5, swapSpec, shadow); st != StatusOK {
 		t.Fatalf("SwapSession: %v", st)
@@ -167,7 +167,7 @@ func TestSwapSession(t *testing.T) {
 	// Post-swap traffic is served by the swapped predictor: hits over
 	// the suffix must equal the reference predictor's suffix hits.
 	gotSuffix := runThroughEngine(t, e, 5, events[cut:], 97)
-	wantSuffix := core.Run(ref, trace.NewReader(events[cut:])).Correct
+	wantSuffix := core.Run(ref, events[cut:]).Correct
 	if gotSuffix != wantSuffix {
 		t.Errorf("post-swap hits %d, want %d", gotSuffix, wantSuffix)
 	}
@@ -250,7 +250,7 @@ func TestResetKeepsSwappedSpec(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	want := core.Run(ref, trace.NewReader(events)).Correct
+	want := core.Run(ref, events).Correct
 	if got := runThroughEngine(t, e, 3, events, 500); got != want {
 		t.Errorf("post-reset hits %d, want %d (swapped spec)", got, want)
 	}
@@ -282,7 +282,7 @@ func TestCheckpointRecordsSwappedSpec(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	core.Run(shadow, trace.NewReader(events[:cut]))
+	core.Run(shadow, events[:cut])
 	if st := e1.SwapSession(11, swapSpec, shadow); st != StatusOK {
 		t.Fatal("SwapSession failed")
 	}
@@ -330,8 +330,8 @@ func TestCheckpointRecordsSwappedSpec(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	core.Run(ref, trace.NewReader(events[:cut]))
-	want := core.Run(ref, trace.NewReader(events[cut:])).Correct
+	core.Run(ref, events[:cut])
+	want := core.Run(ref, events[cut:]).Correct
 	if got := runThroughEngine(t, e3, 11, events[cut:], 250); got != want {
 		t.Errorf("adopted session suffix hits %d, want %d", got, want)
 	}

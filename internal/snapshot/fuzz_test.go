@@ -7,7 +7,6 @@ import (
 	"testing"
 
 	"repro/internal/core"
-	"repro/internal/trace"
 )
 
 // FuzzDecodeSnapshot feeds the snapshot decoder arbitrary bytes:
@@ -29,7 +28,7 @@ func FuzzDecodeSnapshot(f *testing.F) {
 		if err != nil {
 			f.Fatal(err)
 		}
-		core.Run(p, trace.NewReader(trainEvents(64)))
+		core.Run(p, trainEvents(64))
 		snap, err := Capture(spec, p, Meta{Session: 1, Predictions: 64})
 		if err != nil {
 			f.Fatal(err)

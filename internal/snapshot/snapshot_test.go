@@ -69,7 +69,7 @@ func TestSnapshotFileRoundTripEverySpec(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			core.Run(p, trace.NewReader(events[:cut]))
+			core.Run(p, events[:cut])
 
 			meta := Meta{Session: 7, Predictions: uint64(cut), Hits: 1234, Updates: uint64(cut)}
 			snap, err := Capture(spec, p, meta)
@@ -132,7 +132,7 @@ func encodeValid(t *testing.T) []byte {
 	if err != nil {
 		t.Fatal(err)
 	}
-	core.Run(p, trace.NewReader(trainEvents(400)))
+	core.Run(p, trainEvents(400))
 	snap, err := Capture(spec, p, Meta{Session: 1, Predictions: 400, Hits: 100, Updates: 400})
 	if err != nil {
 		t.Fatal(err)
@@ -264,7 +264,7 @@ func TestWriteReadFile(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	core.Run(p, trace.NewReader(trainEvents(500)))
+	core.Run(p, trainEvents(500))
 	snap, err := Capture(spec, p, Meta{Session: 1})
 	if err != nil {
 		t.Fatal(err)

@@ -8,9 +8,12 @@
 // here) filtered down to integer register-producing instructions,
 // including loads and excluding branches and jumps.
 //
-// The package provides in-memory traces, a compact varint-encoded file
-// format, replay helpers, and the delayed-update queue used for the
-// paper's section 4.5 experiment.
+// The package provides the in-memory Trace every replay takes
+// (core.RunBatch, and core.Run, its per-event reference), a compact
+// varint-encoded file format with optional compression, summary
+// statistics, and Source, Func and Collect, which generate a trace one
+// event at a time (internal/workload builds its synthetic workloads
+// with them).
 package trace
 
 // Event is a single predicted instruction: the program counter of the
@@ -25,39 +28,13 @@ type Event struct {
 // Trace is an in-memory sequence of events.
 type Trace []Event
 
-// Source yields trace events one at a time. Next returns the next event
-// and true, or a zero Event and false once the source is exhausted.
-// Sources are single-use; obtain a fresh one to replay.
+// Source generates trace events one at a time. Next returns the next
+// event and true, or a zero Event and false once the source is
+// exhausted. Sources are single-use; Collect materializes one into a
+// Trace.
 type Source interface {
 	Next() (Event, bool)
 }
-
-// Reader adapts a Trace to a Source.
-type Reader struct {
-	t Trace
-	i int
-}
-
-// NewReader returns a Source replaying t from the beginning.
-func NewReader(t Trace) *Reader { return &Reader{t: t} }
-
-// Next implements Source.
-func (r *Reader) Next() (Event, bool) {
-	if r.i >= len(r.t) {
-		return Event{}, false
-	}
-	e := r.t[r.i]
-	r.i++
-	return e, true
-}
-
-// Reset rewinds the reader to the beginning of the trace, so one
-// Reader can replay its trace repeatedly (Sources in general are
-// single-use; Reader is the exception).
-func (r *Reader) Reset() { r.i = 0 }
-
-// Remaining returns the number of events Next has yet to produce.
-func (r *Reader) Remaining() int { return len(r.t) - r.i }
 
 // Collect drains src into an in-memory Trace. If max > 0, at most max
 // events are collected.
@@ -75,56 +52,8 @@ func Collect(src Source, max int) Trace {
 	}
 }
 
-// Limit wraps src so that at most n events are produced.
-func Limit(src Source, n int) Source { return &limiter{src: src, left: n} }
-
-type limiter struct {
-	src  Source
-	left int
-}
-
-func (l *limiter) Next() (Event, bool) {
-	if l.left <= 0 {
-		return Event{}, false
-	}
-	l.left--
-	return l.src.Next()
-}
-
-// Concat returns a Source that drains each source in turn.
-func Concat(srcs ...Source) Source { return &concat{srcs: srcs} }
-
-type concat struct {
-	srcs []Source
-}
-
-func (c *concat) Next() (Event, bool) {
-	for len(c.srcs) > 0 {
-		if e, ok := c.srcs[0].Next(); ok {
-			return e, true
-		}
-		c.srcs = c.srcs[1:]
-	}
-	return Event{}, false
-}
-
 // Func adapts a closure to a Source.
 type Func func() (Event, bool)
 
 // Next implements Source.
 func (f Func) Next() (Event, bool) { return f() }
-
-// Filter yields only the events of src for which keep returns true.
-func Filter(src Source, keep func(Event) bool) Source {
-	return Func(func() (Event, bool) {
-		for {
-			e, ok := src.Next()
-			if !ok {
-				return Event{}, false
-			}
-			if keep(e) {
-				return e, true
-			}
-		}
-	})
-}

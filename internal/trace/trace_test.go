@@ -21,145 +21,29 @@ func sampleTrace(n int, seed int64) Trace {
 	return t
 }
 
-func TestReaderReplaysAll(t *testing.T) {
+// replay returns a Source yielding t's events in order.
+func replay(t Trace) Source {
+	return Func(func() (Event, bool) {
+		if len(t) == 0 {
+			return Event{}, false
+		}
+		e := t[0]
+		t = t[1:]
+		return e, true
+	})
+}
+
+func TestCollectDrainsSource(t *testing.T) {
 	tr := sampleTrace(100, 1)
-	got := Collect(NewReader(tr), 0)
-	if !reflect.DeepEqual(got, tr) {
-		t.Error("reader did not replay trace verbatim")
-	}
-}
-
-func TestReaderExhaustion(t *testing.T) {
-	r := NewReader(Trace{{PC: 4, Value: 5}})
-	if _, ok := r.Next(); !ok {
-		t.Fatal("first Next failed")
-	}
-	if _, ok := r.Next(); ok {
-		t.Error("Next after exhaustion returned ok")
-	}
-	if _, ok := r.Next(); ok {
-		t.Error("repeated Next after exhaustion returned ok")
-	}
-}
-
-func TestReaderResetRemaining(t *testing.T) {
-	tr := sampleTrace(10, 11)
-	r := NewReader(tr)
-	if got := r.Remaining(); got != 10 {
-		t.Fatalf("fresh Remaining = %d, want 10", got)
-	}
-	for i := 0; i < 4; i++ {
-		r.Next()
-	}
-	if got := r.Remaining(); got != 6 {
-		t.Fatalf("Remaining after 4 = %d, want 6", got)
-	}
-	r.Reset()
-	if got := r.Remaining(); got != 10 {
-		t.Fatalf("Remaining after Reset = %d, want 10", got)
-	}
-	if got := Collect(r, 0); !reflect.DeepEqual(got, tr) {
-		t.Error("reset reader did not replay the full trace")
-	}
-	if got := r.Remaining(); got != 0 {
-		t.Fatalf("Remaining after drain = %d, want 0", got)
-	}
-	// Reset after exhaustion replays again.
-	r.Reset()
-	if got := Collect(r, 0); !reflect.DeepEqual(got, tr) {
-		t.Error("second replay after Reset differs")
-	}
-	// Empty-trace reader: Remaining 0, Reset harmless.
-	e := NewReader(nil)
-	if e.Remaining() != 0 {
-		t.Error("empty reader Remaining != 0")
-	}
-	e.Reset()
-	if _, ok := e.Next(); ok {
-		t.Error("empty reader produced an event")
+	if got := Collect(replay(tr), 0); !reflect.DeepEqual(got, tr) {
+		t.Error("Collect did not drain the source verbatim")
 	}
 }
 
 func TestCollectMax(t *testing.T) {
 	tr := sampleTrace(100, 2)
-	if got := Collect(NewReader(tr), 10); len(got) != 10 {
+	if got := Collect(replay(tr), 10); !reflect.DeepEqual(got, tr[:10]) {
 		t.Errorf("Collect(max=10) returned %d events", len(got))
-	}
-}
-
-func TestLimit(t *testing.T) {
-	tr := sampleTrace(50, 3)
-	got := Collect(Limit(NewReader(tr), 7), 0)
-	if len(got) != 7 {
-		t.Errorf("Limit(7) yielded %d events", len(got))
-	}
-	if !reflect.DeepEqual(got, tr[:7]) {
-		t.Error("Limit changed event contents")
-	}
-	if got := Collect(Limit(NewReader(tr), 0), 0); len(got) != 0 {
-		t.Errorf("Limit(0) yielded %d events", len(got))
-	}
-}
-
-func TestLimitEdgeCases(t *testing.T) {
-	// n = 0 must not consume from the underlying source.
-	r := NewReader(sampleTrace(5, 21))
-	if got := Collect(Limit(r, 0), 0); len(got) != 0 {
-		t.Errorf("Limit(0) yielded %d events", len(got))
-	}
-	if got := r.Remaining(); got != 5 {
-		t.Errorf("Limit(0) consumed from source: %d remaining, want 5", got)
-	}
-	// Negative n behaves as zero.
-	if got := Collect(Limit(NewReader(sampleTrace(5, 22)), -3), 0); len(got) != 0 {
-		t.Errorf("Limit(-3) yielded %d events", len(got))
-	}
-	// n beyond the source length yields the whole source, then stops.
-	l := Limit(NewReader(sampleTrace(3, 23)), 100)
-	if got := Collect(l, 0); len(got) != 3 {
-		t.Errorf("Limit(100) over 3 events yielded %d", len(got))
-	}
-	if _, ok := l.Next(); ok {
-		t.Error("exhausted Limit produced an event")
-	}
-	// Limit over an empty source is empty.
-	if got := Collect(Limit(NewReader(nil), 4), 0); len(got) != 0 {
-		t.Errorf("Limit over empty source yielded %d events", len(got))
-	}
-}
-
-func TestConcat(t *testing.T) {
-	a, b := sampleTrace(5, 4), sampleTrace(3, 5)
-	got := Collect(Concat(NewReader(a), NewReader(b)), 0)
-	want := append(append(Trace{}, a...), b...)
-	if !reflect.DeepEqual(got, want) {
-		t.Error("Concat did not chain sources")
-	}
-	if got := Collect(Concat(), 0); len(got) != 0 {
-		t.Error("empty Concat should be empty")
-	}
-}
-
-func TestConcatEdgeCases(t *testing.T) {
-	a := sampleTrace(4, 31)
-	// Empty sources anywhere in the chain are skipped transparently.
-	got := Collect(Concat(NewReader(nil), NewReader(a), NewReader(nil), NewReader(nil)), 0)
-	if !reflect.DeepEqual(got, a) {
-		t.Error("Concat with interleaved empty sources lost or reordered events")
-	}
-	// All-empty chain terminates.
-	c := Concat(NewReader(nil), NewReader(nil))
-	if _, ok := c.Next(); ok {
-		t.Error("all-empty Concat produced an event")
-	}
-	// Next after exhaustion stays exhausted.
-	if _, ok := c.Next(); ok {
-		t.Error("exhausted Concat produced an event")
-	}
-	// Concat of Limits composes.
-	both := Concat(Limit(NewReader(a), 2), Limit(NewReader(a), 1))
-	if got := Collect(both, 0); len(got) != 3 {
-		t.Errorf("Concat(Limit(2), Limit(1)) yielded %d events", len(got))
 	}
 }
 
@@ -262,21 +146,5 @@ func TestFileCompression(t *testing.T) {
 	}
 	if perEvent := float64(buf.Len()) / float64(len(tr)); perEvent > 8 {
 		t.Errorf("encoding uses %.1f bytes/event, want < 8", perEvent)
-	}
-}
-
-func TestFilter(t *testing.T) {
-	tr := Trace{
-		{PC: 0x40, Value: 1}, {PC: 0x44, Value: 2},
-		{PC: 0x40, Value: 3}, {PC: 0x48, Value: 4},
-	}
-	got := Collect(Filter(NewReader(tr), func(e Event) bool { return e.PC == 0x40 }), 0)
-	if len(got) != 2 || got[0].Value != 1 || got[1].Value != 3 {
-		t.Errorf("filtered = %v", got)
-	}
-	// Filtering everything out terminates cleanly.
-	none := Collect(Filter(NewReader(tr), func(Event) bool { return false }), 0)
-	if len(none) != 0 {
-		t.Errorf("expected empty, got %v", none)
 	}
 }

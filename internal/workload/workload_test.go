@@ -101,7 +101,7 @@ func TestLoopBodyComposition(t *testing.T) {
 func TestPredictorsBehaveOnWorkloads(t *testing.T) {
 	// Cross-check the generators against known predictor strengths.
 	run := func(p core.Predictor, instrs []Instruction, rounds int) float64 {
-		return core.Run(p, Interleave(instrs, rounds)).Accuracy()
+		return core.Run(p, trace.Collect(Interleave(instrs, rounds), 0)).Accuracy()
 	}
 	stride := []Instruction{{PC: 0x40, Stream: &Stride{Start: 3, Step: 7}}}
 	if acc := run(core.NewStride(8), stride, 500); acc < 0.99 {

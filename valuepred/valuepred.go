@@ -15,7 +15,7 @@
 //
 // or, measuring accuracy over a trace:
 //
-//	res := valuepred.Run(valuepred.NewDFCM(16, 12), valuepred.NewReader(tr))
+//	res := valuepred.Run(valuepred.NewDFCM(16, 12), tr)
 //	fmt.Println(res.Accuracy())
 //
 // See the repository README for the experiment harness that
@@ -46,11 +46,6 @@ type (
 	Event = trace.Event
 	// Trace is an in-memory sequence of events.
 	Trace = trace.Trace
-	// Source yields trace events one at a time.
-	Source = trace.Source
-	// HashFunc is an incrementally updatable history hash for
-	// two-level predictors.
-	HashFunc = hash.Func
 )
 
 // Predictor constructors. Table sizes are given as log2 of the entry
@@ -95,8 +90,9 @@ var (
 
 // Measurement helpers.
 var (
-	// Run drives a predictor over a source and returns the outcome.
-	Run = core.Run
+	// Run drives a predictor over an in-memory trace and returns the
+	// outcome.
+	Run = core.RunBatch
 	// RunConfident additionally scores the confidence signal.
 	RunConfident = core.RunConfident
 	// Hits runs a predictor over an in-memory trace and records each
@@ -108,8 +104,6 @@ var (
 	// UnionHits counts the events set in any mask: the hits of a
 	// perfect (oracle) meta-predictor over the masks' predictors.
 	UnionHits = core.UnionHits
-	// NewReader replays an in-memory trace.
-	NewReader = trace.NewReader
 )
 
 // ReadTrace reads a VTR1 or VTRZ trace stream.

@@ -29,7 +29,7 @@ func TestPublicAPISurface(t *testing.T) {
 		tr = append(tr, valuepred.Event{PC: 0x40, Value: uint32(i * 3)})
 	}
 	for _, p := range preds {
-		res := valuepred.Run(p, valuepred.NewReader(tr))
+		res := valuepred.Run(p, tr)
 		if res.Predictions != uint64(len(tr)) {
 			t.Errorf("%s: %d predictions", p.Name(), res.Predictions)
 		}
@@ -52,7 +52,7 @@ func TestPublicHitMasks(t *testing.T) {
 	stride := make([]uint64, len(lvp))
 	rl := valuepred.Hits(valuepred.NewLastValue(8), tr, lvp)
 	rs := valuepred.Hits(valuepred.NewStride(8), tr, stride)
-	if want := valuepred.Run(valuepred.NewStride(8), valuepred.NewReader(tr)); rs != want {
+	if want := valuepred.Run(valuepred.NewStride(8), tr); rs != want {
 		t.Errorf("Hits %+v, Run %+v", rs, want)
 	}
 	if u := valuepred.UnionHits(lvp, stride); u < rl.Correct || u < rs.Correct || u > uint64(len(tr)) {
@@ -74,7 +74,7 @@ func TestPublicConfidenceAPI(t *testing.T) {
 		tr = append(tr, valuepred.Event{PC: 0x40, Value: uint32(i)})
 	}
 	for _, e := range estimators {
-		res := valuepred.RunConfident(e, valuepred.NewReader(tr))
+		res := valuepred.RunConfident(e, tr)
 		if res.All.Predictions != uint64(len(tr)) {
 			t.Errorf("%s: missing predictions", e.Name())
 		}
@@ -102,8 +102,7 @@ func TestPublicTraceIO(t *testing.T) {
 }
 
 func TestPublicHashAPI(t *testing.T) {
-	var h valuepred.HashFunc = valuepred.NewFSR5(12)
-	if h.Order() != 3 {
+	if h := valuepred.NewFSR5(12); h.Order() != 3 {
 		t.Errorf("FS R-5 order at n=12 = %d", h.Order())
 	}
 	if valuepred.NewFSR(12, 3).Order() != 4 {
