@@ -99,19 +99,22 @@ bench: allocgate
 # The alloc-regression tripwire, run by bench and by CI: it fails if
 # the steady-state engine replay, the TAGE batch loop, the fused
 # delayed-update kernel, the per-op delayed DFCM, the warm alias
-# analyzer, either serve dispatch benchmark, the loopback wire round
+# analyzer, the in-place Reset (the zeroing state walk) of a DFCM,
+# TAGE, delayed DFCM or hybrid, either serve dispatch benchmark, the loopback wire round
 # trip, or the autotune mirror-tap path reports any allocs/op, or if
 # one of them is missing.
 # Runs without -race: the detector's instrumentation allocates.
 ALLOC_GATES = BenchmarkEngineReplay BenchmarkRunBatchTAGE \
 	BenchmarkRunBatchDelayed BenchmarkPredictDFCMDelayed \
 	BenchmarkAliasAnalyzer \
+	BenchmarkReset/dfcm BenchmarkReset/tage BenchmarkReset/delayed BenchmarkReset/hybrid \
 	BenchmarkServeDispatchRunBatch BenchmarkServeDispatchPredictBatch \
 	BenchmarkServeWireRunBatch BenchmarkServeMirrorTap
 allocgate:
 	{ $(GO) test -run='^$$' -bench='^BenchmarkEngineReplay$$' -benchmem ./internal/engine/ ; \
 	  $(GO) test -run='^$$' -bench='^Benchmark(RunBatchTAGE|RunBatchDelayed|PredictDFCMDelayed)$$' -benchmem . ; \
 	  $(GO) test -run='^$$' -bench='^BenchmarkAliasAnalyzer$$' -benchmem ./internal/alias/ ; \
+	  $(GO) test -run='^$$' -bench='^BenchmarkReset$$' -benchmem ./internal/core/ ; \
 	  $(GO) test -run='^$$' -bench='^BenchmarkServe(Dispatch|WireRunBatch)' -benchmem ./internal/serve/ ; \
 	  $(GO) test -run='^$$' -bench='^BenchmarkServeMirrorTap$$' -benchmem ./internal/autotune/ ; } \
 	| $(GO) run ./cmd/benchjson $(foreach g,$(ALLOC_GATES),-zero $(g)) > /dev/null

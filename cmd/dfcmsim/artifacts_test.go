@@ -9,7 +9,7 @@ import (
 
 func TestWriteArtifacts(t *testing.T) {
 	dir := t.TempDir()
-	if err := run([]string{"-budget", "1000", "-out", dir, "fig4"}, false); err != nil {
+	if err := run("running", []string{"-budget", "1000", "-out", dir, "fig4"}, nil); err != nil {
 		t.Fatal(err)
 	}
 	txt, err := os.ReadFile(filepath.Join(dir, "fig4.txt"))
@@ -31,10 +31,10 @@ func TestWriteArtifacts(t *testing.T) {
 func TestParallelRunByteIdentical(t *testing.T) {
 	ids := []string{"fig4", "fig10a", "fig17", "table1"}
 	seq, par := t.TempDir(), t.TempDir()
-	if err := run(append([]string{"-budget", "1000", "-out", seq}, ids...), false); err != nil {
+	if err := run("running", append([]string{"-budget", "1000", "-out", seq}, ids...), nil); err != nil {
 		t.Fatal(err)
 	}
-	if err := run(append([]string{"-budget", "1000", "-j", "4", "-out", par}, ids...), false); err != nil {
+	if err := run("running", append([]string{"-budget", "1000", "-j", "4", "-out", par}, ids...), nil); err != nil {
 		t.Fatal(err)
 	}
 	names, err := os.ReadDir(seq)

@@ -35,11 +35,11 @@ func main() {
 	case "list":
 		list()
 	case "run":
-		if err := run(os.Args[2:], false); err != nil {
+		if err := run("running", os.Args[2:], nil); err != nil {
 			fatal(err)
 		}
 	case "all":
-		if err := run(append(os.Args[2:], allIDs()...), false); err != nil {
+		if err := run("running", append(os.Args[2:], allIDs()...), nil); err != nil {
 			fatal(err)
 		}
 	case "verify":
@@ -57,39 +57,13 @@ func main() {
 // reports a deviation. This is the repository's one-command
 // reproduction check.
 func verify(args []string) error {
-	fs := flag.NewFlagSet("verify", flag.ExitOnError)
-	budget := fs.Uint64("budget", 0, "instructions per benchmark (0 = default 1M)")
-	bench := fs.String("bench", "", "comma-separated benchmark subset (default: all eight)")
-	jobs := fs.Int("j", 1, "number of experiments to run concurrently")
-	if err := fs.Parse(args); err != nil {
-		return err
-	}
-	cfg := experiments.Config{Budget: *budget}
-	if *bench != "" {
-		cfg.Benchmarks = strings.Split(*bench, ",")
-	}
-	all := experiments.All()
-	type outcome struct {
-		res *experiments.Result
-		err error
-	}
-	outs := make([]outcome, len(all))
 	var failures []string
-	err := inOrder(len(all), *jobs, func(i int) {
-		e := all[i]
-		fmt.Fprintf(os.Stderr, "verifying %s (%s)...\n", e.ID, e.Artifact)
-		res, err := e.Run(cfg)
-		outs[i] = outcome{res: res, err: err}
-	}, func(i int) error {
-		if outs[i].err != nil {
-			return fmt.Errorf("%s: %w", all[i].ID, outs[i].err)
-		}
-		for _, n := range outs[i].res.Notes {
+	err := run("verifying", append(args, allIDs()...), func(res *experiments.Result) {
+		for _, n := range res.Notes {
 			if strings.Contains(n, "WARNING") {
-				failures = append(failures, all[i].ID+": "+n)
+				failures = append(failures, res.ID+": "+n)
 			}
 		}
-		return nil
 	})
 	if err != nil {
 		return err
@@ -133,7 +107,12 @@ func allIDs() []string {
 	return ids
 }
 
-func run(args []string, _ bool) error {
+// run runs the experiments whose ids follow the flags in args, up to
+// -j at a time, logging "<verb> <id>" to stderr as each starts, and
+// drains the results in id order. Each result prints to stdout (and
+// -out) unless check is set: verify passes one to inspect the results
+// instead.
+func run(verb string, args []string, check func(*experiments.Result)) error {
 	fs := flag.NewFlagSet("run", flag.ExitOnError)
 	budget := fs.Uint64("budget", 0, "instructions per benchmark (0 = default 1M)")
 	bench := fs.String("bench", "", "comma-separated benchmark subset (default: all eight)")
@@ -169,7 +148,7 @@ func run(args []string, _ bool) error {
 			outs[i] = outcome{err: err}
 			return
 		}
-		fmt.Fprintf(os.Stderr, "running %s (%s)...\n", e.ID, e.Artifact)
+		fmt.Fprintf(os.Stderr, "%s %s (%s)...\n", verb, e.ID, e.Artifact)
 		res, err := e.Run(cfg)
 		if err != nil {
 			err = fmt.Errorf("%s: %w", ids[i], err)
@@ -179,6 +158,10 @@ func run(args []string, _ bool) error {
 		o := outs[i]
 		if o.err != nil {
 			return o.err
+		}
+		if check != nil {
+			check(o.res)
+			return nil
 		}
 		if *outDir != "" {
 			if err := writeArtifacts(*outDir, o.res); err != nil {

@@ -19,32 +19,32 @@ func TestAllIDsMatchRegistry(t *testing.T) {
 }
 
 func TestRunRejectsNoIDs(t *testing.T) {
-	if err := run([]string{"-budget", "1000"}, false); err == nil {
+	if err := run("running", []string{"-budget", "1000"}, nil); err == nil {
 		t.Error("run with no ids should error")
 	}
 }
 
 func TestRunRejectsUnknownID(t *testing.T) {
-	if err := run([]string{"frobnicate"}, false); err == nil {
+	if err := run("running", []string{"frobnicate"}, nil); err == nil {
 		t.Error("unknown id should error")
 	}
 }
 
 func TestRunExecutesExperiment(t *testing.T) {
 	// fig4 is pure (no benchmark traces), so this is fast.
-	if err := run([]string{"-budget", "1000", "fig4"}, false); err != nil {
+	if err := run("running", []string{"-budget", "1000", "fig4"}, nil); err != nil {
 		t.Errorf("run fig4: %v", err)
 	}
 }
 
 func TestRunCSV(t *testing.T) {
-	if err := run([]string{"-budget", "1000", "-csv", "fig8"}, false); err != nil {
+	if err := run("running", []string{"-budget", "1000", "-csv", "fig8"}, nil); err != nil {
 		t.Errorf("run -csv fig8: %v", err)
 	}
 }
 
 func TestRunBenchSubset(t *testing.T) {
-	if err := run([]string{"-budget", "20000", "-bench", "li", "table1"}, false); err != nil {
+	if err := run("running", []string{"-budget", "20000", "-bench", "li", "table1"}, nil); err != nil {
 		t.Errorf("run table1 subset: %v", err)
 	}
 }

@@ -108,11 +108,9 @@ func runInspect(files []string, stdout, stderr io.Writer) int {
 			code = 1
 			continue
 		}
-		if st, ok := p.(core.StateTabler); ok {
-			fmt.Fprintf(stdout, "tables:\n")
-			for _, ti := range st.StateTables() {
-				fmt.Fprintf(stdout, "  %-24s %8d entries %8d live\n", ti.Name, ti.Entries, ti.Live)
-			}
+		fmt.Fprintf(stdout, "tables:\n")
+		for _, ti := range p.StateTables() {
+			fmt.Fprintf(stdout, "  %-24s %8d entries %8d live\n", ti.Name, ti.Entries, ti.Live)
 		}
 	}
 	return code
@@ -149,7 +147,7 @@ func validateFile(path string) error {
 	if err != nil {
 		return err
 	}
-	again := p.(core.Snapshotter).AppendState(nil)
+	again := p.AppendState(nil)
 	if !bytes.Equal(again, snap.State) {
 		return fmt.Errorf("restored state re-exports %d bytes that differ from the file's %d", len(again), len(snap.State))
 	}
@@ -213,11 +211,7 @@ func tableInfo(s *snapshot.Snapshot) ([]core.TableInfo, bool) {
 	if err != nil {
 		return nil, false
 	}
-	st, ok := p.(core.StateTabler)
-	if !ok {
-		return nil, false
-	}
-	return st.StateTables(), true
+	return p.StateTables(), true
 }
 
 // restoreTAGE restores a snapshot and unwraps it to the concrete TAGE

@@ -70,12 +70,32 @@ func BenchmarkHybrid_PredictUpdate(b *testing.B) {
 	benchPredictUpdate(b, NewMetaHybrid(NewStride(14), NewDFCM(14, 12), 14))
 }
 
+// BenchmarkReset times an in-place reset through the Snapshotter
+// interface, as a served ResetSession runs it on the shard goroutine.
+// The tage, delayed and hybrid cases walk nested blocks or rebuild
+// derived registers; every case is an allocgate gate, since a zeroing
+// walk that escaped to the heap would allocate on each reset.
 func BenchmarkReset(b *testing.B) {
-	p := NewDFCM(14, 12)
-	Run(p, benchTrace(4096))
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		p.Reset()
+	for _, c := range []struct {
+		name string
+		spec Spec
+	}{
+		{"dfcm", Spec{Kind: "dfcm", L1: 14, L2: 12}},
+		{"tage", Spec{Kind: "tage", L1: 14, L2: 10}},
+		{"delayed", Spec{Kind: "dfcm", L1: 14, L2: 12, Delay: 64}},
+		{"hybrid", Spec{Kind: "hybrid", L1: 14, L2: 12}},
+	} {
+		b.Run(c.name, func(b *testing.B) {
+			p, err := c.spec.New()
+			if err != nil {
+				b.Fatal(err)
+			}
+			Run(p, benchTrace(4096))
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				p.Reset()
+			}
+		})
 	}
 }

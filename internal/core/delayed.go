@@ -17,7 +17,7 @@ import (
 // later predictions are served from stale tables — exactly the effect
 // the paper measures in Figure 17.
 type Delayed struct {
-	p     Predictor
+	p     Snapshotter
 	delay int
 	// ring is a FIFO of updates not yet applied: n entries starting at
 	// head, wrapping at len(ring). It holds at most delay+1 entries and
@@ -30,7 +30,7 @@ type Delayed struct {
 // NewDelayed wraps p with an update delay of delay predictions.
 // It panics if delay is negative. The ring starts at its minimum size,
 // so the first few updates in flight allocate nothing.
-func NewDelayed(p Predictor, delay int) *Delayed {
+func NewDelayed(p Snapshotter, delay int) *Delayed {
 	if delay < 0 {
 		panic("core: negative update delay")
 	}
@@ -120,25 +120,26 @@ func (d *Delayed) grow() {
 	d.ring, d.head = ring, 0
 }
 
-// Reset implements Resetter: the pending queue is discarded (not
+// Reset implements Snapshotter: the pending queue is discarded (not
 // applied) and the wrapped predictor is reset.
-func (d *Delayed) Reset() {
-	d.head, d.n = 0, 0
-	mustReset(d.p)
-}
+func (d *Delayed) Reset() { resetState(d) }
 
 // walkState lists the state: the count of not-yet-applied updates
 // (at most delay+1), the updates oldest-first, then the wrapped
 // predictor's nested state. Restore checks the claimed count against
-// the bytes that actually arrived before it allocates the ring.
+// the bytes that actually arrived before it allocates the ring; zeroing
+// empties the ring in place.
 func (d *Delayed) walkState(w *stateWalk) {
 	n := uint32(d.n)
 	w.u32(&n, uint32(min(uint64(d.delay)+1, math.MaxUint32)))
-	if w.restore {
+	switch w.dir {
+	case walkRestore:
 		if !w.need(8 * uint64(n)) {
 			return
 		}
 		d.ring, d.head, d.n = make([]trace.Event, n), 0, int(n)
+	case walkZero:
+		d.head, d.n = 0, 0
 	}
 	for k := range d.n {
 		u := &d.ring[(d.head+k)%len(d.ring)]
@@ -154,12 +155,9 @@ func (d *Delayed) AppendState(b []byte) []byte { return appendState(d, b) }
 // RestoreState implements Snapshotter.
 func (d *Delayed) RestoreState(data []byte) error { return restoreState(d, data) }
 
-// StateTables implements StateTabler.
+// StateTables implements Snapshotter.
 func (d *Delayed) StateTables() []TableInfo {
-	return append(
-		[]TableInfo{{Name: "pending", Entries: d.n, Live: d.n}},
-		prefixTables(d.p.Name(), d.p)...,
-	)
+	return append([]TableInfo{{Name: "pending", Entries: d.n, Live: d.n}}, prefixTables(d.p)...)
 }
 
 // Name implements Predictor.

@@ -11,11 +11,11 @@ import (
 func TestDelayedZeroEquivalent(t *testing.T) {
 	// delay 0 must be bit-identical to the unwrapped predictor.
 	tr := mixedTrace(2000, 3)
-	for _, mk := range []func() Predictor{
-		func() Predictor { return NewLastValue(8) },
-		func() Predictor { return NewStride(8) },
-		func() Predictor { return NewFCM(8, 10) },
-		func() Predictor { return NewDFCM(8, 10) },
+	for _, mk := range []func() Snapshotter{
+		func() Snapshotter { return NewLastValue(8) },
+		func() Snapshotter { return NewStride(8) },
+		func() Snapshotter { return NewFCM(8, 10) },
+		func() Snapshotter { return NewDFCM(8, 10) },
 	} {
 		plain := Run(mk(), tr)
 		delayed := Run(NewDelayed(mk(), 0), tr)

@@ -167,13 +167,8 @@ func (p *DFCM) HistoryInput(pc, value uint32) uint64 {
 // Order returns the number of strides influencing a prediction.
 func (p *DFCM) Order() int { return p.h.Order() }
 
-// Reset implements Resetter: three flat clears, each a word-level
-// memclr of a contiguous slice — no per-entry logic.
-func (p *DFCM) Reset() {
-	clear(p.last)
-	clear(p.hist)
-	clear(p.l2)
-}
+// Reset implements Snapshotter.
+func (p *DFCM) Reset() { resetState(p) }
 
 // walkState lists the state: level-1 rows (last value, stride
 // history), interleaved exactly as the pre-SoA struct layout
@@ -190,7 +185,7 @@ func (p *DFCM) AppendState(b []byte) []byte { return appendState(p, b) }
 // RestoreState implements Snapshotter.
 func (p *DFCM) RestoreState(data []byte) error { return restoreState(p, data) }
 
-// StateTables implements StateTabler.
+// StateTables implements Snapshotter.
 func (p *DFCM) StateTables() []TableInfo {
 	l1Live, l2Live := 0, 0
 	for i := range p.last {

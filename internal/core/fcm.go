@@ -109,11 +109,8 @@ func (p *FCM) HistoryInput(pc, value uint32) uint64 { return uint64(value) }
 // Order returns the number of history values influencing a prediction.
 func (p *FCM) Order() int { return p.h.Order() }
 
-// Reset implements Resetter.
-func (p *FCM) Reset() {
-	clear(p.l1)
-	clear(p.l2)
-}
+// Reset implements Snapshotter.
+func (p *FCM) Reset() { resetState(p) }
 
 // walkState lists the state: the level-1 histories, each a level-2
 // index (restore rejects one past the level-2 table, which Predict
@@ -129,7 +126,7 @@ func (p *FCM) AppendState(b []byte) []byte { return appendState(p, b) }
 // RestoreState implements Snapshotter.
 func (p *FCM) RestoreState(data []byte) error { return restoreState(p, data) }
 
-// StateTables implements StateTabler.
+// StateTables implements Snapshotter.
 func (p *FCM) StateTables() []TableInfo {
 	l1Live, l2Live := 0, 0
 	for _, h := range p.l1 {

@@ -10,7 +10,7 @@ import "fmt"
 // was correct and down when only b was correct. Spec kind "hybrid"
 // builds one over stride and FCM.
 type MetaHybrid struct {
-	a, b     Predictor
+	a, b     Snapshotter
 	bits     uint
 	counters []uint8
 	max      uint8
@@ -20,7 +20,7 @@ type MetaHybrid struct {
 // table of 2-bit selection counters.
 //
 // Size accounting: components plus 2 bits per meta table entry.
-func NewMetaHybrid(a, b Predictor, bits uint) *MetaHybrid {
+func NewMetaHybrid(a, b Snapshotter, bits uint) *MetaHybrid {
 	checkBits("meta", bits, 30)
 	return &MetaHybrid{a: a, b: b, bits: bits, counters: make([]uint8, 1<<bits), max: 3}
 }
@@ -54,13 +54,9 @@ func (p *MetaHybrid) Update(pc, value uint32) {
 	p.b.Update(pc, value)
 }
 
-// Reset implements Resetter: both components and the selection
+// Reset implements Snapshotter: both components and the selection
 // counters return to their initial state.
-func (p *MetaHybrid) Reset() {
-	clear(p.counters)
-	mustReset(p.a)
-	mustReset(p.b)
-}
+func (p *MetaHybrid) Reset() { resetState(p) }
 
 // walkState lists the state: the selection counters, then both
 // components' nested state.
@@ -76,7 +72,7 @@ func (p *MetaHybrid) AppendState(b []byte) []byte { return appendState(p, b) }
 // RestoreState implements Snapshotter.
 func (p *MetaHybrid) RestoreState(data []byte) error { return restoreState(p, data) }
 
-// StateTables implements StateTabler.
+// StateTables implements Snapshotter.
 func (p *MetaHybrid) StateTables() []TableInfo {
 	live := 0
 	for _, c := range p.counters {
@@ -85,8 +81,8 @@ func (p *MetaHybrid) StateTables() []TableInfo {
 		}
 	}
 	ts := []TableInfo{{Name: "meta", Entries: len(p.counters), Live: live}}
-	ts = append(ts, prefixTables(p.a.Name(), p.a)...)
-	return append(ts, prefixTables(p.b.Name(), p.b)...)
+	ts = append(ts, prefixTables(p.a)...)
+	return append(ts, prefixTables(p.b)...)
 }
 
 // Name implements Predictor.

@@ -43,8 +43,8 @@ func lastValueStep(t []uint32, i int, v uint32) int32 {
 	return hit
 }
 
-// Reset implements Resetter.
-func (p *LastValue) Reset() { clear(p.table) }
+// Reset implements Snapshotter.
+func (p *LastValue) Reset() { resetState(p) }
 
 // walkState lists the state: the value table.
 func (p *LastValue) walkState(w *stateWalk) { w.table(col32(p.table, math.MaxUint32)) }
@@ -55,7 +55,7 @@ func (p *LastValue) AppendState(b []byte) []byte { return appendState(p, b) }
 // RestoreState implements Snapshotter.
 func (p *LastValue) RestoreState(data []byte) error { return restoreState(p, data) }
 
-// StateTables implements StateTabler.
+// StateTables implements Snapshotter.
 func (p *LastValue) StateTables() []TableInfo {
 	live := 0
 	for _, v := range p.table {

@@ -67,36 +67,6 @@ type L2Indexer interface {
 	L2Entries() int
 }
 
-// Resetter is implemented by predictors that can return to their
-// freshly-constructed state in place, without reallocating tables.
-// After Reset, the predictor behaves exactly like a new instance from
-// the same constructor. Long-lived services (internal/serve) use this
-// to recycle per-session predictor state; every type a Spec can build
-// implements it (see state.go).
-type Resetter interface {
-	// Reset clears all learned state.
-	Reset()
-}
-
-// TryReset resets p in place if it implements Resetter and reports
-// whether it did; callers fall back to re-construction otherwise.
-func TryReset(p Predictor) bool {
-	if r, ok := p.(Resetter); ok {
-		r.Reset()
-		return true
-	}
-	return false
-}
-
-// mustReset resets a wrapped component and panics if it cannot be
-// reset — a wrapper's Reset is only meaningful when it reaches every
-// table underneath it.
-func mustReset(p Predictor) {
-	if !TryReset(p) {
-		panic("core: " + p.Name() + " does not implement Reset")
-	}
-}
-
 // Result accumulates prediction outcomes.
 type Result struct {
 	Predictions uint64

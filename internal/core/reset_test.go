@@ -1,6 +1,7 @@
 package core
 
 import (
+	"bytes"
 	"testing"
 
 	"repro/internal/trace"
@@ -28,39 +29,40 @@ func trainEvents(n int) trace.Trace {
 }
 
 // resettables enumerates one instance of every predictor type a Spec
-// can build — the types that carry the serving machinery (Resetter,
-// Snapshotter, StateTabler) — paired with a factory producing an
-// identical fresh one.
-func resettables() map[string]func() Predictor {
-	return map[string]func() Predictor{
-		"lvp":     func() Predictor { return NewLastValue(8) },
-		"stride":  func() Predictor { return NewStride(8) },
-		"2delta":  func() Predictor { return NewTwoDelta(8) },
-		"fcm":     func() Predictor { return NewFCM(8, 10) },
-		"dfcm":    func() Predictor { return NewDFCMWidth(8, 10, 8) },
-		"delayed": func() Predictor { return NewDelayed(NewDFCM(8, 10), 16) },
-		"meta":    func() Predictor { return NewMetaHybrid(NewStride(8), NewDFCM(8, 10), 8) },
-		"tage":    func() Predictor { return NewTAGE(8, 6, 32, 4, 8, 4, 64) },
-		"tage-w8": func() Predictor { return NewTAGE(8, 6, 8, 3, 10, 2, 32) },
+// can build — the Snapshotter types — paired with a factory producing
+// an identical fresh one.
+func resettables() map[string]func() Snapshotter {
+	return map[string]func() Snapshotter{
+		"lvp":     func() Snapshotter { return NewLastValue(8) },
+		"stride":  func() Snapshotter { return NewStride(8) },
+		"2delta":  func() Snapshotter { return NewTwoDelta(8) },
+		"fcm":     func() Snapshotter { return NewFCM(8, 10) },
+		"dfcm":    func() Snapshotter { return NewDFCMWidth(8, 10, 8) },
+		"delayed": func() Snapshotter { return NewDelayed(NewDFCM(8, 10), 16) },
+		"meta":    func() Snapshotter { return NewMetaHybrid(NewStride(8), NewDFCM(8, 10), 8) },
+		"tage":    func() Snapshotter { return NewTAGE(8, 6, 32, 4, 8, 4, 64) },
+		"tage-w8": func() Snapshotter { return NewTAGE(8, 6, 8, 3, 10, 2, 32) },
 	}
 }
 
-// TestResetMatchesFresh trains a predictor, resets it, and asserts the
-// post-reset run is event-for-event identical to a fresh predictor's
-// run — the contract internal/serve relies on to recycle sessions.
+// TestResetMatchesFresh trains a predictor, resets it, and asserts its
+// state bytes equal a fresh predictor's and the post-reset run is
+// event-for-event identical to the fresh one's — the contract
+// internal/serve relies on to recycle sessions. The bytes catch a
+// header word the zeroing walk skipped (the TAGE update count, the
+// Delayed queue length) before any prediction would.
 func TestResetMatchesFresh(t *testing.T) {
-	events := trainEvents(2000)
+	events := trainEvents(2000) // leaves delay+1 updates queued in Delayed
 	for name, mk := range resettables() {
 		t.Run(name, func(t *testing.T) {
 			p := mk()
-			r, ok := p.(Resetter)
-			if !ok {
-				t.Fatalf("%s does not implement Resetter", p.Name())
-			}
 			Run(p, events) // dirty every table
-			r.Reset()
+			p.Reset()
 
 			fresh := mk()
+			if got, want := p.AppendState(nil), fresh.AppendState(nil); !bytes.Equal(got, want) {
+				t.Fatalf("reset state (%d bytes) differs from a fresh predictor's (%d bytes)", len(got), len(want))
+			}
 			for _, e := range events {
 				got, want := p.Predict(e.PC), fresh.Predict(e.PC)
 				if got != want {
@@ -72,28 +74,6 @@ func TestResetMatchesFresh(t *testing.T) {
 		})
 	}
 }
-
-// TestTryReset covers the helper's both outcomes.
-func TestTryReset(t *testing.T) {
-	p := NewDFCM(6, 8)
-	Run(p, trainEvents(100))
-	if !TryReset(p) {
-		t.Fatal("DFCM should be resettable")
-	}
-	if got, want := p.Predict(0x1000), NewDFCM(6, 8).Predict(0x1000); got != want {
-		t.Fatalf("post-TryReset prediction %d, fresh %d", got, want)
-	}
-	if TryReset(unresettable{}) {
-		t.Fatal("TryReset on a non-Resetter must report false")
-	}
-}
-
-type unresettable struct{}
-
-func (unresettable) Predict(pc uint32) uint32 { return 0 }
-func (unresettable) Update(pc, value uint32)  {}
-func (unresettable) Name() string             { return "unresettable" }
-func (unresettable) SizeBits() int64          { return 0 }
 
 // TestDelayedResetDropsQueue asserts a reset Delayed predictor does
 // not later apply updates queued before the reset.

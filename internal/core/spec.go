@@ -82,8 +82,9 @@ func (s Spec) Canonical() Spec {
 // New builds a fresh predictor from the spec. Unlike the constructors,
 // which panic on out-of-range parameters (programming errors), New
 // validates and returns an error, since specs typically arrive from
-// flags or a network peer.
-func (s Spec) New() (Predictor, error) {
+// flags or a network peer. Every kind is servable: the predictor can
+// be checkpointed, restored, reset and inspected (Snapshotter).
+func (s Spec) New() (Snapshotter, error) {
 	if s.L1 > 30 {
 		return nil, fmt.Errorf("level-1 width %d out of range [0,30]", s.L1)
 	}
@@ -111,7 +112,7 @@ func (s Spec) New() (Predictor, error) {
 	if s.Delay < 0 {
 		return nil, fmt.Errorf("negative update delay %d", s.Delay)
 	}
-	var p Predictor
+	var p Snapshotter
 	switch s.Kind {
 	case "lvp":
 		p = NewLastValue(s.L1)

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"bytes"
 	"flag"
 	"strings"
 	"testing"
@@ -54,9 +55,9 @@ func TestSpecNewErrors(t *testing.T) {
 }
 
 // TestSpecBuiltAreResettable: every predictor a Spec can build,
-// delayed or not, carries the serving machinery — recycled in place
-// (Resetter), checkpointed and migrated (Snapshotter), inspected
-// (StateTabler).
+// delayed or not, is a Snapshotter by type; this checks that its Reset
+// reaches every table — a trained and reset predictor exports the
+// state of a fresh one.
 func TestSpecBuiltAreResettable(t *testing.T) {
 	for _, kind := range []string{"lvp", "stride", "2delta", "fcm", "dfcm", "hybrid", "tage"} {
 		for _, delay := range []int{0, 4} {
@@ -64,14 +65,11 @@ func TestSpecBuiltAreResettable(t *testing.T) {
 			if err != nil {
 				t.Fatalf("%s delay %d: %v", kind, delay, err)
 			}
-			if _, ok := p.(Resetter); !ok {
-				t.Errorf("%s-built predictor %s is not a Resetter", kind, p.Name())
-			}
-			if _, ok := p.(Snapshotter); !ok {
-				t.Errorf("%s-built predictor %s is not a Snapshotter", kind, p.Name())
-			}
-			if _, ok := p.(StateTabler); !ok {
-				t.Errorf("%s-built predictor %s is not a StateTabler", kind, p.Name())
+			fresh := p.AppendState(nil)
+			Run(p, trainEvents(500))
+			p.Reset()
+			if !bytes.Equal(p.AppendState(nil), fresh) {
+				t.Errorf("%s: reset state differs from a fresh predictor's", p.Name())
 			}
 		}
 	}

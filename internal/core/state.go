@@ -20,27 +20,29 @@ import (
 // checksumming around these raw bytes live in internal/snapshot; this
 // layer defines only the per-predictor state layout.
 //
-// The serving machinery (Snapshotter, StateTabler, Resetter) belongs
-// to exactly the predictor types a Spec can build: last-value, stride,
-// two-delta, FCM, DFCM, MetaHybrid, TAGE and the Delayed wrapper.
-// Those are the only predictors internal/serve holds, checkpoints or
-// recycles. The offline-only types (LastN, Classified and the
-// confidence estimators) run in experiments and carry none of it.
+// Snapshotter is the servable interface: it belongs to exactly the
+// predictor types a Spec can build (last-value, stride, two-delta,
+// FCM, DFCM, MetaHybrid, TAGE and the Delayed wrapper), and those are
+// the only predictors internal/serve holds, checkpoints or recycles.
+// The offline-only types (LastN, Classified and the confidence
+// estimators) run in experiments and carry none of it.
 //
 // Layout discipline: all integers are big-endian (matching the VP1
 // wire protocol), and a wrapped predictor's state is embedded as a
 // length-prefixed nested block so wrappers compose without knowing
 // their children's sizes. Each type states its layout once, in an
 // unexported walkState method that lists its stored tables in layout
-// order with the bound of every word; AppendState and RestoreState
-// are the two directions of that one walk, so they cannot drift
-// apart.
+// order with the bound of every word. A walk runs in one of four
+// directions: append and size (AppendState), restore (RestoreState)
+// and zero (Reset). All four read the one list, so export, import and
+// reset cannot drift apart.
 
-// Snapshotter is implemented by predictors whose complete learned
-// state can be exported and re-imported. The contract mirrors
-// Resetter's: RestoreState on a freshly constructed predictor must
-// leave it byte-for-byte equivalent to the instance AppendState was
-// called on, provided both were built with identical parameters.
+// Snapshotter is a predictor whose complete learned state can be
+// exported, re-imported, reset in place and described table by table.
+// RestoreState on a freshly constructed predictor must leave it
+// byte-for-byte equivalent to the instance AppendState was called on,
+// provided both were built with identical parameters; after Reset, a
+// predictor's state is byte-for-byte that of a fresh instance.
 type Snapshotter interface {
 	Predictor
 	// AppendState appends the predictor's complete mutable state to b
@@ -52,6 +54,13 @@ type Snapshotter interface {
 	// unspecified; callers restore into a discardable fresh instance
 	// (internal/snapshot does).
 	RestoreState(data []byte) error
+	// Reset clears all learned state in place, without reallocating
+	// tables.
+	Reset()
+	// StateTables describes the state tables for inspection
+	// (cmd/vpstate). Wrappers prefix their components' table names
+	// with the component name.
+	StateTables() []TableInfo
 }
 
 // TableInfo describes one state table of a predictor for inspection
@@ -63,13 +72,6 @@ type TableInfo struct {
 	Live    int
 }
 
-// StateTabler is implemented by predictors that can describe their
-// state tables for inspection. Wrappers prefix their components'
-// table names with the component name.
-type StateTabler interface {
-	StateTables() []TableInfo
-}
-
 // ErrState is wrapped by every RestoreState failure, so callers can
 // distinguish malformed state from other errors.
 var ErrState = errors.New("core: malformed predictor state")
@@ -77,7 +79,7 @@ var ErrState = errors.New("core: malformed predictor state")
 // appendState appends p's state to b. A size-only walk first sums
 // the state's length, so b grows at most once.
 func appendState(p Predictor, b []byte) []byte {
-	size := stateWalk{sizing: true}
+	size := stateWalk{dir: walkSize}
 	walkPredictor(&size, p)
 	w := stateWalk{buf: slices.Grow(b, size.off)}
 	walkPredictor(&w, p)
@@ -87,7 +89,7 @@ func appendState(p Predictor, b []byte) []byte {
 // restoreState restores p's state from data, which must be exactly
 // one walk long.
 func restoreState(p Predictor, data []byte) error {
-	w := stateWalk{buf: data, restore: true}
+	w := stateWalk{buf: data, dir: walkRestore}
 	walkPredictor(&w, p)
 	if err := w.done(); err != nil {
 		return fmt.Errorf("%w: %s: %v", ErrState, p.Name(), err)
@@ -95,18 +97,38 @@ func restoreState(p Predictor, data []byte) error {
 	return nil
 }
 
+// resetState returns p's state to that of a fresh instance in place.
+func resetState(p Predictor) {
+	w := stateWalk{dir: walkZero}
+	walkPredictor(&w, p)
+}
+
+// walkDir is the direction of a state walk.
+type walkDir uint8
+
+const (
+	walkAppend  walkDir = iota // write the state to buf
+	walkSize                   // count the bytes an append would write
+	walkRestore                // read the state from buf
+	walkZero                   // clear the state in place
+)
+
 // stateWalk is one pass over a predictor's state. Appending, buf is
 // the output and grows; restoring, buf is the input and off the next
-// byte to read; sizing, off counts the bytes an append would write.
-// The first error stops the walk: every later step is a no-op, so a
-// walk needs no error checks between its steps.
+// byte to read; sizing, off counts the bytes an append would write;
+// zeroing, every column is cleared and buf is unused. The first error
+// stops the walk: every later step is a no-op, so a walk needs no
+// error checks between its steps.
 type stateWalk struct {
-	buf     []byte
-	off     int
-	restore bool
-	sizing  bool
-	err     error
+	buf []byte
+	off int
+	dir walkDir
+	err error
 }
+
+// stores reports whether the walk writes the predictor's state
+// (restore and zero), so derived registers must follow it.
+func (w *stateWalk) stores() bool { return w.dir == walkRestore || w.dir == walkZero }
 
 // column is one column of a state table: exactly one of the slices is
 // set, and restore rejects any word above max.
@@ -148,12 +170,20 @@ func (w *stateWalk) table(cols ...column) {
 		}
 		row += size
 	}
-	if w.sizing {
+	switch w.dir {
+	case walkSize:
 		w.off += n * row
+		return
+	case walkZero:
+		for _, c := range cols {
+			clear(c.u8)
+			clear(c.u32)
+			clear(c.u64)
+		}
 		return
 	}
 	at := len(w.buf)
-	if w.restore {
+	if w.dir == walkRestore {
 		if !w.need(uint64(n) * uint64(row)) {
 			return
 		}
@@ -163,7 +193,7 @@ func (w *stateWalk) table(cols ...column) {
 		w.buf = slices.Grow(w.buf, n*row)[:at+n*row]
 	}
 	for _, c := range cols {
-		if !w.restore {
+		if w.dir == walkAppend {
 			c.append(w.buf[at:], row)
 		} else if i := c.restore(w.buf[at:], row); i >= 0 {
 			w.err = fmt.Errorf("word at byte %d exceeds %d", at+i*row, c.max)
@@ -231,7 +261,7 @@ func (c column) restore(b []byte, row int) int {
 func (w *stateWalk) u32(v *uint32, max uint32) {
 	one := [1]uint32{*v}
 	w.table(col32(one[:], max))
-	if w.restore {
+	if w.stores() {
 		*v = one[0]
 	}
 }
@@ -240,21 +270,25 @@ func (w *stateWalk) u32(v *uint32, max uint32) {
 func (w *stateWalk) u64(v *uint64, max uint64) {
 	one := [1]uint64{*v}
 	w.table(col64(one[:], max))
-	if w.restore {
+	if w.stores() {
 		*v = one[0]
 	}
 }
 
 // nested walks p's state as a block prefixed with its byte length, so
 // a wrapper need not know its component's size. Restore walks the
-// block on its own and requires p to consume all of it.
+// block on its own and requires p to consume all of it; zeroing has
+// no prefix to walk.
 func (w *stateWalk) nested(p Predictor) {
-	switch {
-	case w.sizing:
+	switch w.dir {
+	case walkZero:
+		walkPredictor(w, p)
+		return
+	case walkSize:
 		w.off += 4
 		walkPredictor(w, p)
 		return
-	case !w.restore:
+	case walkAppend:
 		off := len(w.buf)
 		w.buf = append(w.buf, 0, 0, 0, 0)
 		walkPredictor(w, p)
@@ -266,7 +300,7 @@ func (w *stateWalk) nested(p Predictor) {
 	if !w.need(uint64(n)) {
 		return
 	}
-	inner := stateWalk{buf: w.buf[w.off : w.off+int(n)], restore: true}
+	inner := stateWalk{buf: w.buf[w.off : w.off+int(n)], dir: walkRestore}
 	w.off += int(n)
 	walkPredictor(&inner, p)
 	if err := inner.done(); err != nil {
@@ -317,24 +351,20 @@ func (w *stateWalk) need(n uint64) bool {
 	if w.err != nil {
 		return false
 	}
-	if left := uint64(len(w.buf) - w.off); w.restore && n > left {
+	if left := uint64(len(w.buf) - w.off); w.dir == walkRestore && n > left {
 		w.err = fmt.Errorf("truncated: %d bytes needed at byte %d, %d remain", n, w.off, left)
 		return false
 	}
 	return true
 }
 
-// prefixTables returns ts with every table name prefixed, for wrappers
-// aggregating component tables.
-func prefixTables(prefix string, p Predictor) []TableInfo {
-	st, ok := p.(StateTabler)
-	if !ok {
-		return nil
-	}
-	ts := st.StateTables()
+// prefixTables returns p's tables with every name prefixed by p's
+// name, for wrappers aggregating component tables.
+func prefixTables(p Snapshotter) []TableInfo {
+	ts := p.StateTables()
 	out := make([]TableInfo, len(ts))
 	for i, t := range ts {
-		t.Name = prefix + "." + t.Name
+		t.Name = p.Name() + "." + t.Name
 		out[i] = t
 	}
 	return out

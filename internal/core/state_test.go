@@ -19,23 +19,18 @@ import (
 // import it into a fresh instance from the same factory, and drive both
 // onward — every subsequent prediction must be identical, exactly as if
 // the run had never been interrupted. The predictor inventory is the
-// same one the reset-equals-fresh suite uses, so every Resetter is also
-// exercised as a Snapshotter.
+// same one the reset-equals-fresh suite uses.
 func TestSnapshotResumeMatchesUninterrupted(t *testing.T) {
 	events := trainEvents(3000)
 	const cut = 1700 // mid-stream, after every table has been dirtied
 	for name, mk := range resettables() {
 		t.Run(name, func(t *testing.T) {
 			p := mk()
-			s, ok := p.(Snapshotter)
-			if !ok {
-				t.Fatalf("%s does not implement Snapshotter", p.Name())
-			}
 			Run(p, events[:cut])
 
-			state := s.AppendState(nil)
+			state := p.AppendState(nil)
 			restored := mk()
-			if err := restored.(Snapshotter).RestoreState(state); err != nil {
+			if err := restored.RestoreState(state); err != nil {
 				t.Fatalf("RestoreState: %v", err)
 			}
 
@@ -60,11 +55,11 @@ func TestSnapshotStateRoundTripStable(t *testing.T) {
 	events := trainEvents(2000)
 	for name, mk := range resettables() {
 		t.Run(name, func(t *testing.T) {
-			p := mk().(Snapshotter)
+			p := mk()
 			Run(p, events)
 			state := p.AppendState(nil)
 
-			restored := mk().(Snapshotter)
+			restored := mk()
 			if err := restored.RestoreState(state); err != nil {
 				t.Fatalf("RestoreState: %v", err)
 			}
@@ -90,7 +85,7 @@ func TestRestoreStateRejectsMalformed(t *testing.T) {
 	events := trainEvents(1500)
 	for name, mk := range resettables() {
 		t.Run(name, func(t *testing.T) {
-			p := mk().(Snapshotter)
+			p := mk()
 			Run(p, events)
 			state := p.AppendState(nil)
 
@@ -102,7 +97,7 @@ func TestRestoreStateRejectsMalformed(t *testing.T) {
 			for n := range len(state) {
 				cases = append(cases, malformed{fmt.Sprintf("%d-byte prefix", n), state[:n]})
 			}
-			q := mk().(Snapshotter)
+			q := mk()
 			for _, tc := range cases {
 				if err := q.RestoreState(tc.data); err == nil {
 					t.Fatalf("%s of %d-byte state accepted", tc.desc, len(state))
@@ -285,18 +280,14 @@ func TestStateTablesLiveCounts(t *testing.T) {
 	for name, mk := range resettables() {
 		t.Run(name, func(t *testing.T) {
 			p := mk()
-			st, ok := p.(StateTabler)
-			if !ok {
-				t.Fatalf("%s does not implement StateTabler", p.Name())
-			}
-			for _, ti := range st.StateTables() {
+			for _, ti := range p.StateTables() {
 				if ti.Live != 0 {
 					t.Fatalf("fresh table %s reports %d live entries", ti.Name, ti.Live)
 				}
 			}
 			Run(p, events)
 			totalLive := 0
-			for _, ti := range st.StateTables() {
+			for _, ti := range p.StateTables() {
 				if ti.Live > ti.Entries {
 					t.Fatalf("table %s: %d live of %d entries", ti.Name, ti.Live, ti.Entries)
 				}
@@ -307,10 +298,10 @@ func TestStateTablesLiveCounts(t *testing.T) {
 			}
 
 			restored := mk()
-			if err := restored.(Snapshotter).RestoreState(p.(Snapshotter).AppendState(nil)); err != nil {
+			if err := restored.RestoreState(p.AppendState(nil)); err != nil {
 				t.Fatal(err)
 			}
-			got, want := restored.(StateTabler).StateTables(), st.StateTables()
+			got, want := restored.StateTables(), p.StateTables()
 			if len(got) != len(want) {
 				t.Fatalf("restored reports %d tables, want %d", len(got), len(want))
 			}

@@ -82,12 +82,8 @@ func strideStep(last, stride []uint32, conf []uint8, i int, v uint32) int32 {
 	return hit
 }
 
-// Reset implements Resetter.
-func (p *Stride) Reset() {
-	clear(p.last)
-	clear(p.stride)
-	clear(p.conf)
-}
+// Reset implements Snapshotter.
+func (p *Stride) Reset() { resetState(p) }
 
 // walkState lists the state: rows of (last, stride, conf).
 func (p *Stride) walkState(w *stateWalk) {
@@ -100,7 +96,7 @@ func (p *Stride) AppendState(b []byte) []byte { return appendState(p, b) }
 // RestoreState implements Snapshotter.
 func (p *Stride) RestoreState(data []byte) error { return restoreState(p, data) }
 
-// StateTables implements StateTabler.
+// StateTables implements Snapshotter.
 func (p *Stride) StateTables() []TableInfo {
 	live := 0
 	for i := range p.last {
@@ -170,12 +166,8 @@ func twoDeltaStep(last, s1, s2 []uint32, i int, v uint32) int32 {
 	return hit
 }
 
-// Reset implements Resetter.
-func (p *TwoDelta) Reset() {
-	clear(p.last)
-	clear(p.s1)
-	clear(p.s2)
-}
+// Reset implements Snapshotter.
+func (p *TwoDelta) Reset() { resetState(p) }
 
 // walkState lists the state: rows of (last, s1, s2).
 func (p *TwoDelta) walkState(w *stateWalk) {
@@ -188,7 +180,7 @@ func (p *TwoDelta) AppendState(b []byte) []byte { return appendState(p, b) }
 // RestoreState implements Snapshotter.
 func (p *TwoDelta) RestoreState(data []byte) error { return restoreState(p, data) }
 
-// StateTables implements StateTabler.
+// StateTables implements Snapshotter.
 func (p *TwoDelta) StateTables() []TableInfo {
 	live := 0
 	for i := range p.last {

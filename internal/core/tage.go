@@ -478,28 +478,16 @@ func (p *TAGE) DivergingEntries(o *TAGE) ([]int, bool) {
 	return out, true
 }
 
-// Reset implements Resetter: flat word-level clears of every mutable
-// table plus the derived registers; the immutable fold geometry
-// stays.
-func (p *TAGE) Reset() {
-	clear(p.last)
-	clear(p.bstride)
-	clear(p.tags)
-	clear(p.strides)
-	clear(p.conf)
-	clear(p.ubits)
-	clear(p.ring)
-	p.tick = 0
-	clear(p.fold)
-	p.pos = 0
-}
+// Reset implements Snapshotter; the immutable fold geometry stays.
+func (p *TAGE) Reset() { resetState(p) }
 
 // walkState lists the state: the base columns, the tagged SoA slices
 // in declaration order, the history ring (one byte per bit) and the
 // update count. Every restored word must fit its configured width —
 // strides and tags their widths, counters their two bits, ring bytes
 // one bit. The folded registers and write position are derived from
-// (ring, tick): restore rebuilds them instead of trusting the wire.
+// (ring, tick): restore rebuilds them instead of trusting the wire,
+// and zeroing rebuilds them from the cleared ring.
 func (p *TAGE) walkState(w *stateWalk) {
 	w.table(col32(p.last, math.MaxUint32))
 	w.table(col32(p.bstride, p.strideMask))
@@ -509,7 +497,7 @@ func (p *TAGE) walkState(w *stateWalk) {
 	w.table(col8(p.ubits, tageUMax))
 	w.table(col8(p.ring, 1))
 	w.u64(&p.tick, math.MaxUint64)
-	if w.restore && w.err == nil {
+	if w.stores() && w.err == nil {
 		p.rebuildFolds()
 	}
 }
@@ -520,7 +508,7 @@ func (p *TAGE) AppendState(b []byte) []byte { return appendState(p, b) }
 // RestoreState implements Snapshotter.
 func (p *TAGE) RestoreState(data []byte) error { return restoreState(p, data) }
 
-// StateTables implements StateTabler: the base table, one entry per
+// StateTables implements Snapshotter: the base table, one entry per
 // tagged table, and the history ring.
 func (p *TAGE) StateTables() []TableInfo {
 	baseLive := 0

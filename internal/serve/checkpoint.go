@@ -56,7 +56,7 @@ func parseCheckpointName(name string) (uint64, bool) {
 // off. override, when non-nil, records the session's own canonical
 // spec (a hot-swapped or spec-adopted session); nil means the engine's
 // Config.Spec.
-func newRestoredSession(p core.Predictor, meta snapshot.Meta, override *core.Spec) *session {
+func newRestoredSession(p core.Snapshotter, meta snapshot.Meta, override *core.Spec) *session {
 	sess := &session{p: p}
 	sess.predictions.Store(meta.Predictions)
 	sess.hits.Store(meta.Hits)
@@ -141,44 +141,14 @@ func (e *Engine) handleCaptureShard(s *shard, req request) {
 // live wins over the disk copy, which is older by construction — and
 // the wire RestoreSession op sends replace=true, because an explicit
 // restore (a migration push) is authoritative. The session cap applies
-// to new sessions either way.
+// to new sessions either way. The engine totals are sums over the
+// sessions, so they continue from the restored lifetime counters.
 func (e *Engine) handleRestoreSession(s *shard, req request) {
-	if old, ok := s.sessions[req.session]; ok {
-		if !req.replace {
-			req.reply <- response{status: StatusBadRequest}
-			return
-		}
-		s.sessions[req.session] = req.sess
-		e.sessMu.Lock()
-		e.byID[req.session] = req.sess
-		e.sessMu.Unlock()
-		// Credit the shard counters with the (wrapping) delta between
-		// the replaced session's lifetime totals and the restored ones,
-		// so engine Stats stay continuous across the swap.
-		s.predictions.Add(req.sess.predictions.Load() - old.predictions.Load())
-		s.hits.Add(req.sess.hits.Load() - old.hits.Load())
-		s.updates.Add(req.sess.updates.Load() - old.updates.Load())
+	_, st := e.install(s, req.session, req.sess, req.replace)
+	if st == StatusOK {
 		e.restored.Add(1)
-		req.reply <- response{status: StatusOK}
-		return
 	}
-	if int(e.sessions.Load()) >= e.cfg.MaxSessions {
-		req.reply <- response{status: StatusBusy}
-		return
-	}
-	s.sessions[req.session] = req.sess
-	e.sessMu.Lock()
-	e.byID[req.session] = req.sess
-	e.sessMu.Unlock()
-	e.sessions.Add(1)
-	s.occupancy.Add(1)
-	// Credit the shard counters with the restored lifetime totals so
-	// engine Stats continue from where the checkpoint left off.
-	s.predictions.Add(req.sess.predictions.Load())
-	s.hits.Add(req.sess.hits.Load())
-	s.updates.Add(req.sess.updates.Load())
-	e.restored.Add(1)
-	req.reply <- response{status: StatusOK}
+	req.reply <- response{status: st}
 }
 
 // submitInternal sends a checkpoint op straight to a shard, bypassing
@@ -271,7 +241,7 @@ func (e *Engine) LoadCheckpoints() (restored, skipped int, err error) {
 			skipped++
 			continue
 		}
-		resp := e.submitInternal(e.shardFor(id), request{op: opRestoreSession, session: id, sess: sess})
+		resp := e.submitInternal(e.shards[e.shardFor(id)], request{op: opRestoreSession, session: id, sess: sess})
 		if resp.status != StatusOK {
 			skipped++
 			continue

@@ -170,11 +170,11 @@ type request struct {
 	session uint64
 	pcs     []uint32
 	events  []trace.Event
-	out     []uint32       // OpPredictBatch: caller-owned output storage to reuse
-	sess    *session       // opRestoreSession: pre-built session to install
-	replace bool           // opRestoreSession: replace an existing live session
-	newP    core.Predictor // opSwapSession: replacement predictor
-	newSpec core.Spec      // opSwapSession: the spec that built newP
+	out     []uint32         // OpPredictBatch: caller-owned output storage to reuse
+	sess    *session         // opRestoreSession: pre-built session to install
+	replace bool             // opRestoreSession: replace an existing live session
+	newP    core.Snapshotter // opSwapSession: replacement predictor
+	newSpec core.Spec        // opSwapSession: the spec that built newP
 	reply   chan response
 }
 
@@ -193,6 +193,8 @@ type response struct {
 // mechanism, not a contention point). predictions/hits/updates are
 // lifetime totals (they survive ResetSession); checkpoints persist
 // them so a restored session resumes its stats where it left off.
+// They are the only record of served traffic: the engine totals are
+// their sums.
 //
 // spec, when non-nil, is the canonical predictor spec that built p —
 // set by SwapSession and by spec-adopting restores, read by
@@ -203,7 +205,7 @@ type response struct {
 // Config.StatsWindow lookups, so the windowed hit rate always covers
 // the last one-to-two windows of judged traffic.
 type session struct {
-	p    core.Predictor
+	p    core.Snapshotter
 	spec atomic.Pointer[core.Spec]
 
 	predictions atomic.Uint64
@@ -255,33 +257,28 @@ func (s *session) stat(id uint64) SessionStat {
 
 // shard owns a disjoint set of sessions and processes their requests
 // sequentially on its own goroutine, so predictor state needs no
-// locks. Counters are atomics because Snapshot reads them from
-// outside the goroutine.
+// locks.
 type shard struct {
 	mail     chan request
 	sessions map[uint64]*session
-
-	predictions atomic.Uint64
-	hits        atomic.Uint64
-	updates     atomic.Uint64
-	resets      atomic.Uint64
-	occupancy   atomic.Int64
 }
 
 // Engine is the sharded session store at the heart of the service.
 // All exported methods are safe for concurrent use.
 type Engine struct {
-	cfg      Config
-	name     string // predictor config name, for stats
-	window   uint64 // Config.StatsWindow, precomputed for the hot path
-	shards   []*shard
-	sessions atomic.Int64 // live sessions across shards
-	dropped  atomic.Uint64
-	swaps    atomic.Uint64
-	tap      atomic.Pointer[Tap] // traffic mirror hook; nil when untapped
+	cfg     Config
+	name    string // predictor config name, for stats
+	window  uint64 // Config.StatsWindow, precomputed for the hot path
+	shards  []*shard
+	dropped atomic.Uint64
+	resets  atomic.Uint64
+	swaps   atomic.Uint64
+	tap     atomic.Pointer[Tap] // traffic mirror hook; nil when untapped
 
-	// byID indexes every live session for stats reads; the owning
-	// shard remains the only goroutine touching a session's predictor.
+	// byID indexes every live session across shards, for the session
+	// cap and stats reads; the owning shard remains the only goroutine
+	// touching a session's predictor. Sessions are never deleted, so
+	// byID is also the live-session count.
 	sessMu sync.RWMutex
 	byID   map[uint64]*session // vplint:guardedby sessMu
 
@@ -335,16 +332,17 @@ func NewEngine(cfg Config) (*Engine, error) {
 	return e, nil
 }
 
-// shardFor assigns a session to a shard with a splitmix64 finalizer,
-// so adjacent session IDs (the common client choice) spread evenly.
-func (e *Engine) shardFor(session uint64) *shard {
+// shardFor assigns a session to a shard, returning its index in
+// e.shards, with a splitmix64 finalizer, so adjacent session IDs (the
+// common client choice) spread evenly.
+func (e *Engine) shardFor(session uint64) int {
 	x := session + 0x9e3779b97f4a7c15
 	x ^= x >> 30
 	x *= 0xbf58476d1ce4e5b9
 	x ^= x >> 27
 	x *= 0x94d049bb133111eb
 	x ^= x >> 31
-	return e.shards[x%uint64(len(e.shards))]
+	return int(x % uint64(len(e.shards)))
 }
 
 // run is one shard's goroutine: process mail until quit, then drain
@@ -374,21 +372,38 @@ func (e *Engine) getSession(s *shard, id uint64) *session {
 	if sess, ok := s.sessions[id]; ok {
 		return sess
 	}
-	if int(e.sessions.Load()) >= e.cfg.MaxSessions {
-		return nil
-	}
-	p, err := e.cfg.Spec.New()
-	if err != nil {
-		panic("serve: spec validated at engine start cannot fail: " + err.Error())
-	}
-	sess := &session{p: p}
-	s.sessions[id] = sess
-	e.sessMu.Lock()
-	e.byID[id] = sess
-	e.sessMu.Unlock()
-	e.sessions.Add(1)
-	s.occupancy.Add(1)
+	sess, _ := e.install(s, id, nil, false)
 	return sess
+}
+
+// install makes sess session id on shard s and returns it; a nil sess
+// installs a fresh predictor built from Config.Spec. It is the one
+// session-creation path — first traffic, warm start and restore — and
+// runs on the shard goroutine. A live session is replaced only when
+// replace is set (StatusBadRequest otherwise); a new one must fit
+// under Config.MaxSessions (StatusBusy otherwise), counted and
+// inserted under one lock so concurrent shards cannot overshoot the
+// cap.
+func (e *Engine) install(s *shard, id uint64, sess *session, replace bool) (*session, Status) {
+	_, live := s.sessions[id]
+	if live && !replace {
+		return nil, StatusBadRequest
+	}
+	e.sessMu.Lock()
+	defer e.sessMu.Unlock()
+	if !live && len(e.byID) >= e.cfg.MaxSessions {
+		return nil, StatusBusy
+	}
+	if sess == nil {
+		p, err := e.cfg.Spec.New()
+		if err != nil {
+			panic("serve: spec validated at engine start cannot fail: " + err.Error())
+		}
+		sess = &session{p: p}
+	}
+	s.sessions[id] = sess
+	e.byID[id] = sess
+	return sess, StatusOK
 }
 
 // handle executes one request on the shard goroutine.
@@ -430,7 +445,6 @@ func (e *Engine) handle(s *shard, req request) {
 			values[i] = sess.p.Predict(pc)
 		}
 		sess.predictions.Add(uint64(len(req.pcs)))
-		s.predictions.Add(uint64(len(req.pcs)))
 		req.reply <- response{status: StatusOK, values: values}
 	case OpUpdateBatch:
 		// Every Spec kind is judged by its own Predict answer, so
@@ -439,8 +453,6 @@ func (e *Engine) handle(s *shard, req request) {
 		seq := sess.updates.Load()
 		hits := core.RunBatch(sess.p, req.events).Correct
 		sess.judged(uint64(len(req.events)), hits, e.window)
-		s.hits.Add(hits)
-		s.updates.Add(uint64(len(req.events)))
 		// The mirror must run before the reply: the reply hands the
 		// events storage back to the caller, which may overwrite it.
 		e.mirror(req.session, seq, req.events)
@@ -454,24 +466,13 @@ func (e *Engine) handle(s *shard, req request) {
 		hits := uint32(core.RunBatch(sess.p, req.events).Correct)
 		sess.predictions.Add(uint64(len(req.events)))
 		sess.judged(uint64(len(req.events)), uint64(hits), e.window)
-		s.predictions.Add(uint64(len(req.events)))
-		s.hits.Add(uint64(hits))
-		s.updates.Add(uint64(len(req.events)))
 		e.mirror(req.session, seq, req.events)
 		req.reply <- response{status: StatusOK, hits: hits}
 	case OpResetSession:
-		// Every Spec kind resets in place; only a predictor handed to
-		// SwapSession can lack Reset, and it is rebuilt from the spec it
-		// came with — a session resets within its own configuration.
-		if !core.TryReset(sess.p) {
-			p, err := e.specOf(sess).New()
-			if err != nil {
-				req.reply <- response{status: StatusBadRequest}
-				return
-			}
-			sess.p = p
-		}
-		s.resets.Add(1)
+		// The predictor resets in place, within its own configuration
+		// (a swapped session keeps its swapped spec).
+		sess.p.Reset()
+		e.resets.Add(1)
 		req.reply <- response{status: StatusOK}
 	default:
 		req.reply <- response{status: StatusBadRequest}
@@ -519,7 +520,7 @@ func (e *Engine) submit(req request) response {
 	if e.closed {
 		return response{status: StatusClosed}
 	}
-	s := e.shardFor(req.session)
+	s := e.shards[e.shardFor(req.session)]
 	reply := replyPool.Get().(chan response)
 	req.reply = reply
 	select {
@@ -604,14 +605,15 @@ func (e *Engine) RestoreSession(sessionID uint64, blob []byte) Status {
 	return e.submit(request{op: opRestoreSession, session: sessionID, sess: sess, replace: true}).status
 }
 
-// Snapshot collects the engine-level stats. Counters are read with
-// relaxed ordering — a snapshot taken during traffic is approximate
-// by nature.
+// Snapshot collects the engine-level stats. The traffic totals and
+// the per-shard counts are sums over the sessions, which never leave
+// the engine. Counters are read with relaxed ordering — a snapshot
+// taken during traffic is approximate by nature.
 func (e *Engine) Snapshot() Stats {
 	st := Stats{
 		Predictor:        e.name,
 		Shards:           len(e.shards),
-		Sessions:         int(e.sessions.Load()),
+		Resets:           e.resets.Load(),
 		Dropped:          e.dropped.Load(),
 		Checkpoints:      e.checkpoints.Load(),
 		CheckpointErrors: e.checkpointErrors.Load(),
@@ -620,26 +622,25 @@ func (e *Engine) Snapshot() Stats {
 		ShardStats:       make([]ShardStats, len(e.shards)),
 	}
 	e.sessMu.RLock()
+	st.Sessions = len(e.byID)
 	st.SessionStats = make([]SessionStat, 0, len(e.byID))
 	for id, sess := range e.byID {
-		st.SessionStats = append(st.SessionStats, sess.stat(id))
+		ss := sess.stat(id)
+		st.SessionStats = append(st.SessionStats, ss)
+		st.Predictions += ss.Predictions
+		st.Hits += ss.Hits
+		st.Updates += ss.Lookups
+		sh := &st.ShardStats[e.shardFor(id)]
+		sh.Sessions++
+		sh.Predictions += ss.Predictions
 	}
 	e.sessMu.RUnlock()
 	sort.Slice(st.SessionStats, func(i, j int) bool {
 		return st.SessionStats[i].Session < st.SessionStats[j].Session
 	})
 	for i, s := range e.shards {
-		ss := ShardStats{
-			Sessions:    int(s.occupancy.Load()),
-			Predictions: s.predictions.Load(),
-			QueueDepth:  len(s.mail),
-		}
-		st.ShardStats[i] = ss
-		st.Predictions += ss.Predictions
-		st.Hits += s.hits.Load()
-		st.Updates += s.updates.Load()
-		st.Resets += s.resets.Load()
-		st.QueueDepth += ss.QueueDepth
+		st.ShardStats[i].QueueDepth = len(s.mail)
+		st.QueueDepth += len(s.mail)
 	}
 	if st.Updates > 0 {
 		st.HitRate = float64(st.Hits) / float64(st.Updates)

@@ -433,3 +433,100 @@ func TestStatsHitRateCountsJudgedLookups(t *testing.T) {
 	merged.Merge(e.Snapshot())
 	check("merged", merged)
 }
+
+// TestStatsAreSumsOverSessions: the engine totals are derived from the
+// sessions, so they stay their sums through every way a session comes
+// to be or changes — first traffic, a restore of a new and of a live
+// session, a swap and a reset — and the per-shard session counts sum
+// to the live-session count. The session cap still answers StatusBusy
+// to new sessions, by traffic or by restore, while a restore over a
+// live session at the cap succeeds.
+func TestStatsAreSumsOverSessions(t *testing.T) {
+	events := testEvents(0x7000, 1200)
+	e := newTestEngine(t, Config{Shards: 3, MaxSessions: 4})
+	check := func(label string, sessions int) {
+		t.Helper()
+		st := e.Snapshot()
+		var preds, hits, updates uint64
+		for _, ss := range st.SessionStats {
+			preds += ss.Predictions
+			hits += ss.Hits
+			updates += ss.Lookups
+		}
+		if st.Predictions != preds || st.Hits != hits || st.Updates != updates {
+			t.Errorf("%s: engine predictions/hits/updates %d/%d/%d, session sums %d/%d/%d",
+				label, st.Predictions, st.Hits, st.Updates, preds, hits, updates)
+		}
+		occupied, shardPreds := 0, uint64(0)
+		for _, sh := range st.ShardStats {
+			occupied += sh.Sessions
+			shardPreds += sh.Predictions
+		}
+		if st.Sessions != sessions || occupied != sessions || len(st.SessionStats) != sessions {
+			t.Errorf("%s: %d sessions, shards hold %d, %d session stats; want %d",
+				label, st.Sessions, occupied, len(st.SessionStats), sessions)
+		}
+		if shardPreds != st.Predictions {
+			t.Errorf("%s: shard predictions sum to %d, engine %d", label, shardPreds, st.Predictions)
+		}
+	}
+
+	runThroughEngine(t, e, 1, events, 100)
+	if st := e.UpdateBatch(2, events[:500]); st != StatusOK {
+		t.Fatalf("UpdateBatch: %v", st)
+	}
+	if _, st := e.PredictBatch(3, []uint32{0x7000, 0x7004}); st != StatusOK {
+		t.Fatalf("PredictBatch: %v", st)
+	}
+	check("created", 3)
+
+	// A donor engine trains sessions 2 and 4 further than e has, so
+	// their restores carry lifetime counters e has never seen.
+	donor := newTestEngine(t, Config{Shards: 2})
+	runThroughEngine(t, donor, 2, events, 300)
+	runThroughEngine(t, donor, 4, events[:700], 70)
+	blob := func(id uint64) []byte {
+		b, st := donor.SnapshotSession(id)
+		if st != StatusOK {
+			t.Fatalf("SnapshotSession(%d): %v", id, st)
+		}
+		return b
+	}
+	if st := e.RestoreSession(4, blob(4)); st != StatusOK {
+		t.Fatalf("restore of new session 4: %v", st)
+	}
+	check("restored new", 4)
+	if _, st := e.RunBatch(5, events[:10]); st != StatusBusy {
+		t.Errorf("traffic for a fifth session at the cap: %v, want busy", st)
+	}
+	runThroughEngine(t, donor, 5, events[:50], 50)
+	if st := e.RestoreSession(5, blob(5)); st != StatusBusy {
+		t.Errorf("restore of a fifth session at the cap: %v, want busy", st)
+	}
+	check("at cap", 4)
+	if st := e.RestoreSession(2, blob(2)); st != StatusOK {
+		t.Fatalf("restore over live session 2 at the cap: %v", st)
+	}
+	if got, want := sessionStat(t, e, 2).Lookups, uint64(len(events)); got != want {
+		t.Errorf("restored session 2 has %d lookups, want the donor's %d", got, want)
+	}
+	check("restored live", 4)
+
+	p, err := testSpec.New()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if st := e.SwapSession(3, testSpec, p); st != StatusOK {
+		t.Fatalf("SwapSession: %v", st)
+	}
+	runThroughEngine(t, e, 3, events[:400], 40)
+	check("swapped", 4)
+	if st := e.ResetSession(1); st != StatusOK {
+		t.Fatalf("ResetSession: %v", st)
+	}
+	runThroughEngine(t, e, 1, events[:200], 50)
+	check("reset", 4)
+	if st := e.Snapshot(); st.Resets != 1 || st.Swaps != 1 || st.Restored != 2 {
+		t.Errorf("resets/swaps/restored = %d/%d/%d, want 1/1/2", st.Resets, st.Swaps, st.Restored)
+	}
+}

@@ -58,12 +58,15 @@ func (e *Engine) mirror(session, seq uint64, events []trace.Event) {
 // A swap never creates a session (missing ones answer
 // StatusBadRequest) and is shed like ordinary traffic when the shard
 // mailbox is full (StatusBusy) — the tuner retries at a later
-// evaluation instead of blocking.
+// evaluation instead of blocking. A predictor that is not a
+// core.Snapshotter cannot be served (checkpointed, migrated, reset)
+// and answers StatusBadRequest.
 func (e *Engine) SwapSession(sessionID uint64, spec core.Spec, p core.Predictor) Status {
-	if p == nil || spec.Kind == "" {
+	sn, ok := p.(core.Snapshotter)
+	if !ok || spec.Kind == "" {
 		return StatusBadRequest
 	}
-	return e.submit(request{op: opSwapSession, session: sessionID, newP: p, newSpec: spec}).status
+	return e.submit(request{op: opSwapSession, session: sessionID, newP: sn, newSpec: spec}).status
 }
 
 // handleSwapSession installs the replacement predictor on the shard

@@ -202,7 +202,7 @@ func TestSwapSession(t *testing.T) {
 }
 
 // TestSwapSessionStatuses: a swap never creates a session and rejects
-// nil or spec-less replacements.
+// nil, unservable (not a core.Snapshotter) or spec-less replacements.
 func TestSwapSessionStatuses(t *testing.T) {
 	e := newTestEngine(t, Config{Shards: 1})
 	p, err := testSpec.New()
@@ -220,6 +220,9 @@ func TestSwapSessionStatuses(t *testing.T) {
 	}
 	if st := e.SwapSession(1, testSpec, nil); st != StatusBadRequest {
 		t.Errorf("nil predictor: %v, want StatusBadRequest", st)
+	}
+	if st := e.SwapSession(1, testSpec, core.NewLastN(8, 2)); st != StatusBadRequest {
+		t.Errorf("offline-only predictor: %v, want StatusBadRequest", st)
 	}
 	if st := e.SwapSession(1, core.Spec{}, p); st != StatusBadRequest {
 		t.Errorf("empty spec: %v, want StatusBadRequest", st)

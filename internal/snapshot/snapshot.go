@@ -142,7 +142,7 @@ func Capture(spec core.Spec, p core.Predictor, meta Meta) (*Snapshot, error) {
 // predictor Capture saw. The spec's tables are bounded by the state
 // before they are built, so a short blob from a network peer cannot
 // make Restore allocate tables it could never fill.
-func (s *Snapshot) Restore() (core.Predictor, error) {
+func (s *Snapshot) Restore() (core.Snapshotter, error) {
 	if need := minStateBytes(s.Spec); uint64(len(s.State)) < need {
 		return nil, fmt.Errorf("%w: %d state bytes cannot fill the tables of %s l1=%d l2=%d (need at least %d)",
 			core.ErrState, len(s.State), s.Spec.Kind, s.Spec.L1, s.Spec.L2, need)
@@ -151,11 +151,7 @@ func (s *Snapshot) Restore() (core.Predictor, error) {
 	if err != nil {
 		return nil, fmt.Errorf("snapshot: spec: %w", err)
 	}
-	sn, ok := p.(core.Snapshotter)
-	if !ok {
-		return nil, fmt.Errorf("snapshot: %s does not implement core.Snapshotter", p.Name())
-	}
-	if err := sn.RestoreState(s.State); err != nil {
+	if err := p.RestoreState(s.State); err != nil {
 		return nil, err
 	}
 	return p, nil

@@ -74,7 +74,10 @@ func Read(r io.Reader) (Trace, error) {
 	if count > maxReasonable {
 		return nil, fmt.Errorf("trace: implausible event count %d", count)
 	}
-	t := make(Trace, 0, count)
+	// The count is only a claim until the events arrive: a few bytes
+	// can claim 2^31 events, so the initial capacity is capped and
+	// append grows the slice as events actually decode.
+	t := make(Trace, 0, min(count, 1<<16))
 	var prevPC, prevVal uint32
 	for i := uint64(0); i < count; i++ {
 		dpc, err := binary.ReadVarint(br)

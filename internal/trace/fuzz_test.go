@@ -19,6 +19,7 @@ func FuzzReadAuto(f *testing.F) {
 	f.Add(plain.Bytes())
 	f.Add(comp.Bytes())
 	f.Add([]byte("VTR1"))
+	f.Add([]byte("VTR1\xff\xff\xff\xff\x07")) // claims 2^31-1 events
 	f.Add([]byte("VTRZ\x00\x01"))
 	f.Add([]byte{})
 	f.Fuzz(func(t *testing.T, raw []byte) {

@@ -2,6 +2,7 @@ package trace
 
 import (
 	"bytes"
+	"encoding/binary"
 	"math/rand"
 	"reflect"
 	"testing"
@@ -134,6 +135,16 @@ func TestFileTruncated(t *testing.T) {
 		if _, err := Read(bytes.NewReader(raw[:cut])); err == nil {
 			t.Errorf("Read of %d/%d bytes succeeded, want error", cut, len(raw))
 		}
+	}
+}
+
+// TestFileHugeCountTruncated: a header claiming 2^31-1 events with no
+// event bytes behind it is a truncation error, not an up-front
+// allocation of the claimed capacity.
+func TestFileHugeCountTruncated(t *testing.T) {
+	raw := binary.AppendUvarint([]byte("VTR1"), 1<<31-1)
+	if _, err := Read(bytes.NewReader(raw)); err == nil {
+		t.Fatal("Read of a 2^31-1 event claim with no events succeeded, want error")
 	}
 }
 

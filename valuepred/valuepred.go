@@ -35,6 +35,11 @@ import (
 type (
 	// Predictor is a value predictor: Predict then Update per event.
 	Predictor = core.Predictor
+	// Snapshotter is a predictor whose state can be exported,
+	// restored, reset and inspected: what NewDelayed and NewMetaHybrid
+	// wrap and return, as do NewLastValue, NewStride, NewTwoDelta,
+	// NewFCM, NewDFCM and NewTAGE.
+	Snapshotter = core.Snapshotter
 	// ConfidentPredictor also exposes a confidence signal.
 	ConfidentPredictor = core.ConfidentPredictor
 	// Result accumulates prediction outcomes.
