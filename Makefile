@@ -40,7 +40,7 @@ lint:
 	$(GO) run ./cmd/vplint -deadline 60s ./...
 
 race:
-	$(GO) test -race ./internal/serve/... ./internal/cluster/... ./internal/autotune/... ./internal/core/... ./internal/engine/... ./internal/snapshot/... ./cmd/vpserve/... ./cmd/vprouter/... ./cmd/vploadgen/... ./cmd/vpstate/... ./cmd/dfcmsim/...
+	$(GO) test -race ./internal/serve/... ./internal/cluster/... ./internal/autotune/... ./internal/core/... ./internal/engine/... ./internal/snapshot/... ./internal/vm/... ./internal/progs/... ./cmd/vpserve/... ./cmd/vprouter/... ./cmd/vploadgen/... ./cmd/vpstate/... ./cmd/dfcmsim/...
 
 # vpbench is its own module (it replaces repro with ../), so
 # `go build ./...` above skips it: build and vet it here, so a change to
@@ -73,6 +73,9 @@ fuzz:
 # benchjson records the median ns/op with its interquartile range, and
 # the maximum allocs/op, across repeats) since their 1x numbers are
 # pure noise; the 1x pass skips them so no such sample enters a median.
+# The VM's BenchmarkSimulator (one 100k-instruction li trace per op,
+# ns/instruction beside events/run) is timed at steady state the same
+# way.
 #
 # The Fig12/13/14 allocations are the alias analyzer's
 # (internal/alias): its tables, plus one dense private level-2 row per
@@ -83,7 +86,8 @@ fuzz:
 # that allocates on a zero-alloc path.
 BENCH_COUNT ?= 3
 bench: allocgate
-	{ $(GO) test -run='^$$' -bench=. -skip='^Benchmark(Predict|RunBatch|Snapshot)' -benchtime=1x -benchmem . ; \
+	{ $(GO) test -run='^$$' -bench=. -skip='^Benchmark(Predict|RunBatch|Snapshot|Simulator)' -benchtime=1x -benchmem . ; \
+	  $(GO) test -run='^$$' -bench='^BenchmarkSimulator$$' -benchmem -count=$(BENCH_COUNT) . ; \
 	  $(GO) test -run='^$$' -bench='^BenchmarkPredict' -benchmem -count=$(BENCH_COUNT) . ; \
 	  $(GO) test -run='^$$' -bench='^BenchmarkRunBatch' -benchmem -count=$(BENCH_COUNT) . ; \
 	  $(GO) test -run='^$$' -bench='^BenchmarkSnapshot' -benchmem -count=$(BENCH_COUNT) . ; \
@@ -93,7 +97,7 @@ bench: allocgate
 	  $(GO) test -run='^$$' -bench='^BenchmarkServe' -benchmem -count=$(BENCH_COUNT) ./internal/autotune/ ; \
 	  $(GO) test -run='^$$' -bench='^BenchmarkClusterBackends' -benchmem -count=$(BENCH_COUNT) ./internal/cluster/ ; } \
 	| $(GO) run ./cmd/benchjson -o BENCH_engine.json \
-	    -cmd "make bench (go test -bench . -benchtime 1x -benchmem; Predict*/RunBatch*/Snapshot*/EngineReplay/AliasAnalyzer/Serve*/ClusterBackends* at steady state)"
+	    -cmd "make bench (go test -bench . -benchtime 1x -benchmem; Simulator/Predict*/RunBatch*/Snapshot*/EngineReplay/AliasAnalyzer/Serve*/ClusterBackends* at steady state)"
 	@cat BENCH_engine.json
 
 # The alloc-regression tripwire, run by bench and by CI: it fails if

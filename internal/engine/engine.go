@@ -29,6 +29,7 @@ package engine
 import (
 	"runtime"
 	"sync"
+	"sync/atomic"
 
 	"repro/internal/core"
 	"repro/internal/metrics"
@@ -48,7 +49,8 @@ type Job struct {
 	mk  func() core.Predictor
 	per []metrics.BenchResult
 	// hits is non-nil on a union's components: their units record one
-	// hit mask per benchmark in it, through core.Hits.
+	// hit mask per benchmark in it, through core.Hits, and Run drops
+	// a benchmark's masks once its union rows are combined.
 	hits [][]uint64
 	// of lists a union's component jobs; mk is nil then.
 	of []*Job
@@ -102,8 +104,9 @@ func (s *Sweep) Add(mk func() core.Predictor) *Job {
 // alone. Its hits on a benchmark are therefore the popcount of the OR
 // of the components' hit masks, so it replays nothing: the
 // components' units record their masks (core.Hits instead of
-// core.RunBatch) and Run combines them after the pool finishes. The
-// jobs, at least one, must come from Add on this sweep.
+// core.RunBatch), and Run combines every union's row for a benchmark
+// as soon as the benchmark's last component unit finishes. The jobs,
+// at least one, must come from Add on this sweep.
 func (s *Sweep) Union(jobs ...*Job) *Job {
 	for _, j := range jobs {
 		j.hits = make([][]uint64, len(s.benches))
@@ -137,52 +140,84 @@ func (s *Sweep) AddTask(fn func() error) {
 // gets one unit per benchmark. Units are queued scan-major (benchmark
 // inner), so the pool's first units request distinct benchmarks and
 // cold trace generation runs in parallel; the later units of a
-// benchmark then find its trace cached. Unions are combined from
-// their components' masks once every unit has finished.
+// benchmark then find its trace cached.
+//
+// The units of union components follow, queued benchmark-major
+// (component inner). A counter per benchmark tracks its component
+// units; the one that finishes last combines every union's row for
+// that benchmark and drops the benchmark's masks. So a few
+// benchmarks' masks are held at a time, not every benchmark's until
+// the pool drains.
 func (s *Sweep) Run() error {
-	scans := make([]func(i int, bench string, tr trace.Trace) error, 0, len(s.jobs)+len(s.scans))
+	var plain, comps []func(i int, bench string, tr trace.Trace) error
+	pending := make([]atomic.Int32, len(s.benches))
 	for _, j := range s.jobs {
 		j.per = make([]metrics.BenchResult, len(s.benches))
-		scans = append(scans, func(bi int, bench string, tr trace.Trace) error {
-			var r core.Result
-			if j.hits != nil {
-				j.hits[bi] = make([]uint64, core.HitWords(len(tr)))
-				r = core.Hits(j.mk(), tr, j.hits[bi])
-			} else {
-				r = core.RunBatch(j.mk(), tr)
+		if j.hits == nil {
+			plain = append(plain, func(bi int, bench string, tr trace.Trace) error {
+				j.per[bi] = metrics.BenchResult{Benchmark: bench, Result: core.RunBatch(j.mk(), tr)}
+				return nil
+			})
+			continue
+		}
+		for bi := range pending {
+			pending[bi].Add(1)
+		}
+		comps = append(comps, func(bi int, bench string, tr trace.Trace) error {
+			j.hits[bi] = make([]uint64, core.HitWords(len(tr)))
+			j.per[bi] = metrics.BenchResult{Benchmark: bench, Result: core.Hits(j.mk(), tr, j.hits[bi])}
+			if pending[bi].Add(-1) == 0 {
+				s.combineUnions(bi)
 			}
-			j.per[bi] = metrics.BenchResult{Benchmark: bench, Result: r}
 			return nil
 		})
 	}
+	for _, u := range s.unions {
+		u.per = make([]metrics.BenchResult, len(s.benches))
+	}
 	var units []func() error
-	for _, scan := range append(scans, s.scans...) {
-		for bi, bench := range s.benches {
-			units = append(units, func() error {
-				tr, err := s.cache.Get(bench, s.budget)
-				if err != nil {
-					return err
-				}
-				return scan(bi, bench, tr)
-			})
+	unit := func(scan func(int, string, trace.Trace) error, bi int) {
+		bench := s.benches[bi]
+		units = append(units, func() error {
+			tr, err := s.cache.Get(bench, s.budget)
+			if err != nil {
+				return err
+			}
+			return scan(bi, bench, tr)
+		})
+	}
+	for _, scan := range append(plain, s.scans...) {
+		for bi := range s.benches {
+			unit(scan, bi)
+		}
+	}
+	for bi := range s.benches {
+		for _, scan := range comps {
+			unit(scan, bi)
 		}
 	}
 	units = append(units, s.tasks...)
-	if err := runPool(units, runtime.GOMAXPROCS(0)); err != nil {
-		return err
+	return runPool(units, runtime.GOMAXPROCS(0))
+}
+
+// combineUnions scores every union on benchmark bi from its
+// components' hit masks, then drops those masks. A component may
+// belong to several unions, so the masks go only after all of them.
+// Run calls it once per benchmark, after the last component unit.
+func (s *Sweep) combineUnions(bi int) {
+	for _, u := range s.unions {
+		masks := make([][]uint64, len(u.of))
+		for k, j := range u.of {
+			masks[k] = j.hits[bi]
+		}
+		u.per[bi] = u.of[0].per[bi]
+		u.per[bi].Result.Correct = core.UnionHits(masks...)
 	}
 	for _, u := range s.unions {
-		u.per = make([]metrics.BenchResult, len(s.benches))
-		masks := make([][]uint64, len(u.of))
-		for bi := range s.benches {
-			for k, j := range u.of {
-				masks[k] = j.hits[bi]
-			}
-			u.per[bi] = u.of[0].per[bi]
-			u.per[bi].Result.Correct = core.UnionHits(masks...)
+		for _, j := range u.of {
+			j.hits[bi] = nil
 		}
 	}
-	return nil
 }
 
 // runPool executes the units on a bounded worker pool and returns the

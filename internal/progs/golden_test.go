@@ -5,6 +5,7 @@ import (
 	"encoding/binary"
 	"encoding/hex"
 	"errors"
+	"sync"
 	"testing"
 
 	"repro/internal/trace"
@@ -14,17 +15,19 @@ import (
 // goldenBudget is the instruction budget of the golden runs.
 const goldenBudget = 200_000
 
-// golden pins what the VM produces for every program at goldenBudget:
-// the sha256 of its trace (each event as little-endian PC then value),
-// the instruction and event counters, the sha256 of the final machine
-// state (the 32 general registers, HI, LO and PC, little-endian) and
-// the program's output.
-var golden = map[string]struct {
+// goldenRun is what one program's run is pinned by: the sha256 of its
+// trace (each event as little-endian PC then value), the instruction
+// and event counters, the sha256 of the final machine state (the 32
+// general registers, HI, LO and PC, little-endian) and its output.
+type goldenRun struct {
 	trace             string
 	executed, emitted uint64
 	state             string
 	stdout            string
-}{
+}
+
+// golden pins every program at goldenBudget.
+var golden = map[string]goldenRun{
 	"cc1":      {"798cccd27d4c944fe111816897e169550e957acbcd205ee8fb48fa1d3a0f0b13", 200000, 141971, "c206f8ca73a4aa887e0af3d7c07c6895c37ef951d85f3765c1bdecabb83b60aa", ""},
 	"compress": {"bc869483ba3457d88b06797e9860fca8aa5153aaef30e6ad07cc003eaa615574", 200000, 152909, "a8d8e3318ead40e3ccddacc3909b59df04eaceeed92b42d5287a70f042252417", ""},
 	"go":       {"3f76618f69dc86e72503eed859f12ef6c97a9f0fc6d75ac9d306323bc6c2ab75", 200000, 148853, "ad945b461938c987891cc7ab46c5d46ee9a763b09c9a470c563ab043853bd77b", ""},
@@ -83,18 +86,43 @@ func TestGoldenRuns(t *testing.T) {
 		if err := c.Run(goldenBudget); err != nil && !errors.Is(err, vm.ErrBudget) {
 			t.Fatalf("%s: run: %v", name, err)
 		}
-		got := struct {
-			trace             string
-			executed, emitted uint64
-			state             string
-			stdout            string
-		}{traceDigest(tr), c.Executed, c.Emitted, stateDigest(c), string(c.Stdout)}
+		got := goldenRun{traceDigest(tr), c.Executed, c.Emitted, stateDigest(c), string(c.Stdout)}
 		if got != want {
 			t.Errorf("%s: got\n\t%q: {%q, %d, %d, %q, %q},\nwant %+v",
 				name, name, got.trace, got.executed, got.emitted, got.state, got.stdout, want)
 		}
 		if d := traceDigest(emitted); d != got.trace {
 			t.Errorf("%s: emit-callback trace %s differs from vm.Trace %s", name, d, got.trace)
+		}
+	}
+}
+
+// TestConcurrentTracesOfOneProgram runs several CPUs on one cached
+// *asm.Program at once, as a sweep does, and checks that every trace
+// equals the golden one: no decoded-text or memory state may be
+// shared between CPUs (run under -race by make race).
+func TestConcurrentTracesOfOneProgram(t *testing.T) {
+	const workers = 4
+	for _, name := range []string{"cc1", "li"} {
+		digests := make([]string, workers)
+		var wg sync.WaitGroup
+		for w := range digests {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				tr, err := TraceFor(name, goldenBudget)
+				if err != nil {
+					t.Error(err)
+					return
+				}
+				digests[w] = traceDigest(tr)
+			}()
+		}
+		wg.Wait()
+		for w, d := range digests {
+			if d != golden[name].trace {
+				t.Errorf("%s: goroutine %d trace %s, want %s", name, w, d, golden[name].trace)
+			}
 		}
 	}
 }

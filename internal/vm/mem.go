@@ -9,6 +9,11 @@ const pageSize = 1 << pageBits
 // in pages on first touch. The zero value is an empty memory.
 type Memory struct {
 	pages map[uint32]*[pageSize]byte
+	// cur caches the page numbered curPN, the last one an access
+	// found or allocated: consecutive accesses mostly fall in one
+	// page, and they then skip the map lookup.
+	cur   *[pageSize]byte
+	curPN uint32
 }
 
 // NewMemory returns an empty memory.
@@ -16,19 +21,34 @@ func NewMemory() *Memory {
 	return &Memory{pages: make(map[uint32]*[pageSize]byte)}
 }
 
-func (m *Memory) page(addr uint32) *[pageSize]byte {
+// lookup returns the page holding addr, or nil if it was never
+// touched.
+func (m *Memory) lookup(addr uint32) *[pageSize]byte {
 	pn := addr >> pageBits
-	p := m.pages[pn]
-	if p == nil {
-		p = new([pageSize]byte)
-		m.pages[pn] = p
+	if m.cur != nil && pn == m.curPN {
+		return m.cur
 	}
+	p := m.pages[pn]
+	if p != nil {
+		m.cur, m.curPN = p, pn
+	}
+	return p
+}
+
+// page returns the page holding addr, allocating it on first touch.
+func (m *Memory) page(addr uint32) *[pageSize]byte {
+	if p := m.lookup(addr); p != nil {
+		return p
+	}
+	p := new([pageSize]byte)
+	m.pages[addr>>pageBits] = p
+	m.cur, m.curPN = p, addr>>pageBits
 	return p
 }
 
 // LoadByte reads one byte.
 func (m *Memory) LoadByte(addr uint32) byte {
-	if p := m.pages[addr>>pageBits]; p != nil {
+	if p := m.lookup(addr); p != nil {
 		return p[addr&(pageSize-1)]
 	}
 	return 0
@@ -44,7 +64,7 @@ func (m *Memory) StoreByte(addr uint32, v byte) {
 func (m *Memory) LoadWord(addr uint32) uint32 {
 	off := addr & (pageSize - 1)
 	if off <= pageSize-4 {
-		if p := m.pages[addr>>pageBits]; p != nil {
+		if p := m.lookup(addr); p != nil {
 			return uint32(p[off]) | uint32(p[off+1])<<8 |
 				uint32(p[off+2])<<16 | uint32(p[off+3])<<24
 		}
@@ -71,13 +91,28 @@ func (m *Memory) StoreWord(addr uint32, v uint32) {
 	m.StoreByte(addr+3, byte(v>>24))
 }
 
-// LoadHalf reads a little-endian 16-bit halfword.
+// LoadHalf reads a little-endian 16-bit halfword. addr need not be
+// aligned; the fast path assumes the halfword does not cross a page.
 func (m *Memory) LoadHalf(addr uint32) uint16 {
+	off := addr & (pageSize - 1)
+	if off <= pageSize-2 {
+		if p := m.lookup(addr); p != nil {
+			return uint16(p[off]) | uint16(p[off+1])<<8
+		}
+		return 0
+	}
 	return uint16(m.LoadByte(addr)) | uint16(m.LoadByte(addr+1))<<8
 }
 
 // StoreHalf writes a little-endian 16-bit halfword.
 func (m *Memory) StoreHalf(addr uint32, v uint16) {
+	off := addr & (pageSize - 1)
+	if off <= pageSize-2 {
+		p := m.page(addr)
+		p[off] = byte(v)
+		p[off+1] = byte(v >> 8)
+		return
+	}
 	m.StoreByte(addr, byte(v))
 	m.StoreByte(addr+1, byte(v>>8))
 }

@@ -26,7 +26,11 @@ type CPU struct {
 	HI   uint32
 	LO   uint32
 	PC   uint32
-	Mem  *Memory
+	// Mem holds the whole address space, text included. Step
+	// re-decodes the text words its own stores change; a write made
+	// to Mem from outside Step after New is not seen by instructions
+	// fetched from the text segment.
+	Mem *Memory
 
 	// Executed counts all executed instructions; Emitted counts those
 	// that produced a trace event.
@@ -37,9 +41,13 @@ type CPU struct {
 	Stdout []byte
 
 	halted bool
-	brk    uint32 // heap break for sbrk
-	emit   Emit
+	brk    uint32   // heap break for sbrk
+	emit   Emit     // never nil
 	prof   []uint64 // per-text-word execution counts, when enabled
+	// text is the text segment decoded once: text[i] is the
+	// instruction at isa.TextBase + 4*i. Each CPU owns its copy, so
+	// CPUs running one program concurrently never share it.
+	text []isa.Inst
 }
 
 // Common run errors.
@@ -55,9 +63,15 @@ var (
 // isa.DataBase, $sp at isa.StackBase, $gp at the data base, PC at the
 // program entry. emit may be nil to discard trace events.
 func New(p *asm.Program, emit Emit) *CPU {
-	c := &CPU{Mem: NewMemory(), PC: p.Entry, emit: emit}
+	if emit == nil {
+		// A no-op keeps setReg free of a nil check and small enough
+		// to inline into Step.
+		emit = func(uint32, uint32) {}
+	}
+	c := &CPU{Mem: NewMemory(), PC: p.Entry, emit: emit, text: make([]isa.Inst, len(p.Text))}
 	for i, w := range p.Text {
 		c.Mem.StoreWord(isa.TextBase+uint32(4*i), w)
+		c.text[i] = isa.Decode(w)
 	}
 	c.Mem.WriteBytes(isa.DataBase, p.Data)
 	c.Regs[isa.RegSP] = isa.StackBase
@@ -90,9 +104,7 @@ func (c *CPU) setReg(r int, v uint32, tracePC uint32) {
 		return
 	}
 	c.Regs[r] = v
-	if c.emit != nil {
-		c.emit(tracePC, v)
-	}
+	c.emit(tracePC, v)
 	c.Emitted++
 }
 
@@ -131,11 +143,18 @@ func (c *CPU) EnableProfile(textWords int) {
 // isa.TextBase + 4*i.
 func (c *CPU) Profile() []uint64 { return c.prof }
 
-// Step executes one instruction.
+// Step executes one instruction. An aligned PC inside the text
+// segment fetches from the decoded text; any other PC decodes the
+// word memory holds there.
 func (c *CPU) Step() error {
 	pc := c.PC
-	word := c.Mem.LoadWord(pc)
-	in := isa.Decode(word)
+	var in *isa.Inst
+	if i := (pc - isa.TextBase) >> 2; pc&3 == 0 && i < uint32(len(c.text)) {
+		in = &c.text[i]
+	} else {
+		dec := isa.Decode(c.Mem.LoadWord(pc))
+		in = &dec
+	}
 	c.Executed++
 	if c.prof != nil {
 		if i := (pc - isa.TextBase) / 4; i < uint32(len(c.prof)) {
@@ -228,10 +247,15 @@ func (c *CPU) Step() error {
 			return fmt.Errorf("%w: sw %#x at %#x", ErrMisalign, addr, pc)
 		}
 		c.Mem.StoreWord(addr, c.Regs[in.Rt])
+		c.storedText(addr, 4)
 	case isa.OpSH:
-		c.Mem.StoreHalf(c.Regs[in.Rs]+in.SImm(), uint16(c.Regs[in.Rt]))
+		addr := c.Regs[in.Rs] + in.SImm()
+		c.Mem.StoreHalf(addr, uint16(c.Regs[in.Rt]))
+		c.storedText(addr, 2)
 	case isa.OpSB:
-		c.Mem.StoreByte(c.Regs[in.Rs]+in.SImm(), byte(c.Regs[in.Rt]))
+		addr := c.Regs[in.Rs] + in.SImm()
+		c.Mem.StoreByte(addr, byte(c.Regs[in.Rt]))
+		c.storedText(addr, 1)
 
 	default:
 		return fmt.Errorf("%w: op=%#x at %#x", ErrBadOp, in.Op, pc)
@@ -241,8 +265,20 @@ func (c *CPU) Step() error {
 	return nil
 }
 
+// storedText re-decodes the text words a store of n bytes at addr
+// touched (its first and last byte's words), so that self-modifying
+// code runs what memory holds.
+func (c *CPU) storedText(addr, n uint32) {
+	size := uint32(len(c.text)) << 2
+	for _, off := range [2]uint32{addr - isa.TextBase, addr + n - 1 - isa.TextBase} {
+		if off < size {
+			c.text[off>>2] = isa.Decode(c.Mem.LoadWord(isa.TextBase + off&^3))
+		}
+	}
+}
+
 // special executes OpSpecial (R-format) instructions.
-func (c *CPU) special(pc uint32, in isa.Inst, next *uint32) error {
+func (c *CPU) special(pc uint32, in *isa.Inst, next *uint32) error {
 	rs, rt := c.Regs[in.Rs], c.Regs[in.Rt]
 	switch in.Funct {
 	case isa.FnSLL:
@@ -333,9 +369,7 @@ func (c *CPU) special(pc uint32, in isa.Inst, next *uint32) error {
 
 // traceHiLo emits the single event for a two-result instruction.
 func (c *CPU) traceHiLo(pc uint32) {
-	if c.emit != nil {
-		c.emit(pc, c.LO)
-	}
+	c.emit(pc, c.LO)
 	c.Emitted++
 }
 
@@ -366,17 +400,41 @@ func b2u(b bool) uint32 {
 	return 0
 }
 
-// Trace assembles src, runs it to completion (or budget instructions)
-// and returns the collected value trace. It is the package's
-// convenience entry point for tests and experiments.
+// traceChunk is the number of events Trace collects per chunk.
+const traceChunk = 1 << 16
+
+// Trace runs the assembled program p to completion (or budget
+// instructions) and returns the collected value trace. It is the
+// package's convenience entry point for tests and experiments.
+//
+// Events go into fixed-size chunks, at most budget events each, and
+// one exact-size copy joins them at the end: a slice grown by append
+// would copy each event several times.
 func Trace(p *asm.Program, budget uint64) (trace.Trace, error) {
-	var tr trace.Trace
+	size := uint64(traceChunk)
+	if budget > 0 && budget < size {
+		size = budget // each instruction emits at most one event
+	}
+	var chunks []trace.Trace
+	cur := make(trace.Trace, 0, size)
 	c := New(p, func(pc, v uint32) {
-		tr = append(tr, trace.Event{PC: pc, Value: v})
+		if len(cur) == cap(cur) {
+			chunks = append(chunks, cur)
+			cur = make(trace.Trace, 0, size)
+		}
+		cur = append(cur, trace.Event{PC: pc, Value: v})
 	})
 	err := c.Run(budget)
 	if err == ErrBudget {
 		err = nil // a truncated trace is still a valid trace
+	}
+	chunks = append(chunks, cur)
+	var tr trace.Trace
+	if c.Emitted > 0 {
+		tr = make(trace.Trace, 0, c.Emitted)
+	}
+	for _, ch := range chunks {
+		tr = append(tr, ch...)
 	}
 	return tr, err
 }
