@@ -86,8 +86,8 @@ func parseFlags(fs *flag.FlagSet) *options {
 	fs.StringVar(&o.addr, "addr", ":9177", "TCP listen address for the predictor protocol")
 	fs.StringVar(&o.httpAddr, "http", "", "optional HTTP listen address for JSON stats (empty disables)")
 	o.spec.RegisterFlags(fs)
-	fs.IntVar(&o.engine.Shards, "shards", 0, "shard goroutines (0 = GOMAXPROCS)")
-	fs.IntVar(&o.engine.MailboxDepth, "mailbox", 128, "bounded queue depth per shard")
+	fs.IntVar(&o.engine.Shards, "shards", 0, "session shards, one lock each (0 = GOMAXPROCS)")
+	fs.IntVar(&o.engine.MailboxDepth, "mailbox", 128, "requests that may wait for a shard's lock before more are answered busy")
 	fs.IntVar(&o.engine.MaxSessions, "max-sessions", 4096, "live session cap across shards")
 	fs.StringVar(&o.engine.CheckpointDir, "checkpoint-dir", "", "directory for per-session predictor snapshots; enables warm start (empty disables)")
 	fs.DurationVar(&o.engine.CheckpointInterval, "checkpoint-interval", 30*time.Second, "background checkpoint period (0 = checkpoint on drain only)")

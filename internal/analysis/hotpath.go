@@ -44,7 +44,7 @@ import (
 //   - internal/cluster: the Router.forward method — the proxy's
 //     per-frame backend round trip, same budget;
 //   - internal/autotune: the mirror-enqueue path — the Tuner's Mirror
-//     and sampled methods, which run inline on every shard goroutine
+//     and sampled methods, which run inline under every shard lock
 //     once per training batch and must shed, not allocate, when the
 //     tuner falls behind.
 //

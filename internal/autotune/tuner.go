@@ -10,7 +10,7 @@
 // The tuner never blocks serving: the tap enqueues copies of sampled
 // batches into a bounded mailbox and sheds when it is full, and the
 // hot-swap itself is an internal engine op that serializes with the
-// session's traffic on its shard goroutine. A session whose candidates
+// session's traffic under its shard lock. A session whose candidates
 // never win serves bit-identically to the same session on an untuned
 // engine — the tap observes, it does not touch.
 //
@@ -58,7 +58,7 @@ type Config struct {
 	Seed uint64
 	// MailboxDepth bounds the tuner's batch queue. A full mailbox
 	// sheds the batch (counted in Status.Shed) instead of blocking the
-	// shard goroutine. 0 selects 256.
+	// served request, which holds its shard lock. 0 selects 256.
 	MailboxDepth int
 	// Window is the shadow scoring window in judged events: scores
 	// cover the last one-to-two windows of mirrored traffic. 0 selects
@@ -149,8 +149,8 @@ type shadowSet struct {
 }
 
 // Tuner is the autotuning service around one engine. Mirror runs on
-// the engine's shard goroutines; all tuning state is owned by the
-// single loop goroutine, which Close joins.
+// the serving goroutines, under the engine's shard locks; all tuning
+// state is owned by the single loop goroutine, which Close joins.
 type Tuner struct {
 	cfg        Config
 	boot       core.Spec
@@ -162,7 +162,7 @@ type Tuner struct {
 	quit chan struct{}
 	wg   sync.WaitGroup
 
-	// Hot-path counters, written by Mirror on shard goroutines.
+	// Hot-path counters, written by Mirror on the serving goroutines.
 	mirroredBatches atomic.Uint64
 	mirroredEvents  atomic.Uint64
 	shed            atomic.Uint64 // mailbox full
@@ -229,7 +229,7 @@ func New(cfg Config) (*Tuner, error) {
 	return t, nil
 }
 
-// Mirror implements serve.Tap on the engine's shard goroutines: hash
+// Mirror implements serve.Tap under the engine's shard locks: hash
 // the batch's deterministic position, copy a sampled batch into pooled
 // storage and enqueue it, shedding on a full mailbox. Never blocks,
 // never retains events, and allocates nothing once the pool is warm.
@@ -256,7 +256,7 @@ func (t *Tuner) Mirror(session, seq uint64, events []trace.Event) {
 
 // sampled is the deterministic per-batch coin: a splitmix64-style hash
 // of (seed, session, seq) against the sample rate. Stateless, so it
-// needs no synchronization across shard goroutines and a fixed seed
+// needs no synchronization across serving goroutines and a fixed seed
 // reproduces the exact mirrored subsequence.
 func (t *Tuner) sampled(session, seq uint64) bool {
 	if t.cfg.SampleRate >= 1 {
@@ -388,7 +388,7 @@ func (t *Tuner) maybePromote(ss *shadowSet) {
 		return
 	}
 	// The shadow is handed to the engine warm; the engine installs it
-	// on the session's shard goroutine, serialized with traffic.
+	// under the session's shard lock, serialized with traffic.
 	switch t.cfg.Engine.SwapSession(ss.id, ss.specs[best], ss.stream.Predictor(best)) {
 	case serve.StatusOK:
 		t.swaps++

@@ -291,7 +291,7 @@ func TestStatusShape(t *testing.T) {
 // TestMirrorShedsWhenFull: a full mailbox sheds instead of blocking.
 // The tuner is closed first so the consumer is provably absent and the
 // count is deterministic; Mirror stays safe to call in that state
-// (shard goroutines may race Close).
+// (served requests may race Close).
 func TestMirrorShedsWhenFull(t *testing.T) {
 	bootSpec := core.Spec{Kind: "lvp", L1: 4}
 	e := newEngine(t, bootSpec)

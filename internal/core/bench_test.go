@@ -71,7 +71,7 @@ func BenchmarkHybrid_PredictUpdate(b *testing.B) {
 }
 
 // BenchmarkReset times an in-place reset through the Snapshotter
-// interface, as a served ResetSession runs it on the shard goroutine.
+// interface, as a served ResetSession runs it under the shard lock.
 // The tage, delayed and hybrid cases walk nested blocks or rebuild
 // derived registers; every case is an allocgate gate, since a zeroing
 // walk that escaped to the heap would allocate on each reset.

@@ -125,7 +125,8 @@ func (d *Delayed) grow() {
 func (d *Delayed) Reset() { resetState(d) }
 
 // walkState lists the state: the count of not-yet-applied updates
-// (at most delay+1), the updates oldest-first, then the wrapped
+// (at most delay+1), the updates oldest-first as one events table (two
+// when the pending run wraps the ring's end), then the wrapped
 // predictor's nested state. Restore checks the claimed count against
 // the bytes that actually arrived before it allocates the ring; zeroing
 // empties the ring in place.
@@ -141,11 +142,9 @@ func (d *Delayed) walkState(w *stateWalk) {
 	case walkZero:
 		d.head, d.n = 0, 0
 	}
-	for k := range d.n {
-		u := &d.ring[(d.head+k)%len(d.ring)]
-		w.u32(&u.PC, math.MaxUint32)
-		w.u32(&u.Value, math.MaxUint32)
-	}
+	end := min(d.head+d.n, len(d.ring))
+	w.table(colEvents(d.ring[d.head:end]))
+	w.table(colEvents(d.ring[:d.n-(end-d.head)]))
 	w.nested(d.p)
 }
 

@@ -6,6 +6,8 @@ import (
 	"fmt"
 	"math"
 	"slices"
+
+	"repro/internal/trace"
 )
 
 // Durable predictor state
@@ -131,17 +133,20 @@ type stateWalk struct {
 func (w *stateWalk) stores() bool { return w.dir == walkRestore || w.dir == walkZero }
 
 // column is one column of a state table: exactly one of the slices is
-// set, and restore rejects any word above max.
+// set, and restore rejects any word above max. An events column is
+// 8 bytes a row, the PC then the value, and takes any word.
 type column struct {
 	u8  []uint8
 	u32 []uint32
 	u64 []uint64
+	ev  []trace.Event
 	max uint64
 }
 
 func col8(s []uint8, max uint8) column    { return column{u8: s, max: uint64(max)} }
 func col32(s []uint32, max uint32) column { return column{u32: s, max: uint64(max)} }
 func col64(s []uint64, max uint64) column { return column{u64: s, max: max} }
+func colEvents(s []trace.Event) column    { return column{ev: s} }
 
 // rows returns the column's length and its width in bytes.
 func (c column) rows() (n, size int) {
@@ -150,6 +155,8 @@ func (c column) rows() (n, size int) {
 		return len(c.u32), 4
 	case c.u64 != nil:
 		return len(c.u64), 8
+	case c.ev != nil:
+		return len(c.ev), 8
 	}
 	return len(c.u8), 1
 }
@@ -179,6 +186,7 @@ func (w *stateWalk) table(cols ...column) {
 			clear(c.u8)
 			clear(c.u32)
 			clear(c.u64)
+			clear(c.ev)
 		}
 		return
 	}
@@ -215,6 +223,11 @@ func (c column) append(b []byte, row int) {
 		for i, v := range c.u64 {
 			binary.BigEndian.PutUint64(b[i*row:], v)
 		}
+	case c.ev != nil:
+		for i, v := range c.ev {
+			binary.BigEndian.PutUint32(b[i*row:], v.PC)
+			binary.BigEndian.PutUint32(b[i*row+4:], v.Value)
+		}
 	default:
 		for i, v := range c.u8 {
 			b[i*row] = v
@@ -243,6 +256,13 @@ func (c column) restore(b []byte, row int) int {
 				return i
 			}
 			c.u64[i] = v
+		}
+	case c.ev != nil:
+		for i := range c.ev {
+			c.ev[i] = trace.Event{
+				PC:    binary.BigEndian.Uint32(b[i*row:]),
+				Value: binary.BigEndian.Uint32(b[i*row+4:]),
+			}
 		}
 	default:
 		max := uint8(c.max)

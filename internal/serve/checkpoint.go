@@ -13,8 +13,9 @@ import (
 )
 
 // Internal shard ops. These never appear on the wire (the server
-// dispatch rejects them) and bypass the closed gate: the drain
-// checkpoint runs after the engine stops accepting external traffic.
+// dispatch rejects them). The checkpoint ops run through Engine.locked,
+// bypassing the closed gate: the drain checkpoint runs after the engine
+// stops accepting external traffic. A swap is ordinary traffic.
 const (
 	opCaptureShard   = 0xF1
 	opRestoreSession = 0xF2
@@ -22,7 +23,7 @@ const (
 )
 
 // sessionCapture pairs a session ID with its frozen snapshot, handed
-// from the shard goroutine to the writer.
+// from the shard capture to the writer.
 type sessionCapture struct {
 	id   uint64
 	snap *snapshot.Snapshot
@@ -104,9 +105,9 @@ func (e *Engine) admitSnapshot(id uint64, snap *snapshot.Snapshot) (*session, St
 	return newRestoredSession(p, snap.Meta, override), StatusOK
 }
 
-// captureSession freezes one live session. Runs on the shard
-// goroutine, so the predictor state and counters are a consistent
-// point-in-time view with no request in flight. A session carrying a
+// captureSession freezes one live session. Runs under the shard lock,
+// so the predictor state and counters are a consistent point-in-time
+// view with no request in flight. A session carrying a
 // spec override (hot-swapped by the autotuner) is captured under that
 // spec — its snapshot describes the predictor actually serving, so a
 // warm restart rebuilds the swapped configuration.
@@ -119,10 +120,10 @@ func (e *Engine) captureSession(id uint64, sess *session) (*snapshot.Snapshot, e
 	})
 }
 
-// handleCaptureShard snapshots every session on the shard. Runs on the
-// shard goroutine; file I/O happens on the caller's side so the shard
-// returns to serving as soon as the in-memory copies exist.
-func (e *Engine) handleCaptureShard(s *shard, req request) {
+// handleCaptureShard snapshots every session on the shard. Runs under
+// the shard lock; file I/O happens after the lock is released, so the
+// shard returns to serving as soon as the in-memory copies exist.
+func (e *Engine) handleCaptureShard(s *shard) response {
 	snaps := make([]sessionCapture, 0, len(s.sessions))
 	for id, sess := range s.sessions {
 		snap, err := e.captureSession(id, sess)
@@ -132,7 +133,7 @@ func (e *Engine) handleCaptureShard(s *shard, req request) {
 		}
 		snaps = append(snaps, sessionCapture{id: id, snap: snap})
 	}
-	req.reply <- response{status: StatusOK, snaps: snaps}
+	return response{status: StatusOK, snaps: snaps}
 }
 
 // handleRestoreSession installs a restored session on its shard. Two
@@ -143,24 +144,12 @@ func (e *Engine) handleCaptureShard(s *shard, req request) {
 // restore (a migration push) is authoritative. The session cap applies
 // to new sessions either way. The engine totals are sums over the
 // sessions, so they continue from the restored lifetime counters.
-func (e *Engine) handleRestoreSession(s *shard, req request) {
+func (e *Engine) handleRestoreSession(s *shard, req request) response {
 	_, st := e.install(s, req.session, req.sess, req.replace)
 	if st == StatusOK {
 		e.restored.Add(1)
 	}
-	req.reply <- response{status: st}
-}
-
-// submitInternal sends a checkpoint op straight to a shard, bypassing
-// the closed gate and the backpressure shed: internal requests are
-// rare, must not be dropped, and the drain checkpoint runs after the
-// engine closes to external traffic. The send may block on a busy
-// mailbox; the shard goroutine is alive until quit closes, which Close
-// orders strictly after the last internal send.
-func (e *Engine) submitInternal(s *shard, req request) response {
-	req.reply = make(chan response, 1)
-	s.mail <- req
-	return <-req.reply
+	return response{status: st}
 }
 
 // CheckpointAll captures every live session and writes one snapshot
@@ -174,7 +163,7 @@ func (e *Engine) CheckpointAll() (written int, err error) {
 		return 0, fmt.Errorf("serve: checkpointing disabled (no CheckpointDir)")
 	}
 	for _, s := range e.shards {
-		resp := e.submitInternal(s, request{op: opCaptureShard})
+		resp := e.locked(s, request{op: opCaptureShard})
 		for _, c := range resp.snaps {
 			path := filepath.Join(e.cfg.CheckpointDir, checkpointName(c.id))
 			if werr := snapshot.WriteFile(path, c.snap); werr != nil {
@@ -241,7 +230,7 @@ func (e *Engine) LoadCheckpoints() (restored, skipped int, err error) {
 			skipped++
 			continue
 		}
-		resp := e.submitInternal(e.shards[e.shardFor(id)], request{op: opRestoreSession, session: id, sess: sess})
+		resp := e.locked(e.shards[e.shardFor(id)], request{op: opRestoreSession, session: id, sess: sess})
 		if resp.status != StatusOK {
 			skipped++
 			continue

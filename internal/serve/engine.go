@@ -23,14 +23,15 @@ type Config struct {
 	// it, and a snapshot records it so a restart (or cmd/vpstate) can
 	// rebuild the exact predictor.
 	Spec core.Spec
-	// Shards is the number of independent shard goroutines. Sessions
-	// are assigned to shards by hashing the session ID, so sessions on
-	// different shards never contend. 0 selects GOMAXPROCS.
+	// Shards is the number of shard locks. Sessions are assigned to
+	// shards by hashing the session ID; a request runs on its caller's
+	// goroutine holding its shard's lock, so sessions on different
+	// shards never contend. 0 selects GOMAXPROCS.
 	Shards int
-	// MailboxDepth bounds each shard's request queue. A full mailbox
-	// is backpressure: the request is answered StatusBusy immediately
-	// ("no prediction") instead of blocking the connection. 0 selects
-	// 128.
+	// MailboxDepth bounds how many requests may wait for one shard's
+	// lock behind the one in service. A request beyond the bound is
+	// backpressure: it is answered StatusBusy immediately ("no
+	// prediction") instead of blocking the connection. 0 selects 128.
 	MailboxDepth int
 	// MaxSessions caps live sessions across all shards; session
 	// creation beyond the cap is answered StatusBusy. 0 selects 4096.
@@ -163,8 +164,7 @@ type ShardStats struct {
 }
 
 // request is one unit of shard work. Exactly one of pcs/events is set
-// for the batch ops; sess only for the internal restore op; reply is
-// buffered so the shard never blocks on a departed caller.
+// for the batch ops; sess only for the internal restore op.
 type request struct {
 	op      byte
 	session uint64
@@ -175,7 +175,6 @@ type request struct {
 	replace bool             // opRestoreSession: replace an existing live session
 	newP    core.Snapshotter // opSwapSession: replacement predictor
 	newSpec core.Spec        // opSwapSession: the spec that built newP
-	reply   chan response
 }
 
 type response struct {
@@ -187,9 +186,9 @@ type response struct {
 }
 
 // session is the per-client predictor state owned by one shard. The
-// predictor itself is only ever touched on the shard goroutine; the
-// counters are atomics because Stats reads them from outside (the
-// shard stays the only writer, so the atomics are a publication
+// predictor itself is only ever touched under the shard's lock; the
+// counters are atomics because Stats reads them without it (the lock
+// holder stays the only writer, so the atomics are a publication
 // mechanism, not a contention point). predictions/hits/updates are
 // lifetime totals (they survive ResetSession); checkpoints persist
 // them so a restored session resumes its stats where it left off.
@@ -221,7 +220,7 @@ type session struct {
 
 // judged credits n judged lookups (hits of them correct) to the
 // session's lifetime and windowed counters, rotating the window
-// bucket when it fills. Runs on the shard goroutine (single writer).
+// bucket when it fills. Runs under the shard lock (single writer).
 func (s *session) judged(n, hits, window uint64) {
 	s.updates.Add(n)
 	s.hits.Add(hits)
@@ -255,12 +254,18 @@ func (s *session) stat(id uint64) SessionStat {
 	return st
 }
 
-// shard owns a disjoint set of sessions and processes their requests
-// sequentially on its own goroutine, so predictor state needs no
-// locks.
+// shard owns a disjoint set of sessions. A request runs on its
+// caller's goroutine with mu held, so the shard's requests execute
+// one at a time and predictors need no locks of their own. sessions
+// is only touched with mu held; handle and its helpers run under it,
+// which is why the field carries no guardedby annotation (the
+// analyzer checks one function body at a time).
 type shard struct {
-	mail     chan request
+	mu       sync.Mutex
 	sessions map[uint64]*session
+	// load counts the requests in service on the shard plus those
+	// waiting for mu: submit's admission count.
+	load atomic.Int64
 }
 
 // Engine is the sharded session store at the heart of the service.
@@ -276,9 +281,9 @@ type Engine struct {
 	tap     atomic.Pointer[Tap] // traffic mirror hook; nil when untapped
 
 	// byID indexes every live session across shards, for the session
-	// cap and stats reads; the owning shard remains the only goroutine
-	// touching a session's predictor. Sessions are never deleted, so
-	// byID is also the live-session count.
+	// cap and stats reads; a session's predictor is still only touched
+	// under its shard's lock. Sessions are never deleted, so byID is
+	// also the live-session count.
 	sessMu sync.RWMutex
 	byID   map[uint64]*session // vplint:guardedby sessMu
 
@@ -290,12 +295,11 @@ type Engine struct {
 
 	mu     sync.RWMutex
 	closed bool // vplint:guardedby mu
-	quit   chan struct{}
-	wg     sync.WaitGroup
 }
 
-// NewEngine starts cfg.Shards shard goroutines and returns the
-// engine. Callers must Close it to stop them.
+// NewEngine builds the engine's cfg.Shards shards and, when periodic
+// checkpoints are configured, starts their ticker. Callers must Close
+// it: Close takes the drain checkpoint and stops the ticker.
 func NewEngine(cfg Config) (*Engine, error) {
 	cfg = cfg.withDefaults()
 	probe, err := cfg.Spec.New()
@@ -313,16 +317,9 @@ func NewEngine(cfg Config) (*Engine, error) {
 		window: uint64(cfg.StatsWindow),
 		shards: make([]*shard, cfg.Shards),
 		byID:   make(map[uint64]*session),
-		quit:   make(chan struct{}),
 	}
 	for i := range e.shards {
-		s := &shard{
-			mail:     make(chan request, cfg.MailboxDepth),
-			sessions: make(map[uint64]*session),
-		}
-		e.shards[i] = s
-		e.wg.Add(1)
-		go e.run(s)
+		e.shards[i] = &shard{sessions: make(map[uint64]*session)}
 	}
 	if cfg.CheckpointDir != "" && cfg.CheckpointInterval > 0 {
 		e.ckptQuit = make(chan struct{})
@@ -345,29 +342,8 @@ func (e *Engine) shardFor(session uint64) int {
 	return int(x % uint64(len(e.shards)))
 }
 
-// run is one shard's goroutine: process mail until quit, then drain
-// whatever is still queued so no caller is left waiting.
-func (e *Engine) run(s *shard) {
-	defer e.wg.Done()
-	for {
-		select {
-		case req := <-s.mail:
-			e.handle(s, req)
-		case <-e.quit:
-			for {
-				select {
-				case req := <-s.mail:
-					e.handle(s, req)
-				default:
-					return
-				}
-			}
-		}
-	}
-}
-
 // getSession returns the session, creating it if the cap allows.
-// Runs on the shard goroutine.
+// Runs under the shard lock.
 func (e *Engine) getSession(s *shard, id uint64) *session {
 	if sess, ok := s.sessions[id]; ok {
 		return sess
@@ -379,7 +355,7 @@ func (e *Engine) getSession(s *shard, id uint64) *session {
 // install makes sess session id on shard s and returns it; a nil sess
 // installs a fresh predictor built from Config.Spec. It is the one
 // session-creation path — first traffic, warm start and restore — and
-// runs on the shard goroutine. A live session is replaced only when
+// runs under the shard lock. A live session is replaced only when
 // replace is set (StatusBadRequest otherwise); a new one must fit
 // under Config.MaxSessions (StatusBusy otherwise), counted and
 // inserted under one lock so concurrent shards cannot overshoot the
@@ -406,35 +382,30 @@ func (e *Engine) install(s *shard, id uint64, sess *session, replace bool) (*ses
 	return sess, StatusOK
 }
 
-// handle executes one request on the shard goroutine.
-func (e *Engine) handle(s *shard, req request) {
+// handle executes one request under the shard lock and returns its
+// answer.
+func (e *Engine) handle(s *shard, req request) response {
 	switch req.op {
 	// The checkpoint ops run before getSession: none of them may
 	// implicitly create a session.
 	case opCaptureShard:
-		e.handleCaptureShard(s, req)
-		return
+		return e.handleCaptureShard(s)
 	case opRestoreSession:
-		e.handleRestoreSession(s, req)
-		return
+		return e.handleRestoreSession(s, req)
 	case OpSnapshotSession:
-		e.handleSnapshotSession(s, req)
-		return
+		return e.handleSnapshotSession(s, req)
 	case opSwapSession:
-		e.handleSwapSession(s, req)
-		return
+		return e.handleSwapSession(s, req)
 	}
 	sess := e.getSession(s, req.session)
 	if sess == nil {
-		req.reply <- response{status: StatusBusy}
-		return
+		return response{status: StatusBusy}
 	}
 	switch req.op {
 	case OpPredictBatch:
-		// The shard writes into the caller-owned req.out storage (the
-		// caller blocks on the reply until the write completes, so
-		// ownership hands back with the response); only a first-time or
-		// growing batch allocates.
+		// handle writes into the caller-owned req.out storage on the
+		// caller's own goroutine; only a first-time or growing batch
+		// allocates.
 		values := req.out
 		if cap(values) >= len(req.pcs) {
 			values = values[:len(req.pcs)]
@@ -445,7 +416,7 @@ func (e *Engine) handle(s *shard, req request) {
 			values[i] = sess.p.Predict(pc)
 		}
 		sess.predictions.Add(uint64(len(req.pcs)))
-		req.reply <- response{status: StatusOK, values: values}
+		return response{status: StatusOK, values: values}
 	case OpUpdateBatch:
 		// Every Spec kind is judged by its own Predict answer, so
 		// core.RunBatch is exactly predict-compare-update: the hits a
@@ -453,10 +424,10 @@ func (e *Engine) handle(s *shard, req request) {
 		seq := sess.updates.Load()
 		hits := core.RunBatch(sess.p, req.events).Correct
 		sess.judged(uint64(len(req.events)), hits, e.window)
-		// The mirror must run before the reply: the reply hands the
+		// The mirror must run before the return: the return hands the
 		// events storage back to the caller, which may overwrite it.
 		e.mirror(req.session, seq, req.events)
-		req.reply <- response{status: StatusOK}
+		return response{status: StatusOK}
 	case OpRunBatch:
 		// core.RunBatch mirrors core.Run exactly (concrete-type batch
 		// loops), so a served replay stays bit-equivalent to
@@ -467,53 +438,44 @@ func (e *Engine) handle(s *shard, req request) {
 		sess.predictions.Add(uint64(len(req.events)))
 		sess.judged(uint64(len(req.events)), uint64(hits), e.window)
 		e.mirror(req.session, seq, req.events)
-		req.reply <- response{status: StatusOK, hits: hits}
+		return response{status: StatusOK, hits: hits}
 	case OpResetSession:
 		// The predictor resets in place, within its own configuration
 		// (a swapped session keeps its swapped spec).
 		sess.p.Reset()
 		e.resets.Add(1)
-		req.reply <- response{status: StatusOK}
+		return response{status: StatusOK}
 	default:
-		req.reply <- response{status: StatusBadRequest}
+		return response{status: StatusBadRequest}
 	}
 }
 
-// handleSnapshotSession serializes one live session on its shard
-// goroutine. Missing sessions are StatusBadRequest (a snapshot never
+// handleSnapshotSession serializes one live session under the shard
+// lock. Missing sessions are StatusBadRequest (a snapshot never
 // creates a session); a predictor that cannot export its state
 // answers StatusUnsupported.
-func (e *Engine) handleSnapshotSession(s *shard, req request) {
+func (e *Engine) handleSnapshotSession(s *shard, req request) response {
 	sess, ok := s.sessions[req.session]
 	if !ok {
-		req.reply <- response{status: StatusBadRequest}
-		return
+		return response{status: StatusBadRequest}
 	}
 	snap, err := e.captureSession(req.session, sess)
 	if err != nil {
-		req.reply <- response{status: StatusUnsupported}
-		return
+		return response{status: StatusUnsupported}
 	}
 	var buf bytes.Buffer
 	if err := snap.Encode(&buf); err != nil {
-		req.reply <- response{status: StatusBadRequest}
-		return
+		return response{status: StatusBadRequest}
 	}
-	req.reply <- response{status: StatusOK, blob: buf.Bytes()}
+	return response{status: StatusOK, blob: buf.Bytes()}
 }
 
-// replyPool recycles the one-shot reply channels submit allocates.
-// Pooling is sound because every request placed in a mailbox receives
-// exactly one reply — handle answers every path and run drains the
-// mailbox on quit — and a request that never entered a mailbox never
-// had anything sent on its channel, so a pooled channel is always
-// empty when it is put back.
-var replyPool = sync.Pool{New: func() any { return make(chan response, 1) }}
-
-// submit routes a request to its shard with backpressure: a full
-// mailbox degrades to StatusBusy instead of blocking. The read lock
-// is held until the reply arrives, which lets Close wait for every
-// in-flight request before stopping the shards.
+// submit runs a request on its shard with backpressure. The request
+// is served on the caller's goroutine under the shard lock; when the
+// shard already has one request in service and MailboxDepth waiting,
+// the request degrades to StatusBusy instead of blocking. The engine
+// read lock is held across the request, which lets Close wait for
+// every in-flight request before the drain checkpoint.
 func (e *Engine) submit(req request) response {
 	e.mu.RLock()
 	defer e.mu.RUnlock()
@@ -521,18 +483,25 @@ func (e *Engine) submit(req request) response {
 		return response{status: StatusClosed}
 	}
 	s := e.shards[e.shardFor(req.session)]
-	reply := replyPool.Get().(chan response)
-	req.reply = reply
-	select {
-	case s.mail <- req:
-		resp := <-reply
-		replyPool.Put(reply)
-		return resp
-	default:
-		replyPool.Put(reply)
+	if s.load.Add(1) > int64(1+e.cfg.MailboxDepth) {
+		s.load.Add(-1)
 		e.dropped.Add(1)
 		return response{status: StatusBusy}
 	}
+	resp := e.locked(s, req)
+	s.load.Add(-1)
+	return resp
+}
+
+// locked runs req on shard s under the shard lock. It skips submit's
+// closed gate and shed, which is how the checkpoint capture and the
+// boot restore run: they are rare, must not be dropped, and the drain
+// checkpoint runs after the engine closes to external traffic.
+func (e *Engine) locked(s *shard, req request) response {
+	s.mu.Lock()
+	resp := e.handle(s, req)
+	s.mu.Unlock()
+	return resp
 }
 
 // PredictBatch returns the session predictor's predictions for pcs,
@@ -544,9 +513,8 @@ func (e *Engine) PredictBatch(sessionID uint64, pcs []uint32) ([]uint32, Status)
 // PredictBatchAppend is PredictBatch writing the predictions into
 // out's backing storage when its capacity suffices (allocating a
 // larger slice otherwise); the returned slice replaces the caller's
-// scratch. The shard goroutine writes the caller-owned storage while
-// the caller blocks on the reply, so ownership hands back exactly at
-// return; the caller must not reuse out until then.
+// scratch. The predictions are written on the caller's goroutine
+// before the call returns.
 func (e *Engine) PredictBatchAppend(sessionID uint64, pcs []uint32, out []uint32) ([]uint32, Status) {
 	r := e.submit(request{op: OpPredictBatch, session: sessionID, pcs: pcs, out: out})
 	return r.values, r.status
@@ -574,7 +542,7 @@ func (e *Engine) ResetSession(sessionID uint64) Status {
 
 // SnapshotSession returns the session's encoded snapshot file (the
 // internal/snapshot format): spec, lifetime counters and complete
-// predictor state, captured atomically on the owning shard.
+// predictor state, captured atomically under the owning shard's lock.
 // StatusBadRequest if the session does not exist, StatusUnsupported if
 // its predictor cannot export state.
 func (e *Engine) SnapshotSession(sessionID uint64) ([]byte, Status) {
@@ -591,8 +559,8 @@ func (e *Engine) SnapshotSession(sessionID uint64) ([]byte, Status) {
 // that disagrees with sessionID or for undecodable or semantically
 // invalid bytes. A restore is authoritative: an existing live session
 // is replaced, which makes a re-driven migration idempotent. Decode
-// and state validation run on the caller's goroutine; only the
-// install itself visits the shard.
+// and state validation run before the shard lock is taken; only the
+// install itself holds it.
 func (e *Engine) RestoreSession(sessionID uint64, blob []byte) Status {
 	snap, err := snapshot.Decode(bytes.NewReader(blob))
 	if err != nil {
@@ -639,8 +607,10 @@ func (e *Engine) Snapshot() Stats {
 		return st.SessionStats[i].Session < st.SessionStats[j].Session
 	})
 	for i, s := range e.shards {
-		st.ShardStats[i].QueueDepth = len(s.mail)
-		st.QueueDepth += len(s.mail)
+		// The request in service holds the lock; the rest are waiting.
+		waiting := int(max(s.load.Load()-1, 0))
+		st.ShardStats[i].QueueDepth = waiting
+		st.QueueDepth += waiting
 	}
 	if st.Updates > 0 {
 		st.HitRate = float64(st.Hits) / float64(st.Updates)
@@ -660,8 +630,8 @@ func (e *Engine) StatsJSON() []byte {
 	return b
 }
 
-// Close drains in-flight requests, takes the final checkpoint when
-// checkpointing is configured, and stops the shard goroutines.
+// Close drains in-flight requests, stops the checkpoint ticker and
+// takes the final checkpoint when checkpointing is configured.
 // Requests arriving after Close are answered StatusClosed. Close is
 // idempotent.
 func (e *Engine) Close() {
@@ -673,9 +643,8 @@ func (e *Engine) Close() {
 	e.closed = true
 	e.mu.Unlock()
 	// Acquiring the write lock above waited out every in-flight submit
-	// (each holds the read lock until its reply), so the shards are now
-	// idle but still running — exactly the window for the drain
-	// checkpoint.
+	// (each holds the read lock until it returns), so the shards are
+	// now idle — exactly the state for the drain checkpoint.
 	if e.cfg.CheckpointDir != "" {
 		if e.ckptQuit != nil {
 			close(e.ckptQuit)
@@ -685,6 +654,4 @@ func (e *Engine) Close() {
 		// shutdown proceeds — it must not wedge the process exit.
 		_, _ = e.CheckpointAll()
 	}
-	close(e.quit)
-	e.wg.Wait()
 }

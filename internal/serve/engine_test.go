@@ -2,11 +2,14 @@ package serve
 
 import (
 	"bytes"
+	"fmt"
+	"runtime"
 	"sync"
 	"testing"
 	"time"
 
 	"repro/internal/core"
+	"repro/internal/leakcheck"
 	"repro/internal/trace"
 	"repro/internal/workload"
 )
@@ -236,9 +239,18 @@ func TestResetSessionMatchesFresh(t *testing.T) {
 func TestConcurrentSessions(t *testing.T) {
 	// Many goroutines stream distinct sessions concurrently; each
 	// session's result must equal its offline run. Run under -race
-	// this is the engine's core isolation property.
+	// this is the engine's core isolation property. One shard makes
+	// every goroutine contend for the same lock.
+	for _, shards := range []int{1, 4} {
+		t.Run(fmt.Sprintf("shards=%d", shards), func(t *testing.T) {
+			testConcurrentSessions(t, shards)
+		})
+	}
+}
+
+func testConcurrentSessions(t *testing.T, shards int) {
 	const goroutines = 16
-	e := newTestEngine(t, Config{Shards: 4, MailboxDepth: 256})
+	e := newTestEngine(t, Config{Shards: shards, MailboxDepth: 256})
 	var wg sync.WaitGroup
 	errs := make(chan string, goroutines)
 	for g := 0; g < goroutines; g++ {
@@ -279,9 +291,9 @@ func TestConcurrentSessions(t *testing.T) {
 	}
 }
 
-// gatedTap stalls the shard goroutine inside Mirror, which runs before
-// the reply, until the test opens the gate — letting the backpressure
-// test fill a shard's mailbox deterministically.
+// gatedTap stalls the request in service inside Mirror, which runs
+// under the shard lock, until the test opens the gate — letting the
+// backpressure test fill a shard's queue deterministically.
 type gatedTap struct {
 	entered chan struct{}
 	gate    chan struct{}
@@ -302,12 +314,12 @@ func TestBackpressureShedsInsteadOfBlocking(t *testing.T) {
 	go func() { _, st := e.RunBatch(1, one); results <- st }()
 	<-gp.entered // first request is now executing on the shard
 	go func() { _, st := e.RunBatch(1, one); results <- st }()
-	// Wait for the second request to occupy the single mailbox slot.
-	for len(e.shards[0].mail) != 1 {
+	// Wait for the second request to occupy the single queue slot.
+	for e.Snapshot().QueueDepth != 1 {
 		time.Sleep(time.Millisecond)
 	}
 
-	// Third request finds the mailbox full: shed, not blocked.
+	// Third request finds the queue full: shed, not blocked.
 	if _, st := e.RunBatch(1, one); st != StatusBusy {
 		t.Fatalf("overflow request: status %v, want busy", st)
 	}
@@ -323,6 +335,29 @@ func TestBackpressureShedsInsteadOfBlocking(t *testing.T) {
 			t.Errorf("queued request %d: status %v", i, st)
 		}
 	}
+}
+
+// TestEngineStartsNoShardGoroutines: requests run on their callers'
+// goroutines under the shard locks, so an engine without a checkpoint
+// ticker runs no goroutine of its own, before or after traffic, and
+// Close leaves none behind.
+func TestEngineStartsNoShardGoroutines(t *testing.T) {
+	leakcheck.Check(t)
+	before := runtime.NumGoroutine()
+	e, err := NewEngine(Config{Spec: testSpec, Shards: 8})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := runtime.NumGoroutine(); got > before {
+		t.Errorf("NewEngine started %d goroutine(s)", got-before)
+	}
+	if _, st := e.RunBatch(1, testEvents(0x1000, 100)); st != StatusOK {
+		t.Fatalf("RunBatch: %v", st)
+	}
+	if got := runtime.NumGoroutine(); got > before {
+		t.Errorf("%d goroutine(s) running after a request", got-before)
+	}
+	e.Close()
 }
 
 func TestMaxSessionsCap(t *testing.T) {

@@ -1,8 +1,9 @@
 // Package serve exposes the internal/core value predictors as a
 // concurrent network service: a length-prefixed binary wire protocol
 // over TCP, per-session predictor state keyed by client-chosen
-// session IDs, and a sharded engine (one goroutine per shard, bounded
-// mailboxes) so independent sessions never contend on one lock.
+// session IDs, and a sharded engine (one lock per shard, with a bound
+// on the requests waiting for it) so independent sessions never contend
+// on one lock.
 //
 // # Wire protocol ("VP1")
 //
@@ -112,7 +113,7 @@ type Status uint8
 // Statuses.
 const (
 	StatusOK           Status = 0 // request processed
-	StatusBusy         Status = 1 // shard mailbox full — no prediction made
+	StatusBusy         Status = 1 // shard queue or session cap full — no prediction made
 	StatusClosed       Status = 2 // engine draining or closed
 	StatusBadRequest   Status = 3 // malformed or oversized request
 	StatusUnsupported  Status = 4 // op not available on this engine

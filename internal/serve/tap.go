@@ -7,14 +7,15 @@ import (
 
 // Tap observes a mirror of the engine's training traffic — the hook
 // the online autotuner (internal/autotune) hangs its shadow
-// evaluation on. Mirror is invoked on the shard goroutine for every
-// UpdateBatch and RunBatch, after the session's predictor has been
-// trained with the events and strictly before the reply is released
-// back to the caller (the caller owns the events storage and may
-// reuse it the moment the reply arrives).
+// evaluation on. Mirror is invoked under the session's shard lock for
+// every UpdateBatch and RunBatch, after the session's predictor has
+// been trained with the events and strictly before the request returns
+// to its caller (the caller owns the events storage and may reuse it
+// the moment the request returns).
 //
 // Contract: Mirror must not block — the serving hot path runs it
-// inline — and must not retain events past the call; an
+// inline, holding the shard lock — must not call back into the engine,
+// and must not retain events past the call; an
 // implementation that wants the data copies it into storage it owns
 // and sheds when its own queue is full. seq is the session's lifetime
 // update count before this batch, a deterministic per-session
@@ -35,8 +36,8 @@ func (e *Engine) SetTap(t Tap) {
 	e.tap.Store(&t)
 }
 
-// mirror forwards one trained batch to the tap, if any. Runs on the
-// shard goroutine; kept tiny so the no-tap configuration pays one
+// mirror forwards one trained batch to the tap, if any. Runs under the
+// shard lock; kept tiny so the no-tap configuration pays one
 // atomic load per batch.
 func (e *Engine) mirror(session, seq uint64, events []trace.Event) {
 	if tp := e.tap.Load(); tp != nil {
@@ -45,9 +46,9 @@ func (e *Engine) mirror(session, seq uint64, events []trace.Event) {
 }
 
 // SwapSession atomically replaces a live session's predictor with p —
-// the autotuner's promotion path, run as an internal op on the
-// session's shard goroutine so it serializes with the session's
-// traffic: every event is processed entirely by the old predictor or
+// the autotuner's promotion path, run as an internal op under the
+// session's shard lock so it serializes with the session's traffic:
+// every event is processed entirely by the old predictor or
 // entirely by the new one, never split. Lifetime counters survive the
 // swap (stats continuity); the windowed accuracy buckets reset, since
 // they now measure a different predictor. spec must describe p: a
@@ -57,7 +58,7 @@ func (e *Engine) mirror(session, seq uint64, events []trace.Event) {
 //
 // A swap never creates a session (missing ones answer
 // StatusBadRequest) and is shed like ordinary traffic when the shard
-// mailbox is full (StatusBusy) — the tuner retries at a later
+// is at its MailboxDepth bound (StatusBusy) — the tuner retries at a later
 // evaluation instead of blocking. A predictor that is not a
 // core.Snapshotter cannot be served (checkpointed, migrated, reset)
 // and answers StatusBadRequest.
@@ -69,13 +70,12 @@ func (e *Engine) SwapSession(sessionID uint64, spec core.Spec, p core.Predictor)
 	return e.submit(request{op: opSwapSession, session: sessionID, newP: sn, newSpec: spec}).status
 }
 
-// handleSwapSession installs the replacement predictor on the shard
-// goroutine.
-func (e *Engine) handleSwapSession(s *shard, req request) {
+// handleSwapSession installs the replacement predictor under the
+// shard lock.
+func (e *Engine) handleSwapSession(s *shard, req request) response {
 	sess, ok := s.sessions[req.session]
 	if !ok {
-		req.reply <- response{status: StatusBadRequest}
-		return
+		return response{status: StatusBadRequest}
 	}
 	sess.p = req.newP
 	spec := req.newSpec.Canonical()
@@ -86,5 +86,5 @@ func (e *Engine) handleSwapSession(s *shard, req request) {
 	sess.prevLookups.Store(0)
 	sess.prevHits.Store(0)
 	e.swaps.Add(1)
-	req.reply <- response{status: StatusOK}
+	return response{status: StatusOK}
 }
