@@ -50,7 +50,8 @@ vpbench-build:
 	cd vpbench && $(GO) build -o /dev/null ./... && $(GO) vet ./...
 
 # Short fuzz smoke over the attacker-facing decoders, predictor state
-# restore and the history hashes. CI-friendly: a few seconds per target; crank -fuzztime for
+# restore, the history hashes, and the MR32 interpreter against its
+# reference. CI-friendly: a few seconds per target; crank -fuzztime for
 # a real campaign.
 FUZZTIME ?= 5s
 fuzz:
@@ -61,6 +62,7 @@ fuzz:
 	$(GO) test -run='^$$' -fuzz='^FuzzRestoreState$$' -fuzztime=$(FUZZTIME) ./internal/core
 	$(GO) test -run='^$$' -fuzz='^FuzzHash$$' -fuzztime=$(FUZZTIME) ./internal/hash
 	$(GO) test -run='^$$' -fuzz='^FuzzReadAuto$$' -fuzztime=$(FUZZTIME) ./internal/trace
+	$(GO) test -run='^$$' -fuzz='^FuzzCompiledMatchesReference$$' -fuzztime=$(FUZZTIME) ./internal/vm
 
 # Experiment-suite benchmarks, snapshotted to BENCH_engine.json
 # (name → ns/op, allocs/op). The full suite runs one iteration per
@@ -74,8 +76,9 @@ fuzz:
 # the maximum allocs/op, across repeats) since their 1x numbers are
 # pure noise; the 1x pass skips them so no such sample enters a median.
 # The VM's BenchmarkSimulator (one 100k-instruction li trace per op,
-# ns/instruction beside events/run) is timed at steady state the same
-# way.
+# ns/instruction beside events/run) and BenchmarkSimulatorStep (li
+# single-stepped for 100k instructions, ns/step, the path internal/ilp
+# takes) are timed at steady state the same way.
 #
 # The Fig12/13/14 allocations are the alias analyzer's
 # (internal/alias): its tables, plus one dense private level-2 row per
@@ -87,7 +90,7 @@ fuzz:
 BENCH_COUNT ?= 3
 bench: allocgate
 	{ $(GO) test -run='^$$' -bench=. -skip='^Benchmark(Predict|RunBatch|Snapshot|Simulator)' -benchtime=1x -benchmem . ; \
-	  $(GO) test -run='^$$' -bench='^BenchmarkSimulator$$' -benchmem -count=$(BENCH_COUNT) . ; \
+	  $(GO) test -run='^$$' -bench='^BenchmarkSimulator(Step)?$$' -benchmem -count=$(BENCH_COUNT) . ; \
 	  $(GO) test -run='^$$' -bench='^BenchmarkPredict' -benchmem -count=$(BENCH_COUNT) . ; \
 	  $(GO) test -run='^$$' -bench='^BenchmarkRunBatch' -benchmem -count=$(BENCH_COUNT) . ; \
 	  $(GO) test -run='^$$' -bench='^BenchmarkSnapshot' -benchmem -count=$(BENCH_COUNT) . ; \
@@ -97,7 +100,7 @@ bench: allocgate
 	  $(GO) test -run='^$$' -bench='^BenchmarkServe' -benchmem -count=$(BENCH_COUNT) ./internal/autotune/ ; \
 	  $(GO) test -run='^$$' -bench='^BenchmarkClusterBackends' -benchmem -count=$(BENCH_COUNT) ./internal/cluster/ ; } \
 	| $(GO) run ./cmd/benchjson -o BENCH_engine.json \
-	    -cmd "make bench (go test -bench . -benchtime 1x -benchmem; Simulator/Predict*/RunBatch*/Snapshot*/EngineReplay/AliasAnalyzer/Serve*/ClusterBackends* at steady state)"
+	    -cmd "make bench (go test -bench . -benchtime 1x -benchmem; Simulator*/Predict*/RunBatch*/Snapshot*/EngineReplay/AliasAnalyzer/Serve*/ClusterBackends* at steady state)"
 	@cat BENCH_engine.json
 
 # The alloc-regression tripwire, run by bench and by CI: it fails if

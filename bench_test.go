@@ -16,6 +16,7 @@ import (
 	"repro/internal/progs"
 	"repro/internal/snapshot"
 	"repro/internal/trace"
+	"repro/internal/vm"
 	"repro/internal/workload"
 )
 
@@ -241,6 +242,27 @@ func BenchmarkSimulator(b *testing.B) {
 	}
 	b.ReportMetric(float64(events)/float64(b.N), "events/run")
 	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*budget), "ns/instruction")
+}
+
+// BenchmarkSimulatorStep single-steps li for 100k instructions per op,
+// the path internal/ilp takes for every instruction it models.
+func BenchmarkSimulatorStep(b *testing.B) {
+	const budget = 100_000
+	p, err := progs.Program("li")
+	if err != nil {
+		b.Fatal(err)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		c := vm.New(p, false)
+		for c.Executed < budget {
+			if err := c.Step(); err != nil {
+				b.Fatal(err)
+			}
+		}
+	}
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*budget), "ns/step")
 }
 
 func BenchmarkExtLoads(b *testing.B) { runExperiment(b, "ext-loads", smallCfg) }

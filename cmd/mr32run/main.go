@@ -58,12 +58,8 @@ func main() {
 		return
 	}
 
-	var tr trace.Trace
-	var emit vm.Emit
-	if *dump != "" {
-		emit = func(pc, v uint32) { tr = append(tr, trace.Event{PC: pc, Value: v}) }
-	}
-	c := vm.New(p, emit)
+	// The CPU keeps its trace events only when they are to be dumped.
+	c := vm.New(p, *dump != "")
 	if *profile > 0 {
 		c.EnableProfile(len(p.Text))
 	}
@@ -92,6 +88,7 @@ func main() {
 			fatal(err)
 		}
 		defer f.Close()
+		tr := c.Events()
 		if err := trace.Write(f, tr); err != nil {
 			fatal(err)
 		}

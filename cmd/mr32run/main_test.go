@@ -22,7 +22,7 @@ func runExample(t *testing.T, name string, budget uint64) string {
 	if err != nil {
 		t.Fatalf("%s: %v", name, err)
 	}
-	c := vm.New(p, nil)
+	c := vm.New(p, false)
 	if err := c.Run(budget); err != nil {
 		t.Fatalf("%s: %v", name, err)
 	}

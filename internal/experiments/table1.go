@@ -29,7 +29,7 @@ func runTable1(cfg Config) (*Result, error) {
 			if b.SelfTerminating {
 				budget = 0
 			}
-			c := vm.New(p, func(pc, v uint32) {})
+			c := vm.New(p, false)
 			if err := c.Run(budget); err != nil && err != vm.ErrBudget {
 				return fmt.Errorf("running %s: %w", name, err)
 			}

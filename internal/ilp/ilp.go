@@ -88,7 +88,7 @@ func MeasureWidth(p *asm.Program, budget uint64, pred core.Predictor, width uint
 	// available. Entry 34 slots cover $0..$31 plus HI/LO.
 	var ready [isa.NumDataflowRegs]uint64
 
-	c := vm.New(p, nil)
+	c := vm.New(p, false)
 	for !c.Halted() {
 		if budget > 0 && c.Executed >= budget {
 			break

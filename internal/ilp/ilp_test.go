@@ -135,7 +135,7 @@ func TestPredictableCountMatchesVMFilter(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		c := vm.New(p, nil)
+		c := vm.New(p, false)
 		if err := c.Run(res.Instructions); err != nil && err != vm.ErrBudget {
 			t.Fatal(err)
 		}

@@ -64,8 +64,8 @@ func stateDigest(c *vm.CPU) string {
 
 // TestGoldenRuns checks every program against digests recorded before
 // the VM's decoded-text, page-cache and chunked-trace paths existed,
-// through both entry points: TraceFor (vm.Trace) and a CPU driven by
-// Run with its own emit callback.
+// through both entry points: TraceFor (vm.Trace) and a CPU that
+// collects its events, driven by Run.
 func TestGoldenRuns(t *testing.T) {
 	for _, name := range Names() {
 		want, ok := golden[name]
@@ -81,18 +81,18 @@ func TestGoldenRuns(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		var emitted trace.Trace
-		c := vm.New(p, func(pc, v uint32) { emitted = append(emitted, trace.Event{PC: pc, Value: v}) })
+		c := vm.New(p, true)
 		if err := c.Run(goldenBudget); err != nil && !errors.Is(err, vm.ErrBudget) {
 			t.Fatalf("%s: run: %v", name, err)
 		}
+		emitted := c.Events()
 		got := goldenRun{traceDigest(tr), c.Executed, c.Emitted, stateDigest(c), string(c.Stdout)}
 		if got != want {
 			t.Errorf("%s: got\n\t%q: {%q, %d, %d, %q, %q},\nwant %+v",
 				name, name, got.trace, got.executed, got.emitted, got.state, got.stdout, want)
 		}
 		if d := traceDigest(emitted); d != got.trace {
-			t.Errorf("%s: emit-callback trace %s differs from vm.Trace %s", name, d, got.trace)
+			t.Errorf("%s: Run-collected trace %s differs from vm.Trace %s", name, d, got.trace)
 		}
 	}
 }

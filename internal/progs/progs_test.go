@@ -135,7 +135,7 @@ func TestBenchmarksSustainLongRuns(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		c := vm.New(p, nil)
+		c := vm.New(p, false)
 		if err := c.Run(3_000_000); err != vm.ErrBudget {
 			t.Errorf("%s: err = %v, want budget expiry", name, err)
 		}

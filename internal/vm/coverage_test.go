@@ -23,7 +23,7 @@ func TestJalrAndHalted(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	c := New(p, nil)
+	c := New(p, false)
 	if c.Halted() {
 		t.Error("halted before running")
 	}
@@ -115,7 +115,7 @@ func TestBadRegImmFaults(t *testing.T) {
 		t.Fatal(err)
 	}
 	p.Text[0] = isa.EncodeI(isa.OpRegImm, 9 /* invalid rt */, 0, 0)
-	c := New(p, nil)
+	c := New(p, false)
 	if err := c.Run(0); !errors.Is(err, ErrBadOp) {
 		t.Errorf("err = %v", err)
 	}
@@ -127,7 +127,7 @@ func TestBadSpecialFaults(t *testing.T) {
 		t.Fatal(err)
 	}
 	p.Text[0] = isa.EncodeR(0x3f /* invalid funct */, 1, 2, 3, 0)
-	c := New(p, nil)
+	c := New(p, false)
 	if err := c.Run(0); !errors.Is(err, ErrBadOp) {
 		t.Errorf("err = %v", err)
 	}
@@ -138,7 +138,7 @@ func TestUnknownSyscallFaults(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	c := New(p, nil)
+	c := New(p, false)
 	err = c.Run(0)
 	if err == nil || !strings.Contains(err.Error(), "unknown syscall") {
 		t.Errorf("err = %v", err)
@@ -161,7 +161,7 @@ func TestDivuAndMisalignedStore(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	cpu := New(p, nil)
+	cpu := New(p, false)
 	if err := cpu.Run(0); !errors.Is(err, ErrMisalign) {
 		t.Errorf("sw misalign err = %v", err)
 	}
@@ -172,7 +172,7 @@ func TestDivuByZeroFaults(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	c := New(p, nil)
+	c := New(p, false)
 	if err := c.Run(0); !errors.Is(err, ErrDivZero) {
 		t.Errorf("err = %v", err)
 	}
@@ -217,7 +217,7 @@ func TestProfileCountsExecutions(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	c := New(p, nil)
+	c := New(p, false)
 	c.EnableProfile(len(p.Text))
 	if err := c.Run(0); err != nil {
 		t.Fatal(err)

@@ -33,7 +33,7 @@ func Example() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	c := vm.New(prog, nil)
+	c := vm.New(prog, false)
 	if err := c.Run(0); err != nil {
 		log.Fatal(err)
 	}

@@ -23,19 +23,20 @@ type runState struct {
 }
 
 // runBoth runs p on a CPU as New builds it and on one stripped of its
-// decoded text, which decodes every fetch from memory, and fails
+// compiled text, which compiles every fetch from memory, and fails
 // unless both end in the same state. It returns the first CPU.
 func runBoth(t *testing.T, p *asm.Program, budget uint64) *CPU {
 	t.Helper()
 	run := func(decoded bool) (*CPU, runState) {
 		var s runState
-		c := New(p, func(pc, v uint32) { s.Events = append(s.Events, trace.Event{PC: pc, Value: v}) })
+		c := New(p, true)
 		if !decoded {
-			c.text = nil
+			c.ops = nil
 		}
 		if err := c.Run(budget); err != nil {
 			s.Err = err.Error()
 		}
+		s.Events = c.Events()
 		s.Regs, s.HI, s.LO, s.PC = c.Regs, c.HI, c.LO, c.PC
 		s.Executed, s.Emitted, s.Stdout = c.Executed, c.Emitted, string(c.Stdout)
 		return c, s
@@ -197,15 +198,15 @@ func TestUnalignedPCDecodesMemory(t *testing.T) {
 	`)
 	pc := p.Symbols["a"] + 2
 	for _, decoded := range []bool{true, false} {
-		var events trace.Trace
-		c := New(p, func(pc, v uint32) { events = append(events, trace.Event{PC: pc, Value: v}) })
+		c := New(p, true)
 		if !decoded {
-			c.text = nil
+			c.ops = nil
 		}
 		c.PC = pc
 		if err := c.Step(); err != nil {
 			t.Fatal(err)
 		}
+		events := c.Events()
 		if c.Regs[isa.RegT1] != 0x1234 || c.PC != pc+4 || c.Executed != 1 {
 			t.Errorf("decoded=%v: $t1 %#x, pc %#x, executed %d; want 0x1234, %#x, 1",
 				decoded, c.Regs[isa.RegT1], c.PC, c.Executed, pc+4)
@@ -223,7 +224,7 @@ func TestUnalignedPCDecodesMemory(t *testing.T) {
 
 func TestMemoryMatchesByteMap(t *testing.T) {
 	// Mixed-width accesses over four pages, many crossing a page
-	// boundary, against a plain byte map: the cached page must never
+	// boundary, against a plain byte map: a page must never
 	// serve an access to another page.
 	m := NewMemory()
 	ref := map[uint32]byte{}
@@ -288,7 +289,7 @@ func TestConcurrentSelfModifyingCPUs(t *testing.T) {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			c := New(p, nil)
+			c := New(p, false)
 			if err := c.Run(0); err != nil {
 				t.Error(err)
 				return

@@ -1,49 +1,54 @@
 package vm
 
-// pageBits selects 4 KiB pages for the sparse memory map.
-const pageBits = 12
+import "encoding/binary"
 
-const pageSize = 1 << pageBits
+const (
+	// pageBits selects 4 KiB pages.
+	pageBits = 12
+	pageSize = 1 << pageBits
+	// tableBits is the index width of each directory level: an
+	// address's top ten bits select a table, its next ten a page in
+	// that table.
+	tableBits = 10
+)
 
-// Memory is a sparse byte-addressable little-endian memory, allocated
-// in pages on first touch. The zero value is an empty memory.
+// table maps the 1024 pages of one 4 MiB range.
+type table [1 << tableBits]*[pageSize]byte
+
+// Memory is a sparse byte-addressable little-endian memory: a
+// two-level directory of 1024 tables of 1024 pages of 4 KiB. A table
+// is allocated on the first store into its 4 MiB range and a page on
+// the first store into it; untouched memory reads as zero without
+// allocating. The zero value is an empty memory.
 type Memory struct {
-	pages map[uint32]*[pageSize]byte
-	// cur caches the page numbered curPN, the last one an access
-	// found or allocated: consecutive accesses mostly fall in one
-	// page, and they then skip the map lookup.
-	cur   *[pageSize]byte
-	curPN uint32
+	dir [1 << tableBits]*table
 }
 
 // NewMemory returns an empty memory.
-func NewMemory() *Memory {
-	return &Memory{pages: make(map[uint32]*[pageSize]byte)}
-}
+func NewMemory() *Memory { return new(Memory) }
 
 // lookup returns the page holding addr, or nil if it was never
-// touched.
+// stored to.
 func (m *Memory) lookup(addr uint32) *[pageSize]byte {
-	pn := addr >> pageBits
-	if m.cur != nil && pn == m.curPN {
-		return m.cur
+	if t := m.dir[addr>>(pageBits+tableBits)]; t != nil {
+		return t[addr>>pageBits&(1<<tableBits-1)]
 	}
-	p := m.pages[pn]
-	if p != nil {
-		m.cur, m.curPN = p, pn
-	}
-	return p
+	return nil
 }
 
-// page returns the page holding addr, allocating it on first touch.
+// page returns the page holding addr, allocating it (and its table)
+// on first touch.
 func (m *Memory) page(addr uint32) *[pageSize]byte {
-	if p := m.lookup(addr); p != nil {
-		return p
+	t := m.dir[addr>>(pageBits+tableBits)]
+	if t == nil {
+		t = new(table)
+		m.dir[addr>>(pageBits+tableBits)] = t
 	}
-	p := new([pageSize]byte)
-	m.pages[addr>>pageBits] = p
-	m.cur, m.curPN = p, addr>>pageBits
-	return p
+	p := &t[addr>>pageBits&(1<<tableBits-1)]
+	if *p == nil {
+		*p = new([pageSize]byte)
+	}
+	return *p
 }
 
 // LoadByte reads one byte.
@@ -59,14 +64,12 @@ func (m *Memory) StoreByte(addr uint32, v byte) {
 	m.page(addr)[addr&(pageSize-1)] = v
 }
 
-// LoadWord reads a little-endian 32-bit word. addr should be 4-byte
-// aligned; the fast path assumes the word does not cross a page.
+// LoadWord reads a little-endian 32-bit word. A word inside one page
+// is a single load; one that crosses a page goes byte by byte.
 func (m *Memory) LoadWord(addr uint32) uint32 {
-	off := addr & (pageSize - 1)
-	if off <= pageSize-4 {
+	if off := addr & (pageSize - 1); off <= pageSize-4 {
 		if p := m.lookup(addr); p != nil {
-			return uint32(p[off]) | uint32(p[off+1])<<8 |
-				uint32(p[off+2])<<16 | uint32(p[off+3])<<24
+			return binary.LittleEndian.Uint32(p[off:])
 		}
 		return 0
 	}
@@ -76,13 +79,8 @@ func (m *Memory) LoadWord(addr uint32) uint32 {
 
 // StoreWord writes a little-endian 32-bit word.
 func (m *Memory) StoreWord(addr uint32, v uint32) {
-	off := addr & (pageSize - 1)
-	if off <= pageSize-4 {
-		p := m.page(addr)
-		p[off] = byte(v)
-		p[off+1] = byte(v >> 8)
-		p[off+2] = byte(v >> 16)
-		p[off+3] = byte(v >> 24)
+	if off := addr & (pageSize - 1); off <= pageSize-4 {
+		binary.LittleEndian.PutUint32(m.page(addr)[off:], v)
 		return
 	}
 	m.StoreByte(addr, byte(v))
@@ -92,12 +90,11 @@ func (m *Memory) StoreWord(addr uint32, v uint32) {
 }
 
 // LoadHalf reads a little-endian 16-bit halfword. addr need not be
-// aligned; the fast path assumes the halfword does not cross a page.
+// aligned; a halfword that crosses a page goes byte by byte.
 func (m *Memory) LoadHalf(addr uint32) uint16 {
-	off := addr & (pageSize - 1)
-	if off <= pageSize-2 {
+	if off := addr & (pageSize - 1); off <= pageSize-2 {
 		if p := m.lookup(addr); p != nil {
-			return uint16(p[off]) | uint16(p[off+1])<<8
+			return binary.LittleEndian.Uint16(p[off:])
 		}
 		return 0
 	}
@@ -106,11 +103,8 @@ func (m *Memory) LoadHalf(addr uint32) uint16 {
 
 // StoreHalf writes a little-endian 16-bit halfword.
 func (m *Memory) StoreHalf(addr uint32, v uint16) {
-	off := addr & (pageSize - 1)
-	if off <= pageSize-2 {
-		p := m.page(addr)
-		p[off] = byte(v)
-		p[off+1] = byte(v >> 8)
+	if off := addr & (pageSize - 1); off <= pageSize-2 {
+		binary.LittleEndian.PutUint16(m.page(addr)[off:], v)
 		return
 	}
 	m.StoreByte(addr, byte(v))

@@ -8,7 +8,6 @@ import (
 
 	"repro/internal/asm"
 	"repro/internal/isa"
-	"repro/internal/trace"
 )
 
 func run(t *testing.T, src string, budget uint64) *CPU {
@@ -17,7 +16,7 @@ func run(t *testing.T, src string, budget uint64) *CPU {
 	if err != nil {
 		t.Fatalf("assemble: %v", err)
 	}
-	c := New(p, nil)
+	c := New(p, false)
 	if err := c.Run(budget); err != nil {
 		t.Fatalf("run: %v", err)
 	}
@@ -339,11 +338,11 @@ func TestTraceFilter(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	var events []trace.Event
-	c := New(p, func(pc, v uint32) { events = append(events, trace.Event{PC: pc, Value: v}) })
+	c := New(p, true)
 	if err := c.Run(0); err != nil {
 		t.Fatal(err)
 	}
+	events := c.Events()
 	// traced: addiu(1), lw(1), mult(1), mflo(1), plus the two li of
 	// the exit sequence (li $v0,10 → addiu, traced) — li $v0 appears
 	// once. Count: addiu, lw, mult, mflo, li = 5.
@@ -373,7 +372,7 @@ func TestBudgetExpires(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	c := New(p, nil)
+	c := New(p, false)
 	if err := c.Run(100); !errors.Is(err, ErrBudget) {
 		t.Errorf("err = %v, want ErrBudget", err)
 	}
@@ -387,7 +386,7 @@ func TestDivZeroFaults(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	c := New(p, nil)
+	c := New(p, false)
 	if err := c.Run(0); !errors.Is(err, ErrDivZero) {
 		t.Errorf("err = %v, want ErrDivZero", err)
 	}
@@ -398,7 +397,7 @@ func TestMisalignedFaults(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	c := New(p, nil)
+	c := New(p, false)
 	if err := c.Run(0); !errors.Is(err, ErrMisalign) {
 		t.Errorf("err = %v, want ErrMisalign", err)
 	}
@@ -410,7 +409,7 @@ func TestIllegalInstructionFaults(t *testing.T) {
 		t.Fatal(err)
 	}
 	p.Text[0] = 0xffffffff // opcode 0x3f
-	c := New(p, nil)
+	c := New(p, false)
 	if err := c.Run(0); !errors.Is(err, ErrBadOp) {
 		t.Errorf("err = %v, want ErrBadOp", err)
 	}
