@@ -107,15 +107,17 @@ bench: allocgate
 # the steady-state engine replay, the TAGE batch loop, the fused
 # delayed-update kernel, the per-op delayed DFCM, the warm alias
 # analyzer, the in-place Reset (the zeroing state walk) of a DFCM,
-# TAGE, delayed DFCM or hybrid, either serve dispatch benchmark, the loopback wire round
-# trip, or the autotune mirror-tap path reports any allocs/op, or if
-# one of them is missing.
+# TAGE, delayed DFCM or hybrid, the three serve dispatch benchmarks
+# (bulk RunBatch, bulk PredictBatch, the chatty predict+update pair),
+# the loopback wire round trip, or the autotune mirror-tap path reports
+# any allocs/op, or if one of them is missing.
 # Runs without -race: the detector's instrumentation allocates.
 ALLOC_GATES = BenchmarkEngineReplay BenchmarkRunBatchTAGE \
 	BenchmarkRunBatchDelayed BenchmarkPredictDFCMDelayed \
 	BenchmarkAliasAnalyzer \
 	BenchmarkReset/dfcm BenchmarkReset/tage BenchmarkReset/delayed BenchmarkReset/hybrid \
 	BenchmarkServeDispatchRunBatch BenchmarkServeDispatchPredictBatch \
+	BenchmarkServeDispatchChatty \
 	BenchmarkServeWireRunBatch BenchmarkServeMirrorTap
 allocgate:
 	{ $(GO) test -run='^$$' -bench='^BenchmarkEngineReplay$$' -benchmem ./internal/engine/ ; \

@@ -12,23 +12,6 @@ import (
 	"repro/internal/snapshot"
 )
 
-// Internal shard ops. These never appear on the wire (the server
-// dispatch rejects them). The checkpoint ops run through Engine.locked,
-// bypassing the closed gate: the drain checkpoint runs after the engine
-// stops accepting external traffic. A swap is ordinary traffic.
-const (
-	opCaptureShard   = 0xF1
-	opRestoreSession = 0xF2
-	opSwapSession    = 0xF3
-)
-
-// sessionCapture pairs a session ID with its frozen snapshot, handed
-// from the shard capture to the writer.
-type sessionCapture struct {
-	id   uint64
-	snap *snapshot.Snapshot
-}
-
 // checkpointName is the per-session file name. The fixed-width hex ID
 // keeps directory listings sorted by session.
 func checkpointName(id uint64) string {
@@ -120,36 +103,20 @@ func (e *Engine) captureSession(id uint64, sess *session) (*snapshot.Snapshot, e
 	})
 }
 
-// handleCaptureShard snapshots every session on the shard. Runs under
-// the shard lock; file I/O happens after the lock is released, so the
-// shard returns to serving as soon as the in-memory copies exist.
-func (e *Engine) handleCaptureShard(s *shard) response {
-	snaps := make([]sessionCapture, 0, len(s.sessions))
-	for id, sess := range s.sessions {
-		snap, err := e.captureSession(id, sess)
-		if err != nil {
-			e.checkpointErrors.Add(1)
-			continue
-		}
-		snaps = append(snaps, sessionCapture{id: id, snap: snap})
-	}
-	return response{status: StatusOK, snaps: snaps}
-}
-
-// handleRestoreSession installs a restored session on its shard. Two
-// callers use it with different collision semantics: warm start
-// (LoadCheckpoints) sends replace=false — a session that is already
-// live wins over the disk copy, which is older by construction — and
-// the wire RestoreSession op sends replace=true, because an explicit
-// restore (a migration push) is authoritative. The session cap applies
-// to new sessions either way. The engine totals are sums over the
-// sessions, so they continue from the restored lifetime counters.
-func (e *Engine) handleRestoreSession(s *shard, req request) response {
-	_, st := e.install(s, req.session, req.sess, req.replace)
+// restore installs a restored session on shard s, whose lock the
+// caller holds. The warm start (LoadCheckpoints) passes replace=false:
+// a session that is already live wins over the disk copy, which is
+// older by construction. The wire RestoreSession op passes
+// replace=true, because an explicit restore (a migration push) is
+// authoritative. The session cap applies to new sessions either way.
+// The engine totals are sums over the sessions, so they continue from
+// the restored lifetime counters.
+func (e *Engine) restore(s *shard, id uint64, sess *session, replace bool) Status {
+	_, st := e.install(s, id, sess, replace)
 	if st == StatusOK {
 		e.restored.Add(1)
 	}
-	return response{status: st}
+	return st
 }
 
 // CheckpointAll captures every live session and writes one snapshot
@@ -163,10 +130,25 @@ func (e *Engine) CheckpointAll() (written int, err error) {
 		return 0, fmt.Errorf("serve: checkpointing disabled (no CheckpointDir)")
 	}
 	for _, s := range e.shards {
-		resp := e.locked(s, request{op: opCaptureShard})
-		for _, c := range resp.snaps {
-			path := filepath.Join(e.cfg.CheckpointDir, checkpointName(c.id))
-			if werr := snapshot.WriteFile(path, c.snap); werr != nil {
+		// Capture takes the shard lock directly, bypassing the closed
+		// gate and the shed: it is rare, must not be dropped, and the
+		// drain checkpoint runs after Close. File I/O runs after the
+		// lock is released, so the shard returns to serving as soon as
+		// the in-memory copies exist.
+		s.mu.Lock()
+		snaps := make([]*snapshot.Snapshot, 0, len(s.sessions))
+		for id, sess := range s.sessions {
+			snap, cerr := e.captureSession(id, sess)
+			if cerr != nil {
+				e.checkpointErrors.Add(1)
+				continue
+			}
+			snaps = append(snaps, snap)
+		}
+		s.mu.Unlock()
+		for _, snap := range snaps {
+			path := filepath.Join(e.cfg.CheckpointDir, checkpointName(snap.Meta.Session))
+			if werr := snapshot.WriteFile(path, snap); werr != nil {
 				e.checkpointErrors.Add(1)
 				if err == nil {
 					err = werr
@@ -230,8 +212,12 @@ func (e *Engine) LoadCheckpoints() (restored, skipped int, err error) {
 			skipped++
 			continue
 		}
-		resp := e.locked(e.shards[e.shardFor(id)], request{op: opRestoreSession, session: id, sess: sess})
-		if resp.status != StatusOK {
+		// Like capture, the boot restore takes the shard lock directly.
+		s := e.shards[e.shardFor(id)]
+		s.mu.Lock()
+		st = e.restore(s, id, sess, false)
+		s.mu.Unlock()
+		if st != StatusOK {
 			skipped++
 			continue
 		}

@@ -163,33 +163,11 @@ type ShardStats struct {
 	QueueDepth  int    `json:"queue_depth"`
 }
 
-// request is one unit of shard work. Exactly one of pcs/events is set
-// for the batch ops; sess only for the internal restore op.
-type request struct {
-	op      byte
-	session uint64
-	pcs     []uint32
-	events  []trace.Event
-	out     []uint32         // OpPredictBatch: caller-owned output storage to reuse
-	sess    *session         // opRestoreSession: pre-built session to install
-	replace bool             // opRestoreSession: replace an existing live session
-	newP    core.Snapshotter // opSwapSession: replacement predictor
-	newSpec core.Spec        // opSwapSession: the spec that built newP
-}
-
-type response struct {
-	status Status
-	values []uint32
-	hits   uint32
-	blob   []byte           // OpSnapshotSession: encoded snapshot file
-	snaps  []sessionCapture // opCaptureShard
-}
-
-// session is the per-client predictor state owned by one shard. The
-// predictor itself is only ever touched under the shard's lock; the
-// counters are atomics because Stats reads them without it (the lock
-// holder stays the only writer, so the atomics are a publication
-// mechanism, not a contention point). predictions/hits/updates are
+// session is one client's predictor state, kept in one shard's map.
+// The predictor is only touched by the request holding that shard's
+// lock; the counters are atomics because Stats reads them without it
+// (the lock holder stays the only writer, so the atomics are a
+// publication mechanism, not a contention point). predictions/hits/updates are
 // lifetime totals (they survive ResetSession); checkpoints persist
 // them so a restored session resumes its stats where it left off.
 // They are the only record of served traffic: the engine totals are
@@ -257,14 +235,14 @@ func (s *session) stat(id uint64) SessionStat {
 // shard owns a disjoint set of sessions. A request runs on its
 // caller's goroutine with mu held, so the shard's requests execute
 // one at a time and predictors need no locks of their own. sessions
-// is only touched with mu held; handle and its helpers run under it,
-// which is why the field carries no guardedby annotation (the
+// is only touched with mu held, but enter takes mu on the op's
+// behalf, which is why the field carries no guardedby annotation (the
 // analyzer checks one function body at a time).
 type shard struct {
 	mu       sync.Mutex
 	sessions map[uint64]*session
 	// load counts the requests in service on the shard plus those
-	// waiting for mu: submit's admission count.
+	// waiting for mu: enter's admission count.
 	load atomic.Int64
 }
 
@@ -342,16 +320,6 @@ func (e *Engine) shardFor(session uint64) int {
 	return int(x % uint64(len(e.shards)))
 }
 
-// getSession returns the session, creating it if the cap allows.
-// Runs under the shard lock.
-func (e *Engine) getSession(s *shard, id uint64) *session {
-	if sess, ok := s.sessions[id]; ok {
-		return sess
-	}
-	sess, _ := e.install(s, id, nil, false)
-	return sess
-}
-
 // install makes sess session id on shard s and returns it; a nil sess
 // installs a fresh predictor built from Config.Spec. It is the one
 // session-creation path — first traffic, warm start and restore — and
@@ -382,126 +350,53 @@ func (e *Engine) install(s *shard, id uint64, sess *session, replace bool) (*ses
 	return sess, StatusOK
 }
 
-// handle executes one request under the shard lock and returns its
-// answer.
-func (e *Engine) handle(s *shard, req request) response {
-	switch req.op {
-	// The checkpoint ops run before getSession: none of them may
-	// implicitly create a session.
-	case opCaptureShard:
-		return e.handleCaptureShard(s)
-	case opRestoreSession:
-		return e.handleRestoreSession(s, req)
-	case OpSnapshotSession:
-		return e.handleSnapshotSession(s, req)
-	case opSwapSession:
-		return e.handleSwapSession(s, req)
-	}
-	sess := e.getSession(s, req.session)
-	if sess == nil {
-		return response{status: StatusBusy}
-	}
-	switch req.op {
-	case OpPredictBatch:
-		// handle writes into the caller-owned req.out storage on the
-		// caller's own goroutine; only a first-time or growing batch
-		// allocates.
-		values := req.out
-		if cap(values) >= len(req.pcs) {
-			values = values[:len(req.pcs)]
-		} else {
-			values = make([]uint32, len(req.pcs))
-		}
-		for i, pc := range req.pcs {
-			values[i] = sess.p.Predict(pc)
-		}
-		sess.predictions.Add(uint64(len(req.pcs)))
-		return response{status: StatusOK, values: values}
-	case OpUpdateBatch:
-		// Every Spec kind is judged by its own Predict answer, so
-		// core.RunBatch is exactly predict-compare-update: the hits a
-		// client comparing PredictBatch answers would count.
-		seq := sess.updates.Load()
-		hits := core.RunBatch(sess.p, req.events).Correct
-		sess.judged(uint64(len(req.events)), hits, e.window)
-		// The mirror must run before the return: the return hands the
-		// events storage back to the caller, which may overwrite it.
-		e.mirror(req.session, seq, req.events)
-		return response{status: StatusOK}
-	case OpRunBatch:
-		// core.RunBatch mirrors core.Run exactly (concrete-type batch
-		// loops), so a served replay stays bit-equivalent to
-		// cmd/vpredict on the same spec while paying one interface
-		// dispatch per batch instead of two per event.
-		seq := sess.updates.Load()
-		hits := uint32(core.RunBatch(sess.p, req.events).Correct)
-		sess.predictions.Add(uint64(len(req.events)))
-		sess.judged(uint64(len(req.events)), uint64(hits), e.window)
-		e.mirror(req.session, seq, req.events)
-		return response{status: StatusOK, hits: hits}
-	case OpResetSession:
-		// The predictor resets in place, within its own configuration
-		// (a swapped session keeps its swapped spec).
-		sess.p.Reset()
-		e.resets.Add(1)
-		return response{status: StatusOK}
-	default:
-		return response{status: StatusBadRequest}
-	}
-}
-
-// handleSnapshotSession serializes one live session under the shard
-// lock. Missing sessions are StatusBadRequest (a snapshot never
-// creates a session); a predictor that cannot export its state
-// answers StatusUnsupported.
-func (e *Engine) handleSnapshotSession(s *shard, req request) response {
-	sess, ok := s.sessions[req.session]
-	if !ok {
-		return response{status: StatusBadRequest}
-	}
-	snap, err := e.captureSession(req.session, sess)
-	if err != nil {
-		return response{status: StatusUnsupported}
-	}
-	var buf bytes.Buffer
-	if err := snap.Encode(&buf); err != nil {
-		return response{status: StatusBadRequest}
-	}
-	return response{status: StatusOK, blob: buf.Bytes()}
-}
-
-// submit runs a request on its shard with backpressure. The request
-// is served on the caller's goroutine under the shard lock; when the
-// shard already has one request in service and MailboxDepth waiting,
-// the request degrades to StatusBusy instead of blocking. The engine
-// read lock is held across the request, which lets Close wait for
-// every in-flight request before the drain checkpoint.
-func (e *Engine) submit(req request) response {
+// enter admits a request for session id. A closed engine answers
+// StatusClosed; when the shard already has one request in service and
+// MailboxDepth waiting, the request degrades to StatusBusy, counted in
+// Dropped, instead of blocking. On StatusOK enter returns holding the
+// engine read lock, which lets Close wait for every request in flight,
+// and the shard lock; the op calls leave when done.
+func (e *Engine) enter(id uint64) (*shard, Status) {
 	e.mu.RLock()
-	defer e.mu.RUnlock()
 	if e.closed {
-		return response{status: StatusClosed}
+		e.mu.RUnlock()
+		return nil, StatusClosed
 	}
-	s := e.shards[e.shardFor(req.session)]
+	s := e.shards[e.shardFor(id)]
 	if s.load.Add(1) > int64(1+e.cfg.MailboxDepth) {
 		s.load.Add(-1)
+		e.mu.RUnlock()
 		e.dropped.Add(1)
-		return response{status: StatusBusy}
+		return nil, StatusBusy
 	}
-	resp := e.locked(s, req)
-	s.load.Add(-1)
-	return resp
+	s.mu.Lock()
+	return s, StatusOK
 }
 
-// locked runs req on shard s under the shard lock. It skips submit's
-// closed gate and shed, which is how the checkpoint capture and the
-// boot restore run: they are rare, must not be dropped, and the drain
-// checkpoint runs after the engine closes to external traffic.
-func (e *Engine) locked(s *shard, req request) response {
-	s.mu.Lock()
-	resp := e.handle(s, req)
+// leave releases what enter took.
+func (e *Engine) leave(s *shard) {
 	s.mu.Unlock()
-	return resp
+	s.load.Add(-1)
+	e.mu.RUnlock()
+}
+
+// enterSession is enter for the ops that create their session on
+// first traffic: it also returns the session, creating it if the
+// session cap allows. Over the cap it answers StatusBusy holding
+// nothing.
+func (e *Engine) enterSession(id uint64) (*shard, *session, Status) {
+	s, st := e.enter(id)
+	if st != StatusOK {
+		return nil, nil, st
+	}
+	sess, ok := s.sessions[id]
+	if !ok {
+		if sess, st = e.install(s, id, nil, false); st != StatusOK {
+			e.leave(s)
+			return nil, nil, st
+		}
+	}
+	return s, sess, StatusOK
 }
 
 // PredictBatch returns the session predictor's predictions for pcs,
@@ -516,38 +411,101 @@ func (e *Engine) PredictBatch(sessionID uint64, pcs []uint32) ([]uint32, Status)
 // scratch. The predictions are written on the caller's goroutine
 // before the call returns.
 func (e *Engine) PredictBatchAppend(sessionID uint64, pcs []uint32, out []uint32) ([]uint32, Status) {
-	r := e.submit(request{op: OpPredictBatch, session: sessionID, pcs: pcs, out: out})
-	return r.values, r.status
+	s, sess, st := e.enterSession(sessionID)
+	if st != StatusOK {
+		return nil, st
+	}
+	defer e.leave(s)
+	values := out
+	if cap(values) >= len(pcs) {
+		values = values[:len(pcs)]
+	} else {
+		values = make([]uint32, len(pcs))
+	}
+	for i, pc := range pcs {
+		values[i] = sess.p.Predict(pc)
+	}
+	sess.predictions.Add(uint64(len(pcs)))
+	return values, StatusOK
 }
 
 // UpdateBatch trains the session predictor with the outcomes, in
 // order.
 func (e *Engine) UpdateBatch(sessionID uint64, events []trace.Event) Status {
-	return e.submit(request{op: OpUpdateBatch, session: sessionID, events: events}).status
+	_, st := e.train(sessionID, events, false)
+	return st
 }
 
 // RunBatch performs predict-compare-update per event, in order, and
 // returns the number of correct predictions.
 func (e *Engine) RunBatch(sessionID uint64, events []trace.Event) (hits uint32, st Status) {
-	r := e.submit(request{op: OpRunBatch, session: sessionID, events: events})
-	return r.hits, r.status
+	return e.train(sessionID, events, true)
+}
+
+// train is the body of UpdateBatch and RunBatch, which differ only in
+// that RunBatch counts its lookups as predictions. Every Spec kind is
+// judged by its own Predict answer, and core.RunBatch mirrors core.Run
+// exactly (concrete-type batch loops), so the hits are those a client
+// comparing PredictBatch answers would count, and a served replay stays
+// bit-equivalent to cmd/vpredict on the same spec.
+func (e *Engine) train(sessionID uint64, events []trace.Event, predictions bool) (uint32, Status) {
+	s, sess, st := e.enterSession(sessionID)
+	if st != StatusOK {
+		return 0, st
+	}
+	defer e.leave(s)
+	seq := sess.updates.Load()
+	hits := core.RunBatch(sess.p, events).Correct
+	if predictions {
+		sess.predictions.Add(uint64(len(events)))
+	}
+	sess.judged(uint64(len(events)), hits, e.window)
+	// The mirror must run before leave: returning hands the events
+	// storage back to the caller, which may overwrite it.
+	e.mirror(sessionID, seq, events)
+	return uint32(hits), StatusOK
 }
 
 // ResetSession clears the session's learned state in place (the
-// session stays allocated). Resetting an untouched session creates
-// it.
+// session stays allocated), within its own configuration: a swapped
+// session keeps its swapped spec. Resetting an untouched session
+// creates it.
 func (e *Engine) ResetSession(sessionID uint64) Status {
-	return e.submit(request{op: OpResetSession, session: sessionID}).status
+	s, sess, st := e.enterSession(sessionID)
+	if st != StatusOK {
+		return st
+	}
+	defer e.leave(s)
+	sess.p.Reset()
+	e.resets.Add(1)
+	return StatusOK
 }
 
 // SnapshotSession returns the session's encoded snapshot file (the
 // internal/snapshot format): spec, lifetime counters and complete
 // predictor state, captured atomically under the owning shard's lock.
-// StatusBadRequest if the session does not exist, StatusUnsupported if
-// its predictor cannot export state.
+// StatusBadRequest if the session does not exist (a snapshot never
+// creates one), StatusUnsupported if its predictor cannot export
+// state.
 func (e *Engine) SnapshotSession(sessionID uint64) ([]byte, Status) {
-	r := e.submit(request{op: OpSnapshotSession, session: sessionID})
-	return r.blob, r.status
+	s, st := e.enter(sessionID)
+	if st != StatusOK {
+		return nil, st
+	}
+	defer e.leave(s)
+	sess, ok := s.sessions[sessionID]
+	if !ok {
+		return nil, StatusBadRequest
+	}
+	snap, err := e.captureSession(sessionID, sess)
+	if err != nil {
+		return nil, StatusUnsupported
+	}
+	var buf bytes.Buffer
+	if err := snap.Encode(&buf); err != nil {
+		return nil, StatusBadRequest
+	}
+	return buf.Bytes(), StatusOK
 }
 
 // RestoreSession installs a session from its encoded snapshot blob —
@@ -570,7 +528,12 @@ func (e *Engine) RestoreSession(sessionID uint64, blob []byte) Status {
 	if st != StatusOK {
 		return st
 	}
-	return e.submit(request{op: opRestoreSession, session: sessionID, sess: sess, replace: true}).status
+	s, st := e.enter(sessionID)
+	if st != StatusOK {
+		return st
+	}
+	defer e.leave(s)
+	return e.restore(s, sessionID, sess, true)
 }
 
 // Snapshot collects the engine-level stats. The traffic totals and
@@ -642,7 +605,7 @@ func (e *Engine) Close() {
 	}
 	e.closed = true
 	e.mu.Unlock()
-	// Acquiring the write lock above waited out every in-flight submit
+	// Acquiring the write lock above waited out every in-flight request
 	// (each holds the read lock until it returns), so the shards are
 	// now idle — exactly the state for the drain checkpoint.
 	if e.cfg.CheckpointDir != "" {

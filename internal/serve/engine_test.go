@@ -376,16 +376,193 @@ func TestMaxSessionsCap(t *testing.T) {
 	}
 }
 
-func TestClosedEngineRejects(t *testing.T) {
-	e, err := NewEngine(Config{Shards: 2, Spec: testSpec})
+// engineOp is one exported engine op, called on session id.
+type engineOp struct {
+	name string
+	call func(e *Engine, id uint64) Status
+	// atCap is the answer when id is not live and the engine is at
+	// its session cap: the ops that create (or install) a session are
+	// busy, Snapshot and Swap never create one and answer bad-request.
+	atCap Status
+}
+
+// engineOps lists every exported engine op. RestoreSession installs a
+// snapshot of session id taken on a scratch engine of the same spec.
+func engineOps(t *testing.T) []engineOp {
+	t.Helper()
+	one := trace.Trace{{PC: 4, Value: 0}}
+	src := newTestEngine(t, Config{Shards: 1})
+	for id := uint64(1); id <= 2; id++ {
+		if _, st := src.RunBatch(id, one); st != StatusOK {
+			t.Fatalf("source session %d: %v", id, st)
+		}
+	}
+	p, err := testSpec.New()
 	if err != nil {
 		t.Fatal(err)
 	}
-	e.Close()
-	e.Close() // idempotent
-	if _, st := e.RunBatch(1, trace.Trace{{PC: 4, Value: 0}}); st != StatusClosed {
-		t.Errorf("post-close request: status %v, want closed", st)
+	return []engineOp{
+		{"PredictBatch", func(e *Engine, id uint64) Status {
+			_, st := e.PredictBatch(id, []uint32{4})
+			return st
+		}, StatusBusy},
+		{"PredictBatchAppend", func(e *Engine, id uint64) Status {
+			_, st := e.PredictBatchAppend(id, []uint32{4}, make([]uint32, 0, 1))
+			return st
+		}, StatusBusy},
+		{"UpdateBatch", func(e *Engine, id uint64) Status { return e.UpdateBatch(id, one) }, StatusBusy},
+		{"RunBatch", func(e *Engine, id uint64) Status {
+			_, st := e.RunBatch(id, one)
+			return st
+		}, StatusBusy},
+		{"ResetSession", func(e *Engine, id uint64) Status { return e.ResetSession(id) }, StatusBusy},
+		{"SnapshotSession", func(e *Engine, id uint64) Status {
+			_, st := e.SnapshotSession(id)
+			return st
+		}, StatusBadRequest},
+		{"RestoreSession", func(e *Engine, id uint64) Status {
+			blob, st := src.SnapshotSession(id)
+			if st != StatusOK {
+				t.Fatalf("source snapshot %d: %v", id, st)
+			}
+			return e.RestoreSession(id, blob)
+		}, StatusBusy},
+		{"SwapSession", func(e *Engine, id uint64) Status { return e.SwapSession(id, testSpec, p) }, StatusBadRequest},
 	}
+}
+
+// newReleaseEngine is an engine with checkpointing on, so that
+// expectReleased's sweep takes every shard lock. It is not closed on
+// cleanup: expectReleased closes it under a deadline, and a leaked lock
+// would hang a cleanup Close past the test timeout.
+func newReleaseEngine(t *testing.T, cfg Config) *Engine {
+	t.Helper()
+	cfg.Spec = testSpec
+	cfg.CheckpointDir = t.TempDir()
+	e, err := NewEngine(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return e
+}
+
+// expectReleased checks that a finished op left nothing behind and
+// closes e: no admission count on any shard, and neither the engine
+// read lock (Close takes the write lock, even on a closed engine) nor
+// any shard lock (the checkpoint sweep takes each one) still held.
+func expectReleased(t *testing.T, e *Engine) {
+	t.Helper()
+	if q := e.Snapshot().QueueDepth; q != 0 {
+		t.Errorf("queue depth %d after the op, want 0", q)
+	}
+	for i, s := range e.shards {
+		if n := s.load.Load(); n != 0 {
+			t.Errorf("shard %d admission count %d after the op, want 0", i, n)
+		}
+	}
+	done := make(chan struct{})
+	go func() {
+		e.Close()
+		_, _ = e.CheckpointAll()
+		close(done)
+	}()
+	select {
+	case <-done:
+	case <-time.After(5 * time.Second):
+		t.Fatal("Close or the checkpoint sweep hung: the op leaked the engine read lock or a shard lock")
+	}
+}
+
+// TestClosedEngineRejects: every op on a closed engine answers
+// StatusClosed, even on a live session, and holds nothing after.
+func TestClosedEngineRejects(t *testing.T) {
+	for _, op := range engineOps(t) {
+		t.Run(op.name, func(t *testing.T) {
+			e := newReleaseEngine(t, Config{Shards: 2})
+			if _, st := e.RunBatch(1, trace.Trace{{PC: 4, Value: 0}}); st != StatusOK {
+				t.Fatalf("warmup: %v", st)
+			}
+			e.Close()
+			e.Close() // idempotent
+			if st := op.call(e, 1); st != StatusClosed {
+				t.Errorf("post-close %s: status %v, want closed", op.name, st)
+			}
+			expectReleased(t, e)
+		})
+	}
+}
+
+// TestEveryOpShedsAtBound: with the shard's one request in service and
+// its one waiting slot taken, every op is shed: StatusBusy at once,
+// counted in Dropped, with its admission count undone.
+func TestEveryOpShedsAtBound(t *testing.T) {
+	one := trace.Trace{{PC: 4, Value: 0}}
+	for _, op := range engineOps(t) {
+		t.Run(op.name, func(t *testing.T) {
+			gp := &gatedTap{entered: make(chan struct{}), gate: make(chan struct{})}
+			e := newReleaseEngine(t, Config{Shards: 1, MailboxDepth: 1})
+			e.SetTap(gp)
+			results := make(chan Status, 2)
+			go func() { _, st := e.RunBatch(1, one); results <- st }()
+			<-gp.entered
+			go func() { _, st := e.RunBatch(1, one); results <- st }()
+			for e.Snapshot().QueueDepth != 1 {
+				time.Sleep(time.Millisecond)
+			}
+			if st := op.call(e, 1); st != StatusBusy {
+				t.Errorf("%s at the bound: status %v, want busy", op.name, st)
+			}
+			if got := e.Snapshot().Dropped; got != 1 {
+				t.Errorf("dropped = %d, want 1", got)
+			}
+			gp.gate <- struct{}{}
+			<-gp.entered
+			gp.gate <- struct{}{}
+			for i := 0; i < 2; i++ {
+				if st := <-results; st != StatusOK {
+					t.Errorf("queued request %d: status %v", i, st)
+				}
+			}
+			e.SetTap(nil)
+			expectReleased(t, e)
+		})
+	}
+}
+
+// TestFailedOpsReleaseLocks: an op refused after admission — a missing
+// session at the session cap, or a restore under a foreign spec —
+// answers its status and holds nothing after.
+func TestFailedOpsReleaseLocks(t *testing.T) {
+	for _, op := range engineOps(t) {
+		t.Run("cap/"+op.name, func(t *testing.T) {
+			e := newReleaseEngine(t, Config{Shards: 1, MaxSessions: 1})
+			if _, st := e.RunBatch(1, trace.Trace{{PC: 4, Value: 0}}); st != StatusOK {
+				t.Fatalf("warmup: %v", st)
+			}
+			if st := op.call(e, 2); st != op.atCap {
+				t.Errorf("%s on a missing session at the cap: status %v, want %v", op.name, st, op.atCap)
+			}
+			if got := e.Snapshot().Sessions; got != 1 {
+				t.Errorf("sessions = %d, want 1", got)
+			}
+			expectReleased(t, e)
+		})
+	}
+	t.Run("RestoreSession/spec-mismatch", func(t *testing.T) {
+		src := newTestEngine(t, Config{Shards: 1, Spec: core.Spec{Kind: "fcm", L1: 10, L2: 10}})
+		if _, st := src.RunBatch(1, trace.Trace{{PC: 4, Value: 0}}); st != StatusOK {
+			t.Fatalf("source warmup: %v", st)
+		}
+		blob, st := src.SnapshotSession(1)
+		if st != StatusOK {
+			t.Fatalf("source snapshot: %v", st)
+		}
+		e := newReleaseEngine(t, Config{Shards: 1})
+		if st := e.RestoreSession(1, blob); st != StatusSpecMismatch {
+			t.Errorf("foreign-spec restore: status %v, want spec-mismatch", st)
+		}
+		expectReleased(t, e)
+	})
 }
 
 func TestEngineRequiresFactory(t *testing.T) {

@@ -244,6 +244,43 @@ func BenchmarkServeDispatchPredictBatch(b *testing.B) {
 	benchDispatch(b, frameBytes(OpPredictBatch, appendPredictReq(nil, 1, pcs)))
 }
 
+// BenchmarkServeDispatchChatty is the per-request path the
+// serve-chatty workload stresses: a 16-PC PredictBatch then a 16-event
+// UpdateBatch for one session, cycling over 128 sessions, so the
+// admission, locking and session lookup around a tiny batch dominate.
+// ns/op is per pair.
+func BenchmarkServeDispatchChatty(b *testing.B) {
+	const sessions, batch = 128, 16
+	e, err := NewEngine(Config{Shards: 1, Spec: testSpec})
+	if err != nil {
+		b.Fatal(err)
+	}
+	defer e.Close()
+	s := NewServer(e, ServerConfig{})
+	sc := &connScratch{}
+	var out []byte
+	predict := make([]Frame, sessions)
+	update := make([]Frame, sessions)
+	for k := range predict {
+		events := testEvents(uint32(0x1000*(k+1)), batch)
+		pcs := make([]uint32, len(events))
+		for i, ev := range events {
+			pcs[i] = ev.PC
+		}
+		predict[k] = frameBytes(OpPredictBatch, appendPredictReq(nil, uint64(k+1), pcs))
+		update[k] = frameBytes(OpUpdateBatch, appendEventReq(nil, uint64(k+1), events))
+		out = s.dispatch(predict[k], out, sc) // warm session + scratch
+		out = s.dispatch(update[k], out, sc)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		k := i % sessions
+		out = s.dispatch(predict[k], out, sc)
+		out = s.dispatch(update[k], out, sc)
+	}
+}
+
 // Wire-level: the same path over a real loopback socket and client,
 // measuring served round-trip throughput end to end. allocs/op counts
 // the client side too (request encode + response decode), which the

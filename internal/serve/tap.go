@@ -46,9 +46,9 @@ func (e *Engine) mirror(session, seq uint64, events []trace.Event) {
 }
 
 // SwapSession atomically replaces a live session's predictor with p —
-// the autotuner's promotion path, run as an internal op under the
-// session's shard lock so it serializes with the session's traffic:
-// every event is processed entirely by the old predictor or
+// the autotuner's promotion path. It runs under the session's shard
+// lock like any other request, so it serializes with the session's
+// traffic: every event is processed entirely by the old predictor or
 // entirely by the new one, never split. Lifetime counters survive the
 // swap (stats continuity); the windowed accuracy buckets reset, since
 // they now measure a different predictor. spec must describe p: a
@@ -67,24 +67,23 @@ func (e *Engine) SwapSession(sessionID uint64, spec core.Spec, p core.Predictor)
 	if !ok || spec.Kind == "" {
 		return StatusBadRequest
 	}
-	return e.submit(request{op: opSwapSession, session: sessionID, newP: sn, newSpec: spec}).status
-}
-
-// handleSwapSession installs the replacement predictor under the
-// shard lock.
-func (e *Engine) handleSwapSession(s *shard, req request) response {
-	sess, ok := s.sessions[req.session]
-	if !ok {
-		return response{status: StatusBadRequest}
+	s, st := e.enter(sessionID)
+	if st != StatusOK {
+		return st
 	}
-	sess.p = req.newP
-	spec := req.newSpec.Canonical()
-	sess.spec.Store(&spec)
+	defer e.leave(s)
+	sess, ok := s.sessions[sessionID]
+	if !ok {
+		return StatusBadRequest
+	}
+	sess.p = sn
+	canon := spec.Canonical()
+	sess.spec.Store(&canon)
 	sess.swaps.Add(1)
 	sess.winLookups.Store(0)
 	sess.winHits.Store(0)
 	sess.prevLookups.Store(0)
 	sess.prevHits.Store(0)
 	e.swaps.Add(1)
-	return response{status: StatusOK}
+	return StatusOK
 }

@@ -68,7 +68,6 @@ type CPU struct {
 var (
 	ErrBudget   = errors.New("vm: instruction budget exhausted")
 	ErrBadOp    = errors.New("vm: illegal instruction")
-	ErrNoEntry  = errors.New("vm: pc outside text segment")
 	ErrDivZero  = errors.New("vm: integer division by zero")
 	ErrMisalign = errors.New("vm: misaligned memory access")
 )
