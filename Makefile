@@ -28,12 +28,12 @@ test:
 vet:
 	$(GO) vet ./...
 
-# Project-specific invariants: Predict purity, replay determinism,
-# hot-path allocation discipline, VP1 decode bounds, error discipline,
-# lock discipline around guardedby-annotated fields, goroutine
-# lifecycle ties, and VP1 op/status exhaustiveness. One process runs
-# all eight rules; the deadline keeps that single-pass design honest
-# as the tree grows.
+# Project-specific invariants no test or gate catches: Predict purity,
+# replay determinism, VP1 decode bounds, error discipline, and VP1
+# op/status exhaustiveness. One process runs all five rules; the
+# deadline keeps that single-pass design honest as the tree grows.
+# Allocation-free hot paths, joinable goroutines and locking are held
+# by allocgate, the leakcheck-armed tests and race instead.
 # Non-zero exit on any finding; suppress only with
 # //lint:ignore <rule> <reason>.
 lint:

@@ -109,7 +109,7 @@ func TestListRules(t *testing.T) {
 	if code := run([]string{"-list"}, &out, &errOut); code != 0 {
 		t.Fatalf("exit %d, want 0", code)
 	}
-	for _, id := range []string{"predict-purity", "determinism", "hot-path-alloc", "proto-bounds", "error-discipline"} {
+	for _, id := range []string{"predict-purity", "determinism", "proto-bounds", "error-discipline", "proto-exhaustive"} {
 		if !strings.Contains(out.String(), id) {
 			t.Errorf("-list output missing %s", id)
 		}

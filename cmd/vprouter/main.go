@@ -96,7 +96,8 @@ func main() {
 
 	// The admin listener is tied to shutdown below: its goroutine
 	// closes adminDone, and the signal path closes the http.Server and
-	// joins on it, so no goroutine outlives Close (goroutine-lifecycle).
+	// joins on it, so no goroutine outlives Close
+	// (TestMainShutsDownOnSignal).
 	adminDone := make(chan struct{})
 	var adminSrv *http.Server
 	if o.adminAddr != "" {

@@ -203,7 +203,8 @@ func main() {
 
 	// The stats listener is tied to the drain path below: its goroutine
 	// closes statsDone, and shutdown closes the http.Server and joins
-	// on it, so no goroutine outlives the drain (goroutine-lifecycle).
+	// on it, so no goroutine outlives the drain
+	// (TestMainShutsDownOnSignal).
 	statsDone := make(chan struct{})
 	var statsSrv *http.Server
 	if o.httpAddr != "" {

@@ -1,11 +1,17 @@
 package main
 
 import (
+	"bufio"
 	"context"
 	"encoding/json"
 	"flag"
+	"io"
 	"net"
 	"net/http/httptest"
+	"os"
+	"os/exec"
+	"strings"
+	"syscall"
 	"testing"
 	"time"
 
@@ -15,6 +21,79 @@ import (
 	"repro/internal/serve"
 	"repro/internal/trace"
 )
+
+// mainArgsEnv carries the command line when the test binary is
+// re-executed to run main (see runMain).
+const mainArgsEnv = "VPSERVE_MAIN_ARGS"
+
+// TestMain runs the command's main instead of the tests when runMain
+// re-executes the test binary, so a test can drive the real process:
+// flag parsing, listeners, signal handling and the drain.
+func TestMain(m *testing.M) {
+	if args, ok := os.LookupEnv(mainArgsEnv); ok {
+		os.Args = append([]string{"vpserve"}, strings.Fields(args)...)
+		main()
+		os.Exit(0)
+	}
+	os.Exit(m.Run())
+}
+
+// runMain starts main in a child process with args and returns the
+// address its VP1 listener logged, plus a stop function that sends
+// SIGTERM and returns the rest of the child's log once it exits. stop
+// fails the test if the child is still running 10 s after the signal
+// or exits non-zero.
+func runMain(t *testing.T, args string) (addr string, stop func() string) {
+	t.Helper()
+	cmd := exec.Command(os.Args[0], "-test.run=^$")
+	cmd.Env = append(os.Environ(), mainArgsEnv+"="+args)
+	stderr, err := cmd.StderrPipe()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := cmd.Start(); err != nil {
+		t.Fatal(err)
+	}
+	br := bufio.NewReader(stderr)
+	for addr == "" {
+		line, err := br.ReadString('\n')
+		if err != nil {
+			_ = cmd.Process.Kill()
+			_ = cmd.Wait()
+			t.Fatalf("vpserve exited before serving: %v", err)
+		}
+		if _, rest, ok := strings.Cut(line, "vpserve: serving "); ok {
+			_, addr, _ = strings.Cut(strings.TrimSpace(rest), " on ")
+		}
+	}
+	return addr, func() string {
+		t.Helper()
+		if err := cmd.Process.Signal(syscall.SIGTERM); err != nil {
+			t.Fatal(err)
+		}
+		type exit struct {
+			log string
+			err error
+		}
+		done := make(chan exit, 1)
+		go func() {
+			rest, _ := io.ReadAll(br)
+			done <- exit{string(rest), cmd.Wait()}
+		}()
+		select {
+		case e := <-done:
+			if e.err != nil {
+				t.Fatalf("vpserve exited with %v after SIGTERM; log:\n%s", e.err, e.log)
+			}
+			return e.log
+		case <-time.After(10 * time.Second):
+			_ = cmd.Process.Kill()
+			e := <-done
+			t.Fatalf("vpserve still running 10s after SIGTERM; log:\n%s", e.log)
+			return ""
+		}
+	}
+}
 
 func optionsFromArgs(t *testing.T, args ...string) *options {
 	t.Helper()
@@ -332,5 +411,28 @@ func TestAutotuneFlagValidation(t *testing.T) {
 			tn.Close()
 			t.Errorf("args %v accepted", args)
 		}
+	}
+}
+
+// TestMainShutsDownOnSignal runs the real vpserve process with its
+// stats listener and the tuner on, serves a request, and sends
+// SIGTERM: main must close the tuner, drain the server, close the
+// stats listener, join its goroutine and log its final stats line,
+// then exit cleanly. A goroutine main cannot join hangs the drain and
+// fails the test.
+func TestMainShutsDownOnSignal(t *testing.T) {
+	addr, stop := runMain(t, "-addr 127.0.0.1:0 -http 127.0.0.1:0 -predictor dfcm -l1 10 -l2 10 "+
+		"-autotune -autotune-candidates stride:8")
+	c, err := serve.Dial(addr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, st, err := c.RunBatch(1, restartEvents(64))
+	c.Close() // the drain waits for open connections
+	if err != nil || st != serve.StatusOK {
+		t.Fatalf("RunBatch: %v %v", st, err)
+	}
+	if log := stop(); !strings.Contains(log, "vpserve: served ") {
+		t.Errorf("shutdown log lacks the final stats line:\n%s", log)
 	}
 }

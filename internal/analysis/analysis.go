@@ -1,12 +1,13 @@
 // Package analysis is the repo's project-specific static-analysis
 // framework: a stdlib-only package loader (go/parser + go/types, no
 // external module dependencies), a diagnostic model, and a small set
-// of analyzers that enforce invariants the rest of the codebase only
-// probes dynamically — Predict purity, replay determinism, hot-path
-// allocation discipline, wire-protocol bounds checking, error
-// handling in the operational layers, and the concurrency/protocol
-// invariants of the serving tier: mutex discipline around annotated
-// fields, goroutine lifecycle ties, and VP1 op/status exhaustiveness.
+// of analyzers for invariants whose violations no test or gate
+// catches — Predict purity, replay determinism, wire-protocol bounds
+// checking, error handling in the operational layers, and VP1
+// op/status exhaustiveness. Invariants a running check proves are left
+// to it: allocation-free hot paths to the zero-alloc tests and
+// `make allocgate`, joinable goroutines to the leakcheck-armed tests,
+// and locking to `make race`.
 //
 // The analyzers are deliberately narrow: each encodes one invariant
 // documented in DESIGN.md §"Statically enforced invariants", scoped
@@ -81,11 +82,8 @@ func All() []*Analyzer {
 	return []*Analyzer{
 		PredictPurity,
 		Determinism,
-		HotPathAlloc,
 		ProtoBounds,
 		ErrorDiscipline,
-		LockDiscipline,
-		GoroutineLifecycle,
 		ProtoExhaustive,
 	}
 }

@@ -68,30 +68,6 @@ func TestDeterminismFixture(t *testing.T) {
 	runFixture(t, "determinism.go", "repro/internal/core", Determinism)
 }
 
-func TestHotPathAllocCoreFixture(t *testing.T) {
-	runFixture(t, "hotpath.go", "repro/internal/core", HotPathAlloc)
-}
-
-func TestHotPathAllocHashFixture(t *testing.T) {
-	runFixture(t, "hotpath_hash.go", "repro/internal/hash", HotPathAlloc)
-}
-
-func TestHotPathAllocEngineFixture(t *testing.T) {
-	runFixture(t, "hotpath_engine.go", "repro/internal/engine", HotPathAlloc)
-}
-
-func TestHotPathAllocServeFixture(t *testing.T) {
-	runFixture(t, "hotpath_serve.go", "repro/internal/serve", HotPathAlloc)
-}
-
-func TestHotPathAllocClusterFixture(t *testing.T) {
-	runFixture(t, "hotpath_cluster.go", "repro/internal/cluster", HotPathAlloc)
-}
-
-func TestHotPathAllocAutotuneFixture(t *testing.T) {
-	runFixture(t, "hotpath_autotune.go", "repro/internal/autotune", HotPathAlloc)
-}
-
 func TestProtoBoundsFixture(t *testing.T) {
 	runFixture(t, "protobounds.go", "repro/internal/serve", ProtoBounds)
 }
@@ -115,48 +91,8 @@ func TestErrorDisciplineClusterFixture(t *testing.T) {
 	runFixture(t, "errcheck.go", "repro/internal/cluster", ErrorDiscipline)
 }
 
-func TestLockDisciplineFixture(t *testing.T) {
-	runFixture(t, "lockdiscipline.go", "repro/internal/serve", LockDiscipline)
-}
-
-// TestLockDisciplineFixtureAnywhere: the rule anchors on the guardedby
-// annotations, not a package list — the same file must report
-// identically under any import path.
-func TestLockDisciplineFixtureAnywhere(t *testing.T) {
-	runFixture(t, "lockdiscipline.go", "repro/internal/elsewhere", LockDiscipline)
-}
-
-// TestLockDisciplineFixtureAutotune: the tuner's guardedby-annotated
-// close flag rides the same annotation-driven rule.
-func TestLockDisciplineFixtureAutotune(t *testing.T) {
-	runFixture(t, "lockdiscipline.go", "repro/internal/autotune", LockDiscipline)
-}
-
-func TestGoroutineLifecycleFixture(t *testing.T) {
-	runFixture(t, "goroutine.go", "repro/internal/serve", GoroutineLifecycle)
-}
-
-// TestGoroutineLifecycleFixtureCmd: the cmd harnesses are in scope too
-// — that is where loose auxiliary listeners have historically lived.
-func TestGoroutineLifecycleFixtureCmd(t *testing.T) {
-	runFixture(t, "goroutine.go", "repro/cmd/vpserve", GoroutineLifecycle)
-}
-
-// TestGoroutineLifecycleFixtureAutotune: the tuner loop spawns
-// goroutines and lives in the serving tier — same rule, same findings.
-func TestGoroutineLifecycleFixtureAutotune(t *testing.T) {
-	runFixture(t, "goroutine.go", "repro/internal/autotune", GoroutineLifecycle)
-}
-
 func TestProtoExhaustiveFixture(t *testing.T) {
 	runFixture(t, "protoexhaustive.go", "repro/internal/serve", ProtoExhaustive)
-}
-
-// TestHotPathAllocTAGEFixture: the tagged predictor's per-event shape
-// — provider walk, folded-history maintenance, aging sweep — under the
-// same hot-path rules as the flat tables.
-func TestHotPathAllocTAGEFixture(t *testing.T) {
-	runFixture(t, "hotpath_tage.go", "repro/internal/core", HotPathAlloc)
 }
 
 // TestAnalyzersScopeToTheirPackages: the same violations outside the
@@ -169,16 +105,10 @@ func TestAnalyzersScopeToTheirPackages(t *testing.T) {
 	}{
 		{"purity.go", PredictPurity},
 		{"determinism.go", Determinism},
-		{"hotpath.go", HotPathAlloc},
-		{"hotpath_engine.go", HotPathAlloc},
-		{"hotpath_serve.go", HotPathAlloc},
-		{"hotpath_cluster.go", HotPathAlloc},
-		{"hotpath_autotune.go", HotPathAlloc},
 		{"protobounds.go", ProtoBounds},
 		{"protobounds_snapshot.go", ProtoBounds},
 		{"protobounds_cluster.go", ProtoBounds},
 		{"errcheck.go", ErrorDiscipline},
-		{"goroutine.go", GoroutineLifecycle},
 		{"protoexhaustive.go", ProtoExhaustive},
 	}
 	for _, c := range cases {

@@ -9,8 +9,8 @@
 //
 // The tuner never blocks serving: the tap enqueues copies of sampled
 // batches into a bounded mailbox and sheds when it is full, and the
-// hot-swap itself is an internal engine op that serializes with the
-// session's traffic under its shard lock. A session whose candidates
+// hot-swap itself is the locked call Engine.SwapSession, which
+// serializes with the session's traffic under its shard lock. A session whose candidates
 // never win serves bit-identically to the same session on an untuned
 // engine — the tap observes, it does not touch.
 //
@@ -176,7 +176,7 @@ type Tuner struct {
 	ignored uint64 // batches from beyond-cap sessions
 
 	mu     sync.Mutex
-	closed bool // vplint:guardedby mu
+	closed bool
 }
 
 // New validates cfg, starts the tuner loop and installs the tuner as

@@ -470,6 +470,58 @@ func TestNewValidation(t *testing.T) {
 	}
 }
 
+// TestMirrorZeroAlloc: once the envelope pool is warm, Mirror
+// allocates nothing on any of its paths: a batch the sampling hash
+// skips, a batch enqueued into a mailbox with room, and a batch shed
+// because the mailbox is full. The tuner is closed, so the test
+// drains the mailbox itself and returns each envelope to the pool as
+// the loop would. The session ID is wide on purpose: formatting or
+// boxing it would allocate, which a small ID might not.
+func TestMirrorZeroAlloc(t *testing.T) {
+	if leakcheck.RaceEnabled {
+		t.Skip("race detector instrumentation allocates; zero-alloc budget holds in pure builds only")
+	}
+	spec := core.Spec{Kind: "dfcm", L1: 10, L2: 10}
+	tn, err := New(Config{Engine: newEngine(t, spec), Boot: spec,
+		Candidates: []core.Spec{{Kind: "stride", L1: 10}}, MailboxDepth: 1, SampleRate: 0.5})
+	if err != nil {
+		t.Fatal(err)
+	}
+	tn.Close()
+	const session = 0x9e3779b97f4a7c15
+	events := strideEvents(0x1000, 256, 1, 3)
+	var seq uint64
+	mirror := func() {
+		seq++
+		tn.Mirror(session, seq, events)
+		select {
+		case m := <-tn.mail:
+			tn.pool.Put(m.b)
+		default:
+		}
+	}
+	for i := 0; i < 8; i++ {
+		mirror()
+	}
+	if tn.mirroredBatches.Load() == 0 || tn.skipped.Load() == 0 {
+		t.Fatalf("warm-up took one path only: %d mirrored, %d skipped",
+			tn.mirroredBatches.Load(), tn.skipped.Load())
+	}
+	if n := testing.AllocsPerRun(100, mirror); n != 0 {
+		t.Errorf("Mirror, sampled or skipped: %.1f allocs/op, want 0", n)
+	}
+	for tn.shed.Load() == 0 {
+		seq++
+		tn.Mirror(session, seq, events)
+	}
+	if n := testing.AllocsPerRun(100, func() {
+		seq++
+		tn.Mirror(session, seq, events)
+	}); n != 0 {
+		t.Errorf("Mirror into a full mailbox: %.1f allocs/op, want 0", n)
+	}
+}
+
 // --- benchmarks ---
 
 // BenchmarkServeMirrorTap measures the serving hot path with the

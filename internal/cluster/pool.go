@@ -22,8 +22,8 @@ type Backend struct {
 	probes   atomic.Uint64 // health probes sent
 
 	mu     sync.Mutex
-	idle   []*serve.Client // vplint:guardedby mu
-	closed bool            // vplint:guardedby mu
+	idle   []*serve.Client
+	closed bool
 }
 
 // Addr returns the backend's dial address.
@@ -90,7 +90,7 @@ type Pool struct {
 	dialer serve.Dialer
 
 	mu       sync.RWMutex
-	backends map[string]*Backend // vplint:guardedby mu
+	backends map[string]*Backend
 }
 
 // NewPool returns an empty pool dialing through d.

@@ -54,7 +54,7 @@ func (c Config) withDefaults() Config {
 // ones until the state has moved.
 type sessionLocks struct {
 	mu sync.Mutex
-	m  map[uint64]*sync.RWMutex // vplint:guardedby mu
+	m  map[uint64]*sync.RWMutex
 }
 
 func (l *sessionLocks) get(id uint64) *sync.RWMutex {
@@ -84,9 +84,9 @@ type Router struct {
 	fe    *serve.FrontEnd
 
 	mu     sync.RWMutex
-	ring   *Ring             // vplint:guardedby mu — current membership (copy-on-write)
-	routes map[uint64]string // vplint:guardedby mu — session → backend that last served it
-	pins   map[uint64]string // vplint:guardedby mu — session → backend overriding the ring
+	ring   *Ring             // current membership (copy-on-write)
+	routes map[uint64]string // session → backend that last served it
+	pins   map[uint64]string // session → backend overriding the ring
 
 	migrations    atomic.Uint64
 	forwardErrors atomic.Uint64

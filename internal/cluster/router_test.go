@@ -1,6 +1,7 @@
 package cluster
 
 import (
+	"encoding/binary"
 	"encoding/json"
 	"net"
 	"net/http"
@@ -188,6 +189,102 @@ func TestRouterMigrationZeroLoss(t *testing.T) {
 	}
 }
 
+// TestRouterMigrateUnderLoad: sessions stream RunBatch frames on their
+// own connections while another goroutine keeps migrating them between
+// the two backends. Each session's hits must still match the offline
+// ground truth: migration is zero-loss under concurrent traffic. Under
+// -race it also checks the router's locking, since forwards read the
+// routing maps that migrations write.
+func TestRouterMigrateUnderLoad(t *testing.T) {
+	leakcheck.Check(t)
+	const sessions, batch = 4, 8
+	b1, b2 := startBackend(t), startBackend(t)
+	r, raddr := startRouter(t, Config{Backends: []string{b1, b2}})
+	events := clusterEvents(0x5000, 12288)
+	want := offlineHits(t, events)
+
+	stop := make(chan struct{})
+	migrated := make(chan struct{})
+	go func() {
+		defer close(migrated)
+		for i := 0; ; i++ {
+			select {
+			case <-stop:
+				return
+			default:
+			}
+			to := []string{b1, b2}[i/sessions%2]
+			if err := r.MigrateSession(uint64(i%sessions+1), to); err != nil {
+				t.Errorf("MigrateSession: %v", err)
+				return
+			}
+		}
+	}()
+
+	hits := make([]uint64, sessions)
+	var wg sync.WaitGroup
+	for s := range hits {
+		c := dialRouter(t, raddr)
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for start := 0; start < len(events); start += batch {
+				h, st, err := c.RunBatch(uint64(s+1), events[start:min(start+batch, len(events))])
+				if err != nil || st != serve.StatusOK {
+					t.Errorf("session %d RunBatch: %v %v", s+1, st, err)
+					return
+				}
+				hits[s] += uint64(h)
+			}
+		}()
+	}
+	wg.Wait()
+	close(stop)
+	<-migrated
+	for s, h := range hits {
+		if h != want {
+			t.Errorf("session %d: %d hits across migrations, offline %d", s+1, h, want)
+		}
+	}
+	if r.Stats().Migrations == 0 {
+		t.Error("no migration landed during the traffic")
+	}
+}
+
+// TestRouterFreshSessionsConcurrently: connections that open a new
+// session on every frame, the pattern of many short-lived clients,
+// make the router record a route per frame while the other
+// connections look theirs up. Every frame must be answered and every
+// session routed. Sessions spread over two backends, so the
+// connections share no lock but the router's own: under -race this
+// checks the locking of its routing maps.
+func TestRouterFreshSessionsConcurrently(t *testing.T) {
+	leakcheck.Check(t)
+	const conns, frames = 4, 256
+	b1, b2 := startBackend(t), startBackend(t)
+	r, raddr := startRouter(t, Config{Backends: []string{b1, b2}})
+	events := clusterEvents(0x6000, 16)
+	var wg sync.WaitGroup
+	for k := range conns {
+		c := dialRouter(t, raddr)
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := range frames {
+				id := uint64(k*frames + i + 1)
+				if _, st, err := c.RunBatch(id, events); err != nil || st != serve.StatusOK {
+					t.Errorf("session %d RunBatch: %v %v", id, st, err)
+					return
+				}
+			}
+		}()
+	}
+	wg.Wait()
+	if got := r.Stats().Sessions; got != conns*frames {
+		t.Errorf("router routed %d sessions, want %d", got, conns*frames)
+	}
+}
+
 // TestRouterMigrateErrors: bad targets and sessions without state.
 func TestRouterMigrateErrors(t *testing.T) {
 	b1, b2 := startBackend(t), startBackend(t)
@@ -323,6 +420,23 @@ func TestRouterHealthRouteAround(t *testing.T) {
 	if up, _ := r.pool.Get(b1); up.Requests() == 0 {
 		t.Error("surviving backend served no requests")
 	}
+}
+
+// TestRouterCloseStopsHealthChecker: with active health checking on,
+// Close must stop and join the checker goroutine; leakcheck fails the
+// test if it outlives the router.
+func TestRouterCloseStopsHealthChecker(t *testing.T) {
+	leakcheck.Check(t)
+	b1 := startBackend(t)
+	r, err := NewRouter(Config{Backends: []string{b1}, HealthInterval: time.Millisecond})
+	if err != nil {
+		t.Fatal(err)
+	}
+	b, _ := r.pool.Get(b1)
+	for b.probes.Load() < 2 {
+		time.Sleep(time.Millisecond)
+	}
+	r.Close()
 }
 
 // TestRouterStatsAggregation: a Stats round trip against the router
@@ -500,6 +614,47 @@ func TestRouterOversizedFrame(t *testing.T) {
 	}
 	if len(p) != 1 || serve.Status(p[0]) != serve.StatusBadRequest {
 		t.Errorf("unknown op answered % x, want bad-request", p)
+	}
+}
+
+// runBatchFrame encodes a RunBatch request frame as serve.Client
+// sends it: the VP1 header, the session, the event count, then each
+// event as one big-endian word PC<<32 | Value.
+func runBatchFrame(session uint64, events trace.Trace) serve.Frame {
+	f := []byte{'V', 'P', 1, serve.OpRunBatch, 0, 0, 0, 0}
+	f = binary.BigEndian.AppendUint64(f, session)
+	f = binary.BigEndian.AppendUint32(f, uint32(len(events)))
+	for _, e := range events {
+		f = binary.BigEndian.AppendUint64(f, uint64(e.PC)<<32|uint64(e.Value))
+	}
+	binary.BigEndian.PutUint32(f[4:8], uint32(len(f)-8))
+	return f
+}
+
+// TestRouterForwardZeroAlloc: once the backend connection is pooled
+// and the session routed, forwarding a RunBatch frame allocates
+// nothing: session lock lookup, route resolution, the pooled round
+// trip and the reply read into the inbound connection's buffer. The
+// count is process-wide, so it covers the in-process backend serving
+// the frame too.
+func TestRouterForwardZeroAlloc(t *testing.T) {
+	if leakcheck.RaceEnabled {
+		t.Skip("race detector instrumentation allocates; zero-alloc budget holds in pure builds only")
+	}
+	r, err := NewRouter(Config{Backends: []string{startBackend(t)}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(r.Close)
+	req := runBatchFrame(0x9e3779b97f4a7c15, clusterEvents(0x1000, 512))
+	resp := r.dispatch(req, nil) // warm: dial the backend, create the session
+	if st := serve.Status(resp.Payload()[0]); st != serve.StatusOK {
+		t.Fatalf("warm-up forward answered %v", st)
+	}
+	if n := testing.AllocsPerRun(100, func() {
+		resp = r.dispatch(req, resp)
+	}); n != 0 {
+		t.Errorf("steady-state forwarded RunBatch frame: %.1f allocs/op, want 0", n)
 	}
 }
 

@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"repro/internal/hash"
+	"repro/internal/leakcheck"
 	"repro/internal/trace"
 )
 
@@ -113,6 +114,42 @@ func TestHitsMatchesRun(t *testing.T) {
 			if got != want {
 				t.Errorf("%s chunk %d: Hits sum %+v, Run %+v", name, chunk, got, want)
 			}
+		}
+	}
+}
+
+// TestHitsZeroAlloc: once a predictor's tables exist, Hits, Hit and
+// UnionHits allocate nothing, for every Spec kind. The served paths
+// never call Hits (only offline experiments read outcomes), so the
+// serve zero-alloc tests do not reach it.
+func TestHitsZeroAlloc(t *testing.T) {
+	if leakcheck.RaceEnabled {
+		t.Skip("race detector instrumentation allocates; zero-alloc budget holds in pure builds only")
+	}
+	tr := batchTrace(1000)
+	a := make([]uint64, HitWords(len(tr)))
+	b := make([]uint64, len(a))
+	for _, spec := range []Spec{
+		{Kind: "lvp", L1: 8},
+		{Kind: "stride", L1: 8},
+		{Kind: "2delta", L1: 8},
+		{Kind: "fcm", L1: 8, L2: 10},
+		{Kind: "dfcm", L1: 8, L2: 10},
+		{Kind: "hybrid", L1: 8, L2: 10},
+		{Kind: "tage", L1: 8, L2: 6},
+		{Kind: "dfcm", L1: 8, L2: 10, Delay: 16},
+	} {
+		p, err := spec.New()
+		if err != nil {
+			t.Fatal(err)
+		}
+		Hits(p, tr, b)
+		if n := testing.AllocsPerRun(20, func() {
+			Hits(p, tr, a)
+			_ = Hit(a, 0)
+			UnionHits(a, b)
+		}); n != 0 {
+			t.Errorf("%s: Hits %.1f allocs/op, want 0", p.Name(), n)
 		}
 	}
 }

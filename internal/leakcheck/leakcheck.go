@@ -1,10 +1,8 @@
 // Package leakcheck is a stdlib-only goroutine-leak detector for
 // tests: it snapshots runtime.NumGoroutine when armed and, at test
 // cleanup, fails the test if the count has not come back down. It is
-// the dynamic complement to the static goroutine-lifecycle rule
-// (internal/analysis): the rule proves every goroutine in the serving
-// tier is joinable; this check proves the Close/drain paths actually
-// join them.
+// how the serving tier's tests prove that the Close/drain paths join
+// every goroutine they started.
 //
 // Usage, first line of a test:
 //

@@ -235,9 +235,8 @@ func (s *session) stat(id uint64) SessionStat {
 // shard owns a disjoint set of sessions. A request runs on its
 // caller's goroutine with mu held, so the shard's requests execute
 // one at a time and predictors need no locks of their own. sessions
-// is only touched with mu held, but enter takes mu on the op's
-// behalf, which is why the field carries no guardedby annotation (the
-// analyzer checks one function body at a time).
+// is only touched with mu held: enter takes mu on the op's behalf and
+// leave releases it.
 type shard struct {
 	mu       sync.Mutex
 	sessions map[uint64]*session
@@ -263,7 +262,7 @@ type Engine struct {
 	// under its shard's lock. Sessions are never deleted, so byID is
 	// also the live-session count.
 	sessMu sync.RWMutex
-	byID   map[uint64]*session // vplint:guardedby sessMu
+	byID   map[uint64]*session
 
 	checkpoints      atomic.Uint64
 	checkpointErrors atomic.Uint64
@@ -272,7 +271,7 @@ type Engine struct {
 	ckptWG           sync.WaitGroup
 
 	mu     sync.RWMutex
-	closed bool // vplint:guardedby mu
+	closed bool
 }
 
 // NewEngine builds the engine's cfg.Shards shards and, when periodic

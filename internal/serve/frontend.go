@@ -61,10 +61,10 @@ type FrontEnd struct {
 	handler func() FrameHandler // called once per connection
 
 	mu       sync.Mutex
-	ln       net.Listener          // vplint:guardedby mu
-	conns    map[net.Conn]struct{} // vplint:guardedby mu
-	draining bool                  // vplint:guardedby mu
-	closed   bool                  // vplint:guardedby mu
+	ln       net.Listener
+	conns    map[net.Conn]struct{}
+	draining bool
+	closed   bool
 	connWG   sync.WaitGroup
 }
 

@@ -1,6 +1,7 @@
 package serve
 
 import (
+	"fmt"
 	"net"
 	"sync"
 	"testing"
@@ -91,21 +92,18 @@ func TestConnScratchAliasingUnderConcurrency(t *testing.T) {
 
 // TestServeSteadyStateZeroAlloc: the acceptance budget — once a
 // connection's scratch buffers and the session are warm, a
-// PredictBatch or RunBatch frame allocates nothing at any layer:
-// frame decode, engine round trip, batch loop, response encode.
-// dispatch is driven directly (no socket) so the measurement isolates
-// the serving hot path from kernel I/O.
+// PredictBatch, RunBatch or UpdateBatch frame allocates nothing at
+// any layer: frame decode, engine call, batch loop, response encode.
+// It runs every Spec kind (servedSpecs), so each kind's per-event
+// Predict and Update, its batch kernel and step helpers, the fused
+// delayed-update kernel, the history hash folds and the VP1 codec are
+// checked on the path production serves them through. dispatch is
+// driven directly (no socket) so the measurement isolates the serving
+// hot path from kernel I/O.
 func TestServeSteadyStateZeroAlloc(t *testing.T) {
 	if leakcheck.RaceEnabled {
 		t.Skip("race detector instrumentation allocates; zero-alloc budget holds in pure builds only")
 	}
-	e, err := NewEngine(Config{Shards: 1, Spec: testSpec})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer e.Close()
-	s := NewServer(e, ServerConfig{})
-
 	events := testEvents(0x1000, 512)
 	pcs := make([]uint32, len(events))
 	for i, ev := range events {
@@ -113,28 +111,33 @@ func TestServeSteadyStateZeroAlloc(t *testing.T) {
 	}
 	predictReq := frameBytes(OpPredictBatch, appendPredictReq(nil, 7, pcs))
 	runReq := frameBytes(OpRunBatch, appendEventReq(nil, 7, events))
-	updateReq := frameBytes(OpUpdateBatch, runReq.Payload())
-	sc := &connScratch{}
-	var out []byte
-
-	// Warm: create the session, size every scratch buffer.
-	out = s.dispatch(predictReq, out, sc)
-	out = s.dispatch(runReq, out, sc)
-
-	if n := testing.AllocsPerRun(100, func() {
-		out = s.dispatch(predictReq, out, sc)
-	}); n != 0 {
-		t.Errorf("steady-state PredictBatch frame: %.1f allocs/op, want 0", n)
+	frames := []struct {
+		op  string
+		req Frame
+	}{
+		{"PredictBatch", predictReq},
+		{"RunBatch", runReq},
+		{"UpdateBatch", frameBytes(OpUpdateBatch, runReq.Payload())},
 	}
-	if n := testing.AllocsPerRun(100, func() {
-		out = s.dispatch(runReq, out, sc)
-	}); n != 0 {
-		t.Errorf("steady-state RunBatch frame: %.1f allocs/op, want 0", n)
-	}
-	if n := testing.AllocsPerRun(100, func() {
-		out = s.dispatch(updateReq, out, sc)
-	}); n != 0 {
-		t.Errorf("steady-state UpdateBatch frame: %.1f allocs/op, want 0", n)
+	for _, spec := range servedSpecs {
+		name := spec.Kind
+		if spec.Delay > 0 {
+			name += fmt.Sprintf("@delay%d", spec.Delay)
+		}
+		t.Run(name, func(t *testing.T) {
+			s := NewServer(newTestEngine(t, Config{Shards: 1, Spec: spec}), ServerConfig{})
+			sc := &connScratch{}
+			// Warm: create the session, size every scratch buffer.
+			out := s.dispatch(predictReq, nil, sc)
+			out = s.dispatch(runReq, out, sc)
+			for _, f := range frames {
+				if n := testing.AllocsPerRun(100, func() {
+					out = s.dispatch(f.req, out, sc)
+				}); n != 0 {
+					t.Errorf("steady-state %s frame: %.1f allocs/op, want 0", f.op, n)
+				}
+			}
+		})
 	}
 }
 
